@@ -182,6 +182,13 @@ func TestAllStrategiesDeletionRoundTrip(t *testing.T) {
 			if accBefore < 0.35 {
 				t.Fatalf("%s: trained accuracy %g too low for a meaningful round trip", name, accBefore)
 			}
+			// The strategies that train against a forget set would weight a
+			// row listed twice double; they reject the request whole.
+			if name == "goldfish" || name == "incompetent-teacher" {
+				if err := e.RequestDeletion(0, []int{5, 5}); err == nil {
+					t.Errorf("%s: row listed twice in one request accepted", name)
+				}
+			}
 			if err := e.RequestDeletion(0, []int{0, 1, 2, 3, 4}); err != nil {
 				t.Fatal(err)
 			}

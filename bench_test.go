@@ -7,13 +7,6 @@
 // GOLDFISH_BENCH_SCALE=small|medium|paper for larger runs, e.g.
 //
 //	GOLDFISH_BENCH_SCALE=small go test -bench=BenchmarkTable3 -benchtime=1x
-//
-// Setting GOLDFISH_BENCH_JSON=<path> makes TestWriteBenchJSON run the
-// performance suite (op-level kernel GFLOP/s serial vs parallel, per-round
-// engine wall time, end-to-end experiment time) and persist the
-// machine-readable report, mirroring `goldfish-bench -exp perf -json`:
-//
-//	GOLDFISH_BENCH_JSON=BENCH_1.json go test -run TestWriteBenchJSON
 package goldfish_test
 
 import (
@@ -60,26 +53,6 @@ func runExperiment(b *testing.B, id string) {
 			b.ReportMetric(float64(len(report.Figures)), "figures")
 		}
 	}
-}
-
-// TestWriteBenchJSON persists the performance report when
-// GOLDFISH_BENCH_JSON names a destination path; see the package comment.
-func TestWriteBenchJSON(t *testing.T) {
-	path := os.Getenv("GOLDFISH_BENCH_JSON")
-	if path == "" {
-		t.Skip("set GOLDFISH_BENCH_JSON=<path> to write the performance report")
-	}
-	rep, err := bench.RunPerf(bench.PerfOptions{
-		Options:     bench.Options{Scale: benchScale(), Seed: 1},
-		Experiments: []string{"table3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s\n%s", path, rep.RenderText())
 }
 
 // Fig. 4: retraining accuracy curves, ours vs B1 vs B2.

@@ -7,18 +7,11 @@
 //	goldfish-bench -exp table3
 //	goldfish-bench -exp fig5 -scale medium -seed 7
 //	goldfish-bench -exp all -scale tiny
-//	goldfish-bench -exp perf -scale tiny -json BENCH_1.json
 //	goldfish-bench -exp scenario -config examples/scenarios/smoke.json
 //
 // Scales: tiny (seconds per experiment), small (default), medium, paper
-// (hours; mirrors the paper's dimensions).
-//
-// The pseudo-experiment "perf" runs the performance suite: op-level matmul
-// GFLOP/s serial vs parallel, per-round wall time of the federated engine,
-// and end-to-end experiment time. With -json the machine-readable report is
-// written to the given path (the repo persists these as BENCH_*.json);
-// -json combined with regular experiments records their end-to-end wall
-// times alongside the kernel and round measurements.
+// (hours; mirrors the paper's dimensions). Performance is measured by
+// `go run ./benchmark`, not here.
 //
 // The pseudo-experiment "scenario" runs a declarative experiment matrix
 // from a -config spec file through goldfish.RunScenario, the same path the
@@ -62,7 +55,7 @@ func run() int {
 		round = flag.Int("rounds", 0, "override round budget (0 = per-scale default)")
 		rates = flag.String("rates", "", "comma-separated deletion rates in percent (e.g. 2,6,12)")
 		out   = flag.String("out", "", "also append reports to this file")
-		jsonP = flag.String("json", "", "write the machine-readable performance report (BENCH_*.json) here")
+		jsonP = flag.String("json", "", "write the scenario report (-exp scenario) or the SLO report (-exp serve) here")
 		cfgP  = flag.String("config", "", "scenario spec file for -exp scenario")
 		prof  = flag.String("profile", "steady",
 			"load profile for -exp serve: steady|burst|interleaved|idle, or serverless for the no-service baseline")
@@ -127,10 +120,6 @@ func run() int {
 	switch *exp {
 	case "all":
 		targets = bench.Experiments()
-	case "perf":
-		// Performance suite only; end-to-end timing covers table3 by
-		// default so the report always carries an experiment-level number.
-		return runPerf(sink, opts, []string{"table3"}, nil, *jsonP, observer)
 	case "scenario":
 		return runScenario(sink, *cfgP, *jsonP, observer)
 	case "serve":
@@ -143,8 +132,11 @@ func run() int {
 		}
 		targets = []bench.Experiment{e}
 	}
+	if *jsonP != "" {
+		fmt.Fprintln(os.Stderr, "goldfish-bench: -json applies only to -exp scenario and -exp serve")
+		return 2
+	}
 
-	var measured []bench.ExperimentResult
 	for _, e := range targets {
 		start := time.Now()
 		report, err := e.Run(opts)
@@ -155,16 +147,6 @@ func run() int {
 		elapsed := time.Since(start)
 		report.Render(sink)
 		fmt.Fprintf(sink, "(%s completed in %v at scale %s)\n\n", e.ID, elapsed.Round(time.Millisecond), *scale)
-		measured = append(measured, bench.ExperimentResult{
-			ID:      e.ID,
-			Scale:   *scale,
-			Seconds: elapsed.Seconds(),
-		})
-	}
-	if *jsonP != "" {
-		// Reuse the timings just measured; only the kernel and round suites
-		// run in addition.
-		return runPerf(sink, opts, nil, measured, *jsonP, observer)
 	}
 	return 0
 }
@@ -216,27 +198,6 @@ func runServe(sink io.Writer, opts bench.Options, profile string, queueCap int, 
 		fmt.Fprintf(os.Stderr, "goldfish-bench: serve: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(sink, rep.RenderText())
-	if jsonPath != "" {
-		if err := rep.WriteJSON(jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "goldfish-bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(sink, "wrote %s\n", jsonPath)
-	}
-	return 0
-}
-
-// runPerf executes the performance suite (running and timing the experiment
-// IDs in run, and folding in any pre-measured timings), prints the text
-// summary, and writes the JSON artifact when a path is given.
-func runPerf(sink io.Writer, opts bench.Options, run []string, measured []bench.ExperimentResult, jsonPath string, observer *goldfish.Observer) int {
-	rep, err := bench.RunPerf(bench.PerfOptions{Options: opts, Experiments: run, Observer: observer})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "goldfish-bench: perf: %v\n", err)
-		return 1
-	}
-	rep.Experiments = append(rep.Experiments, measured...)
 	fmt.Fprint(sink, rep.RenderText())
 	if jsonPath != "" {
 		if err := rep.WriteJSON(jsonPath); err != nil {

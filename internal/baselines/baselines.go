@@ -12,10 +12,10 @@
 // Running B1 with no removals doubles as the "origin" model (train on
 // everything, never unlearn).
 //
-// The trainer types (PlainTrainer, IncompetentTrainer) are exported so the
-// unlearning-strategy registry (internal/unlearn) can drive the baselines
-// through the same round engine as the Goldfish procedure; the package-level
-// functions remain the one-shot experiment entry points.
+// The package holds only the per-client trainers (PlainTrainer,
+// IncompetentTrainer). The baselines run as the "retrain", "fisher" and
+// "incompetent-teacher" strategies of internal/unlearn, which drive these
+// trainers through the same round engine as the Goldfish procedure.
 package baselines
 
 import (
@@ -62,22 +62,6 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// RoundHook observes the global state vector after each aggregated round.
-type RoundHook func(round int, global []float64)
-
-// dropRemoved returns client datasets without their removed rows.
-func dropRemoved(parts []*data.Dataset, removed map[int][]int) []*data.Dataset {
-	out := make([]*data.Dataset, len(parts))
-	for i, p := range parts {
-		if rows := removed[i]; len(rows) > 0 {
-			out[i] = p.Remove(rows)
-		} else {
-			out[i] = p
-		}
-	}
-	return out
-}
-
 // PlainTrainer is per-client local SGD on hard loss, optionally with
 // diagonal-FIM preconditioning (the B2 rapid-retraining rule). It implements
 // fed.LocalTrainer.
@@ -86,11 +70,9 @@ type PlainTrainer struct {
 	sc      Scenario
 	ds      *data.Dataset
 	net     *nn.Network
-	opt     *optim.SGD
-	hard    loss.Hard
+	opt     core.Stepper // plain SGD (B1) or its Fisher-preconditioned wrapper (B2)
 	rng     *rand.Rand
 	precond bool
-	fim     []float64 // EMA of squared gradients (diagonal FIM estimate)
 }
 
 var _ fed.LocalTrainer = (*PlainTrainer)(nil)
@@ -110,20 +92,18 @@ func NewPlainTrainer(id int, sc Scenario, ds *data.Dataset, precond bool) (*Plai
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
-	opt, err := optim.NewSGD(sc.Opt)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: %w", err)
-	}
-	return &PlainTrainer{
+	p := &PlainTrainer{
 		id:      id,
 		sc:      sc,
 		ds:      ds,
 		net:     net,
-		opt:     opt,
-		hard:    loss.CrossEntropy{},
 		rng:     rand.New(rand.NewSource(sc.Seed*7907 + int64(id))),
 		precond: precond,
-	}, nil
+	}
+	if err := p.Reset(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // NumSamples returns the client's current local dataset size.
@@ -154,13 +134,42 @@ func (p *PlainTrainer) Forget(rows []int) error {
 // state accumulated around the pre-deletion model that a from-scratch
 // retrain must not inherit.
 func (p *PlainTrainer) Reset() error {
-	opt, err := optim.NewSGD(p.sc.Opt)
+	sgd, err := optim.NewSGD(p.sc.Opt)
 	if err != nil {
 		return fmt.Errorf("baselines: %w", err)
 	}
-	p.opt = opt
-	p.fim = nil
+	p.opt = sgd
+	if p.precond {
+		p.opt = &fisherStep{sgd: sgd, fim: make([]float64, p.net.NumParams())}
+	}
 	return nil
+}
+
+// fisherStep is the B2 update rule: it rescales each gradient by the inverse
+// root of a running diagonal Fisher estimate before the wrapped SGD steps —
+// Liu et al.'s curvature-guided fast recovery in first-order form.
+type fisherStep struct {
+	sgd *optim.SGD
+	fim []float64 // EMA of squared gradients (diagonal FIM estimate)
+}
+
+// Step implements core.Stepper.
+func (f *fisherStep) Step(params []*nn.Param) {
+	const (
+		decay = 0.9
+		eps   = 1e-4
+	)
+	off := 0
+	for _, pr := range params {
+		g := pr.G.Data()
+		for j := range g {
+			v := decay*f.fim[off] + (1-decay)*g[j]*g[j]
+			f.fim[off] = v
+			g[j] /= math.Sqrt(v) + eps
+			off++
+		}
+	}
+	f.sgd.Step(params)
 }
 
 // TrainRound implements fed.LocalTrainer.
@@ -172,17 +181,11 @@ func (p *PlainTrainer) TrainRound(ctx context.Context, round int, global []float
 	for i := range idx {
 		idx[i] = i
 	}
-	gl := loss.Goldfish{Hard: p.hard, ForgetScale: 1}
-	var last core.EpochResult
-	for e := 0; e < p.sc.LocalEpochs; e++ {
-		if err := ctx.Err(); err != nil {
-			return fed.ModelUpdate{}, err
-		}
-		res, err := p.trainEpoch(ctx, idx, gl)
-		if err != nil {
-			return fed.ModelUpdate{}, err
-		}
-		last = res
+	gl := loss.Goldfish{Hard: loss.CrossEntropy{}, ForgetScale: 1}
+	last, _, err := core.TrainLocal(ctx, p.net, nil, p.ds, idx, nil, gl, p.opt,
+		p.sc.BatchSize, p.sc.LocalEpochs, nil, p.rng)
+	if err != nil {
+		return fed.ModelUpdate{}, err
 	}
 	return fed.ModelUpdate{
 		ClientID:   p.id,
@@ -191,87 +194,6 @@ func (p *PlainTrainer) TrainRound(ctx context.Context, round int, global []float
 		NumSamples: p.ds.Len(),
 		TrainLoss:  last.HardLoss,
 	}, nil
-}
-
-func (p *PlainTrainer) trainEpoch(ctx context.Context, idx []int, gl loss.Goldfish) (core.EpochResult, error) {
-	if !p.precond {
-		return core.TrainEpoch(ctx, p.net, nil, p.ds, idx, nil, gl, p.opt, p.sc.BatchSize, p.rng)
-	}
-	// B2: same batches, but gradients are rescaled by the inverse root of
-	// the running diagonal Fisher estimate before each step — Liu et al.'s
-	// curvature-guided fast recovery in first-order form.
-	var res core.EpochResult
-	params := p.net.Params()
-	if p.fim == nil {
-		p.fim = make([]float64, p.net.NumParams())
-	}
-	batches := data.BatchIndices(len(idx), p.sc.BatchSize, p.rng)
-	const (
-		decay = 0.9
-		eps   = 1e-4
-	)
-	for _, b := range batches {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		rows := make([]int, len(b))
-		for i, j := range b {
-			rows[i] = idx[j]
-		}
-		x := sliceX(p.ds, rows)
-		logits := p.net.Forward(x, true)
-		hardLoss, grad := gl.Hard.Compute(logits, p.ds.LabelsFor(rows))
-		p.net.ZeroGrads()
-		p.net.Backward(grad)
-
-		off := 0
-		for _, pr := range params {
-			g := pr.G.Data()
-			for j := range g {
-				f := decay*p.fim[off] + (1-decay)*g[j]*g[j]
-				p.fim[off] = f
-				g[j] /= math.Sqrt(f) + eps
-				off++
-			}
-		}
-		p.opt.Step(params)
-		res.HardLoss += hardLoss
-		res.TotalLoss += hardLoss
-	}
-	if len(batches) > 0 {
-		res.HardLoss /= float64(len(batches))
-		res.TotalLoss /= float64(len(batches))
-	}
-	return res, nil
-}
-
-// runFederation drives trainers through a fed.Coordinator for the given
-// number of rounds.
-func runFederation(ctx context.Context, trainers []fed.LocalTrainer, initial []float64, rounds int, onRound RoundHook) ([]float64, error) {
-	cfg := fed.CoordinatorConfig{Rounds: rounds}
-	if onRound != nil {
-		cfg.OnRound = func(ri fed.RoundInfo) { onRound(ri.Round, ri.Global) }
-	}
-	coord, err := fed.NewCoordinator(cfg, initial, trainers)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: %w", err)
-	}
-	return coord.Run(ctx)
-}
-
-// RetrainFromScratch implements B1: drop the removed rows, reinitialize the
-// global model and run plain FedAvg training for the given rounds. With an
-// empty removal map it trains the "origin" model.
-func RetrainFromScratch(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, rounds int, onRound RoundHook) ([]float64, error) {
-	return retrain(ctx, sc, parts, removed, rounds, false, onRound)
-}
-
-// RapidRetrain implements B2: like B1, but local updates are preconditioned
-// by a running diagonal Fisher-information estimate, which speeds recovery.
-func RapidRetrain(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, rounds int, onRound RoundHook) ([]float64, error) {
-	return retrain(ctx, sc, parts, removed, rounds, true, onRound)
 }
 
 // ReinitVector builds the freshly initialized global model a from-scratch
@@ -284,30 +206,6 @@ func ReinitVector(sc Scenario, seedBump int64) ([]float64, error) {
 		return nil, fmt.Errorf("baselines: %w", err)
 	}
 	return initNet.StateVector(), nil
-}
-
-func retrain(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, rounds int, precond bool, onRound RoundHook) ([]float64, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	clean := dropRemoved(parts, removed)
-	trainers := make([]fed.LocalTrainer, len(clean))
-	for i, ds := range clean {
-		if ds.Len() == 0 {
-			return nil, fmt.Errorf("baselines: client %d has no data after removal", i)
-		}
-		t, err := NewPlainTrainer(i, sc, ds, precond)
-		if err != nil {
-			return nil, err
-		}
-		trainers[i] = t
-	}
-	initial, err := ReinitVector(sc, 0)
-	if err != nil {
-		return nil, err
-	}
-	return runFederation(ctx, trainers, initial, rounds, onRound)
 }
 
 // IncompetentTrainer is the B3 client (Chundawat et al.): it distills from
@@ -376,10 +274,17 @@ func (t *IncompetentTrainer) Forget(rows []int, contaminated []float64) error {
 	if len(contaminated) == 0 {
 		return fmt.Errorf("baselines: B3 needs the contaminated global model")
 	}
+	seen := make(map[int]bool, len(rows))
 	for _, r := range rows {
 		if r < 0 || r >= t.dr.Len() {
 			return fmt.Errorf("baselines: client %d: row %d out of range [0,%d)", t.id, r, t.dr.Len())
 		}
+		if seen[r] {
+			// Subset would copy the row into Df twice and the forget passes
+			// would weight it double.
+			return fmt.Errorf("baselines: client %d: row %d listed twice in one request", t.id, r)
+		}
+		seen[r] = true
 	}
 	df := t.dr.Subset(rows)
 	dr := t.dr.Remove(rows)
@@ -476,38 +381,6 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 		NumSamples: t.dr.Len(),
 		TrainLoss:  lastLoss,
 	}, nil
-}
-
-// IncompetentTeacher implements B3. contaminated is the state vector of the
-// original (pre-deletion) global model: it seeds the student and acts as the
-// competent teacher; a randomly initialized network of the same architecture
-// is the incompetent teacher for the removed data.
-func IncompetentTeacher(ctx context.Context, sc Scenario, parts []*data.Dataset,
-	removed map[int][]int, contaminated []float64, rounds int, temp float64, onRound RoundHook) ([]float64, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if temp <= 0 {
-		return nil, fmt.Errorf("baselines: distillation temperature must be positive, got %g", temp)
-	}
-	if len(contaminated) == 0 {
-		return nil, fmt.Errorf("baselines: B3 needs the contaminated global model")
-	}
-	trainers := make([]fed.LocalTrainer, len(parts))
-	for i, p := range parts {
-		t, err := NewIncompetentTrainer(i, sc, p, temp)
-		if err != nil {
-			return nil, err
-		}
-		if rows := removed[i]; len(rows) > 0 {
-			if err := t.Forget(rows, contaminated); err != nil {
-				return nil, err
-			}
-		}
-		trainers[i] = t
-	}
-	// B3 starts from the contaminated model rather than from scratch.
-	return runFederation(ctx, trainers, contaminated, rounds, onRound)
 }
 
 // sliceX extracts the given rows of a dataset as a batch tensor.

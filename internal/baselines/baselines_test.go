@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"goldfish/internal/data"
+	"goldfish/internal/fed"
 	"goldfish/internal/metrics"
 	"goldfish/internal/model"
 	"goldfish/internal/optim"
@@ -75,6 +76,54 @@ func evalASR(t *testing.T, sc Scenario, state []float64, triggered *data.Dataset
 	return metrics.AttackSuccessRate(net, triggered, target, 0)
 }
 
+// plainFederation builds one B1 (or, with precond, B2) trainer per partition,
+// applies the per-client removals through Forget, and returns the trainers
+// with the freshly initialized global model a from-scratch retrain starts at.
+func plainFederation(t *testing.T, sc Scenario, parts []*data.Dataset, removed map[int][]int, precond bool) ([]fed.LocalTrainer, []float64) {
+	t.Helper()
+	trainers := make([]fed.LocalTrainer, len(parts))
+	for i, p := range parts {
+		tr, err := NewPlainTrainer(i, sc, p, precond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := removed[i]; len(rows) > 0 {
+			if err := tr.Forget(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		trainers[i] = tr
+	}
+	initial, err := ReinitVector(sc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trainers, initial
+}
+
+// runRounds drives trainers through the shared round engine — the only way
+// the baselines run — and returns the final global state.
+func runRounds(ctx context.Context, trainers []fed.LocalTrainer, initial []float64, rounds int, onRound func(fed.RoundInfo)) ([]float64, error) {
+	e, err := fed.NewEngine(fed.EngineConfig{OnRound: onRound}, initial, fed.NewLocalTransport(trainers))
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Run(ctx, rounds); err != nil {
+		return nil, err
+	}
+	return e.Global(), nil
+}
+
+// mustRun is runRounds for tests that expect success.
+func mustRun(t *testing.T, trainers []fed.LocalTrainer, initial []float64, rounds int) []float64 {
+	t.Helper()
+	state, err := runRounds(context.Background(), trainers, initial, rounds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
 func TestScenarioValidate(t *testing.T) {
 	if err := testScenario().Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
@@ -100,10 +149,8 @@ func TestOriginLearnsBackdoor(t *testing.T) {
 	parts, _, test, triggered, bd := poisonedSetup(t)
 	sc := testScenario()
 	// Origin = B1 with no removals: trains on the poisoned data.
-	state, err := RetrainFromScratch(context.Background(), sc, parts, nil, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trainers, initial := plainFederation(t, sc, parts, nil, false)
+	state := mustRun(t, trainers, initial, 8)
 	acc := evalState(t, sc, state, test)
 	asr := evalASR(t, sc, state, triggered, bd.TargetLabel)
 	if acc < 0.35 {
@@ -117,9 +164,9 @@ func TestOriginLearnsBackdoor(t *testing.T) {
 func TestB1RemovesBackdoor(t *testing.T) {
 	parts, removed, test, triggered, bd := poisonedSetup(t)
 	sc := testScenario()
+	trainers, initial := plainFederation(t, sc, parts, removed, false)
 	var rounds int
-	state, err := RetrainFromScratch(context.Background(), sc, parts, removed, 8,
-		func(round int, global []float64) { rounds++ })
+	state, err := runRounds(context.Background(), trainers, initial, 8, func(fed.RoundInfo) { rounds++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +187,8 @@ func TestB2ConvergesAndRemovesBackdoor(t *testing.T) {
 	parts, removed, test, triggered, bd := poisonedSetup(t)
 	sc := testScenario()
 	sc.Opt.LR = 0.01 // preconditioned steps are larger; lower LR
-	state, err := RapidRetrain(context.Background(), sc, parts, removed, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trainers, initial := plainFederation(t, sc, parts, removed, true)
+	state := mustRun(t, trainers, initial, 8)
 	acc := evalState(t, sc, state, test)
 	asr := evalASR(t, sc, state, triggered, bd.TargetLabel)
 	if acc < 0.35 {
@@ -159,16 +204,10 @@ func TestB2FasterThanB1EarlyOn(t *testing.T) {
 	sc := testScenario()
 	sc.Opt.LR = 0.01
 	sc.LocalEpochs = 1
-	b2, err := RapidRetrain(context.Background(), sc, parts, removed, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scPlain := sc
-	scPlain.Opt.LR = 0.01
-	b1, err := RetrainFromScratch(context.Background(), scPlain, parts, removed, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trainers, initial := plainFederation(t, sc, parts, removed, true)
+	b2 := mustRun(t, trainers, initial, 2)
+	trainers, initial = plainFederation(t, sc, parts, removed, false)
+	b1 := mustRun(t, trainers, initial, 2)
 	accB2 := evalState(t, sc, b2, test)
 	accB1 := evalState(t, sc, b1, test)
 	if accB2 <= accB1 {
@@ -180,18 +219,27 @@ func TestB3UnlearnsFromContaminatedModel(t *testing.T) {
 	parts, removed, test, triggered, bd := poisonedSetup(t)
 	sc := testScenario()
 	// Build the contaminated origin first.
-	origin, err := RetrainFromScratch(context.Background(), sc, parts, nil, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trainers, initial := plainFederation(t, sc, parts, nil, false)
+	origin := mustRun(t, trainers, initial, 8)
 	asrOrigin := evalASR(t, sc, origin, triggered, bd.TargetLabel)
 	if asrOrigin < 0.4 {
 		t.Fatalf("origin ASR %g too low for a meaningful B3 test", asrOrigin)
 	}
-	state, err := IncompetentTeacher(context.Background(), sc, parts, removed, origin, 8, 3, nil)
-	if err != nil {
-		t.Fatal(err)
+	// B3 starts from the contaminated model, which is also the deleting
+	// client's competent teacher.
+	for i, p := range parts {
+		tr, err := NewIncompetentTrainer(i, sc, p, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := removed[i]; len(rows) > 0 {
+			if err := tr.Forget(rows, origin); err != nil {
+				t.Fatal(err)
+			}
+		}
+		trainers[i] = tr
 	}
+	state := mustRun(t, trainers, origin, 8)
 	acc := evalState(t, sc, state, test)
 	asr := evalASR(t, sc, state, triggered, bd.TargetLabel)
 	// B3 is the weakest unlearner in the paper's tables as well (its ASR
@@ -206,26 +254,44 @@ func TestB3UnlearnsFromContaminatedModel(t *testing.T) {
 
 func TestBaselineErrors(t *testing.T) {
 	parts, removed, _, _, _ := poisonedSetup(t)
-	ctx := context.Background()
 	bad := testScenario()
 	bad.LocalEpochs = 0
-	if _, err := RetrainFromScratch(ctx, bad, parts, removed, 2, nil); err == nil {
+	if _, err := NewPlainTrainer(0, bad, parts[0], false); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 	sc := testScenario()
+	if _, err := NewPlainTrainer(0, sc, nil, false); err == nil {
+		t.Error("client without data accepted")
+	}
+	plain, err := NewPlainTrainer(1, sc, parts[1], false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Removing everything from a client must fail.
 	all := make([]int, parts[1].Len())
 	for i := range all {
 		all[i] = i
 	}
-	if _, err := RetrainFromScratch(ctx, sc, parts, map[int][]int{1: all}, 2, nil); err == nil {
+	if err := plain.Forget(all); err == nil {
 		t.Error("client with no remaining data accepted")
 	}
-	if _, err := IncompetentTeacher(ctx, sc, parts, removed, nil, 2, 3, nil); err == nil {
+	if _, err := NewIncompetentTrainer(0, sc, parts[0], 0); err == nil {
+		t.Error("B3 with zero temperature accepted")
+	}
+	b3, err := NewIncompetentTrainer(0, sc, parts[0], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b3.Forget(removed[0], nil); err == nil {
 		t.Error("B3 without contaminated model accepted")
 	}
-	if _, err := IncompetentTeacher(ctx, sc, parts, removed, []float64{1}, 2, 0, nil); err == nil {
-		t.Error("B3 with zero temperature accepted")
+	// A row listed twice would be copied into Df twice and forgotten at
+	// double weight; the request is rejected and nothing is removed.
+	if err := b3.Forget([]int{5, 5}, []float64{1}); err == nil {
+		t.Error("B3 accepted a row listed twice in one request")
+	}
+	if b3.NumSamples() != parts[0].Len() {
+		t.Errorf("rejected request removed rows: %d samples, want %d", b3.NumSamples(), parts[0].Len())
 	}
 }
 
@@ -233,7 +299,20 @@ func TestBaselineCancellation(t *testing.T) {
 	parts, removed, _, _, _ := poisonedSetup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RetrainFromScratch(ctx, testScenario(), parts, removed, 5, nil); err == nil {
+	sc := testScenario()
+	trainers, initial := plainFederation(t, sc, parts, removed, false)
+	if _, err := runRounds(ctx, trainers, initial, 5, nil); err == nil {
 		t.Error("cancelled run should fail")
+	}
+	// The trainers themselves stop too, not just the engine between rounds.
+	if _, err := trainers[0].TrainRound(ctx, 0, initial); err == nil {
+		t.Error("cancelled B1 round should fail")
+	}
+	b3, err := NewIncompetentTrainer(0, sc, parts[0], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b3.TrainRound(ctx, 0, initial); err == nil {
+		t.Error("cancelled B3 round should fail")
 	}
 }

@@ -4,24 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"goldfish/internal/baselines"
 	"goldfish/internal/data"
 	"goldfish/internal/metrics"
 	"goldfish/internal/model"
-	"goldfish/internal/optim"
-	"goldfish/internal/unlearn"
 )
-
-// scenario converts a setup into the baseline Scenario.
-func (s *setup) scenario() baselines.Scenario {
-	return baselines.Scenario{
-		Model:       s.mcfg,
-		Opt:         optim.SGDConfig{LR: s.lr, Momentum: 0.9, ClipNorm: 5},
-		LocalEpochs: s.epochs,
-		BatchSize:   s.batch,
-		Seed:        s.opts.Seed,
-	}
-}
 
 // sweepPoint holds the final model states of every method at one deletion
 // rate, plus the probe data needed to evaluate them.
@@ -53,32 +39,20 @@ func (s *setup) runBackdoorPoint(ctx context.Context, rate int) (*sweepPoint, er
 	if err != nil {
 		return nil, err
 	}
-	removed := map[int][]int{0: poisoned}
 
-	// Origin + Ours share one federation: train on poisoned data, snapshot,
-	// then submit the deletion request and keep running (Algorithm 1).
-	f, err := unlearn.NewFederation(unlearn.Config{Client: s.clientConfig()}, parts)
+	// Every method runs the same federation: train on the poisoned data,
+	// submit the deletion request for the poisoned rows, keep running. The
+	// origin model is Goldfish's pre-deletion snapshot.
+	cfg := s.clientConfig()
+	origin, ours, err := s.runStrategy(ctx, "goldfish", cfg, parts, poisoned, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Run(ctx, s.rounds, nil); err != nil {
-		return nil, err
-	}
-	origin := f.Global()
-	if err := f.RequestDeletion(0, poisoned); err != nil {
-		return nil, err
-	}
-	if err := f.Run(ctx, s.rounds, nil); err != nil {
-		return nil, err
-	}
-	ours := f.Global()
-
-	sc := s.scenario()
-	b1, err := baselines.RetrainFromScratch(ctx, sc, parts, removed, s.rounds, nil)
+	_, b1, err := s.runStrategy(ctx, "retrain", cfg, parts, poisoned, nil)
 	if err != nil {
 		return nil, err
 	}
-	b3, err := baselines.IncompetentTeacher(ctx, sc, parts, removed, origin, s.rounds, 3, nil)
+	_, b3, err := s.runStrategy(ctx, "incompetent-teacher", cfg, parts, poisoned, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"goldfish/internal/baselines"
+	"goldfish/internal/core"
 	"goldfish/internal/unlearn"
 )
 
@@ -80,72 +80,40 @@ func runFig4Combo(c comboSpec, opts Options) (*Figure, error) {
 		n = 1
 	}
 	rows := s.rng.Perm(parts[0].Len())[:n]
-	removed := map[int][]int{0: rows}
-
-	// Train the pre-deletion global model; it becomes Goldfish's teacher.
-	f, err := unlearn.NewFederation(unlearn.Config{Client: s.clientConfig()}, parts)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Run(ctx, s.rounds, nil); err != nil {
-		return nil, err
-	}
 
 	fig := &Figure{
 		Title:  fmt.Sprintf("Fig.4 %s (%s)", c.dataset, c.arch),
 		XLabel: "retraining round",
 		YLabel: "test accuracy",
 	}
-
-	// Ours: continue the federation through the unlearning rounds.
-	if err := f.RequestDeletion(0, rows); err != nil {
-		return nil, err
-	}
-	ours := Series{Name: "ours"}
-	err = f.Run(ctx, s.rounds, func(rs unlearn.RoundStats) {
-		acc, aerr := s.accuracy(rs.Global)
-		if aerr != nil {
-			err = aerr
-			return
+	b2cfg := s.clientConfig()
+	b2cfg.Opt.LR /= 5 // preconditioned updates want a smaller LR
+	for _, m := range []struct {
+		series, strategy string
+		cfg              core.Config
+	}{
+		{"ours", "goldfish", s.clientConfig()},
+		{"B2", "fisher", b2cfg},
+		{"B1", "retrain", s.clientConfig()},
+	} {
+		curve := Series{Name: m.series}
+		var accErr error
+		_, _, err := s.runStrategy(ctx, m.strategy, m.cfg, parts, rows, func(rs unlearn.RoundStats) {
+			acc, aerr := s.accuracy(rs.Global)
+			if aerr != nil {
+				accErr = aerr
+				return
+			}
+			curve.X = append(curve.X, float64(len(curve.X)+1))
+			curve.Y = append(curve.Y, acc)
+		})
+		if err == nil {
+			err = accErr
 		}
-		ours.X = append(ours.X, float64(len(ours.X)+1))
-		ours.Y = append(ours.Y, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, ours)
-
-	// B2: rapid retraining (preconditioned updates want a smaller LR).
-	scB2 := s.scenario()
-	scB2.Opt.LR = s.lr / 5
-	b2 := Series{Name: "B2"}
-	if _, err := baselines.RapidRetrain(ctx, scB2, parts, removed, s.rounds, func(round int, global []float64) {
-		acc, aerr := s.accuracy(global)
-		if aerr != nil {
-			err = aerr
-			return
+		if err != nil {
+			return nil, err
 		}
-		b2.X = append(b2.X, float64(round+1))
-		b2.Y = append(b2.Y, acc)
-	}); err != nil {
-		return nil, err
+		fig.Series = append(fig.Series, curve)
 	}
-	fig.Series = append(fig.Series, b2)
-
-	// B1: retrain from scratch.
-	b1 := Series{Name: "B1"}
-	if _, err := baselines.RetrainFromScratch(ctx, s.scenario(), parts, removed, s.rounds, func(round int, global []float64) {
-		acc, aerr := s.accuracy(global)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		b1.X = append(b1.X, float64(round+1))
-		b1.Y = append(b1.Y, acc)
-	}); err != nil {
-		return nil, err
-	}
-	fig.Series = append(fig.Series, b1)
 	return fig, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -10,6 +11,7 @@ import (
 	"goldfish/internal/model"
 	"goldfish/internal/nn"
 	"goldfish/internal/preset"
+	"goldfish/internal/unlearn"
 )
 
 // defaultRates returns the deletion-rate sweep (percent). The paper sweeps
@@ -78,6 +80,34 @@ func (s *setup) clientConfig() core.Config { return s.p.ClientConfig() }
 // partitionIID splits the training data across the setup's clients.
 func (s *setup) partitionIID() ([]*data.Dataset, error) {
 	return data.PartitionIID(s.train, s.clients, s.rng)
+}
+
+// runStrategy drives one registered unlearning strategy — Goldfish or a
+// baseline — through the experiment every comparison here shares: train
+// s.rounds rounds on parts, delete rows of client 0, run s.rounds more with
+// onRound (may be nil) observing each post-deletion round. It returns the
+// global state before the deletion and at the end.
+func (s *setup) runStrategy(ctx context.Context, name string, cfg core.Config, parts []*data.Dataset,
+	rows []int, onRound func(unlearn.RoundStats)) (before, after []float64, err error) {
+	strategy, err := unlearn.New(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := unlearn.NewFederation(unlearn.Config{Client: cfg, Unlearner: strategy}, parts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.Run(ctx, s.rounds, nil); err != nil {
+		return nil, nil, err
+	}
+	before = f.Global()
+	if err := f.RequestDeletion(0, rows); err != nil {
+		return nil, nil, err
+	}
+	if err := f.Run(ctx, s.rounds, onRound); err != nil {
+		return nil, nil, err
+	}
+	return before, f.Global(), nil
 }
 
 // evalNet loads a state vector into a fresh network of this setup's

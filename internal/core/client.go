@@ -14,16 +14,6 @@ import (
 	"goldfish/internal/shard"
 )
 
-// buildModel constructs a network from a model configuration, wrapping
-// errors with package context.
-func buildModel(cfg model.Config) (*nn.Network, error) {
-	net, err := model.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: building model: %w", err)
-	}
-	return net, nil
-}
-
 // Client is one federation participant: it owns local data, the local
 // model (or per-shard models when sharding is enabled), and the unlearning
 // state machine of Algorithm 1. Client implements fed.LocalTrainer.
@@ -69,11 +59,11 @@ func NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
 	}
 	mcfg := cfg.Model
 	mcfg.Seed = cfg.Model.Seed + int64(id)*1009 + 7
-	student, err := buildModel(mcfg)
+	student, err := model.Build(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	teacher, err := buildModel(mcfg)
+	teacher, err := model.Build(mcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -124,14 +114,16 @@ func (c *Client) LastUpload() []float64 {
 
 // RequestDeletion marks the given local rows for removal. The data is
 // excluded from all future training immediately; the next TrainRound runs
-// the Goldfish unlearning procedure against it. Already-removed and
-// out-of-range rows are rejected.
+// the Goldfish unlearning procedure against it. Already-removed,
+// out-of-range and repeated rows are rejected: a row listed twice would enter
+// Df twice and be weighted double by the forget steps.
 func (c *Client) RequestDeletion(rows []int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(rows) == 0 {
 		return fmt.Errorf("core: client %d: empty deletion request", c.id)
 	}
+	seen := make(map[int]bool, len(rows))
 	for _, r := range rows {
 		if r < 0 || r >= c.dataset.Len() {
 			return fmt.Errorf("core: client %d: row %d out of range [0,%d)", c.id, r, c.dataset.Len())
@@ -139,6 +131,10 @@ func (c *Client) RequestDeletion(rows []int) error {
 		if c.removed[r] {
 			return fmt.Errorf("core: client %d: row %d already removed", c.id, r)
 		}
+		if seen[r] {
+			return fmt.Errorf("core: client %d: row %d listed twice in one request", c.id, r)
+		}
+		seen[r] = true
 	}
 	df := c.dataset.Subset(rows)
 	if c.pendingDf != nil {

@@ -131,6 +131,14 @@ func TestRequestDeletionValidation(t *testing.T) {
 	if err := c.RequestDeletion([]int{1}); err == nil {
 		t.Error("double removal accepted")
 	}
+	// A row listed twice would enter Df twice and be forgotten at double
+	// weight; the request is rejected whole, leaving the row in place.
+	if err := c.RequestDeletion([]int{5, 5}); err == nil {
+		t.Error("row listed twice in one request accepted")
+	}
+	if c.NumActive() != train.Len()-3 {
+		t.Errorf("NumActive = %d after rejected duplicate, want %d", c.NumActive(), train.Len()-3)
+	}
 	// A second, distinct request merges.
 	if err := c.RequestDeletion([]int{5}); err != nil {
 		t.Fatalf("second request rejected: %v", err)
@@ -153,7 +161,7 @@ func TestShardedClientDeletion(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	initNet, err := buildModel(cfg.Model)
+	initNet, err := model.Build(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +213,7 @@ func TestShardedClientDeletion(t *testing.T) {
 func TestTrainEpochAndEvalHardLoss(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	cfg := testConfig(10)
-	net, err := buildModel(cfg.Model)
+	net, err := model.Build(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +243,7 @@ func TestTrainEpochAndEvalHardLoss(t *testing.T) {
 	}
 }
 
-// TestClientAsFedTrainer exercises Client through the generic fed.Coordinator,
+// TestClientAsFedTrainer exercises Client through the generic fed.Engine,
 // confirming the interfaces compose.
 func TestClientAsFedTrainer(t *testing.T) {
 	train, _ := tinyMNIST(t)
@@ -252,15 +260,15 @@ func TestClientAsFedTrainer(t *testing.T) {
 		}
 		trainers = append(trainers, c)
 	}
-	initNet, err := buildModel(cfg.Model)
+	initNet, err := model.Build(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := fed.NewCoordinator(fed.CoordinatorConfig{Rounds: 2}, initNet.StateVector(), trainers)
+	engine, err := fed.NewEngine(fed.EngineConfig{}, initNet.StateVector(), fed.NewLocalTransport(trainers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Run(context.Background()); err != nil {
+	if err := engine.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 }

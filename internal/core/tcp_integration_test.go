@@ -9,6 +9,7 @@ import (
 	"goldfish/internal/data"
 	"goldfish/internal/fed"
 	"goldfish/internal/metrics"
+	"goldfish/internal/model"
 )
 
 // TestGoldfishClientsOverTCP runs real Goldfish clients against the TCP
@@ -21,7 +22,7 @@ func TestGoldfishClientsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(10)
-	initNet, err := buildModel(cfg.Model)
+	initNet, err := model.Build(cfg.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,13 @@ import (
 	"goldfish/internal/tensor"
 )
 
+// Stepper applies one optimizer update to params from their accumulated
+// gradients. *optim.SGD is the stepper of Goldfish and B1; B2 wraps it in a
+// Fisher preconditioner that rescales the gradients first.
+type Stepper interface {
+	Step(params []*nn.Param)
+}
+
 // EpochResult reports one local epoch of Goldfish training.
 type EpochResult struct {
 	// HardLoss is the mean hard-loss component over remaining-data batches,
@@ -29,7 +36,7 @@ type EpochResult struct {
 // LocalTraining procedure of Algorithm 1 (the latter is the special case
 // teacher == nil, df == nil). Baselines reuse it with their own settings.
 func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
-	df *data.Dataset, gl loss.Goldfish, opt *optim.SGD, batchSize int, rng *rand.Rand) (EpochResult, error) {
+	df *data.Dataset, gl loss.Goldfish, opt Stepper, batchSize int, rng *rand.Rand) (EpochResult, error) {
 
 	var res EpochResult
 	params := student.Params()
@@ -111,7 +118,7 @@ func EvalHardLoss(net *nn.Network, ds *data.Dataset, idx []int, h loss.Hard, bat
 // termination (stopper may be nil). It returns the last epoch's result and
 // the number of epochs actually run.
 func TrainLocal(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
-	df *data.Dataset, gl loss.Goldfish, opt *optim.SGD, batchSize, maxEpochs int,
+	df *data.Dataset, gl loss.Goldfish, opt Stepper, batchSize, maxEpochs int,
 	stopper *optim.EarlyStopper, rng *rand.Rand) (EpochResult, int, error) {
 
 	var last EpochResult

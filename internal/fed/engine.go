@@ -13,9 +13,49 @@ import (
 
 // This file is the single federated round engine. One round — client
 // sampling, straggler timeout, update collection, scoring, aggregation,
-// round hook — is implemented exactly once here; the in-process Coordinator,
-// the unlearning Federation and the TCP Server all drive an Engine and only
-// differ in their Transport.
+// round hook — is implemented exactly once here; the unlearning Federation
+// (in-process, over a LocalTransport) and the TCP Server both drive an Engine
+// and only differ in their Transport.
+
+// LocalTrainer is the client-side training logic plugged into the federated
+// runtime — the Goldfish local procedure, a baseline, or plain local SGD.
+type LocalTrainer interface {
+	// TrainRound performs one round of local training starting from the
+	// given global parameters and returns the client's update. The global
+	// slice must not be retained or mutated.
+	TrainRound(ctx context.Context, round int, global []float64) (ModelUpdate, error)
+}
+
+// Scorer measures the quality of an uploaded parameter vector on data the
+// server holds (the paper evaluates each client's MSE on the central test
+// set, Eq. 12). Lower is better.
+//
+// The round engine scores the updates of a round concurrently (they are
+// independent), so implementations must be safe for concurrent Score calls —
+// evaluate on per-call model replicas (e.g. a sync.Pool of cloned networks)
+// rather than one shared mutable network.
+type Scorer interface {
+	Score(params []float64) (float64, error)
+}
+
+// ScorerFunc adapts a function to the Scorer interface.
+type ScorerFunc func(params []float64) (float64, error)
+
+// Score implements Scorer.
+func (f ScorerFunc) Score(params []float64) (float64, error) { return f(params) }
+
+// RoundInfo is passed to the engine's per-round callback.
+type RoundInfo struct {
+	// Round is the completed round index.
+	Round int
+	// Global is a copy of the aggregated parameter vector after the round.
+	Global []float64
+	// Updates are the client updates that went into the aggregate.
+	Updates []ModelUpdate
+	// Dropped lists the transport indices (RoundResult.Index) of sampled
+	// participants whose training failed this round.
+	Dropped []int
+}
 
 // RoundResult is one participant's outcome for a round, as reported by a
 // Transport.

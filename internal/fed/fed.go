@@ -1,8 +1,9 @@
 // Package fed implements the federated-learning runtime the Goldfish
-// framework runs on: client/server round orchestration, model aggregation
-// (FedAvg and the paper's adaptive-weight scheme, Eqs. 12–13), an in-process
-// coordinator for simulations and tests, and a TCP transport (length-framed
-// gob) for running a real federation across processes.
+// framework runs on: one round Engine (sampling, straggler timeout, scoring,
+// aggregation, hooks), model aggregation (FedAvg and the paper's
+// adaptive-weight scheme, Eqs. 12–13), an in-process LocalTransport for
+// simulations and tests, and a TCP transport (length-framed gob) for running
+// a real federation across processes.
 package fed
 
 import (
@@ -24,7 +25,7 @@ type ModelUpdate struct {
 	// TrainLoss is the client's final local training loss (diagnostics).
 	TrainLoss float64
 	// MSE is the model-quality score measured on the server's test set
-	// (paper Eq. 12); the coordinator fills it via its Scorer before
+	// (paper Eq. 12); the engine fills it via its Scorer before
 	// aggregation.
 	MSE float64
 }
@@ -113,28 +114,17 @@ func (AdaptiveWeight) Aggregate(updates []ModelUpdate) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var avg float64
-	for _, u := range updates {
+	weights := make([]float64, len(updates)) //goldfish:allocok — once per round, size = client count
+	for i, u := range updates {
 		if u.MSE < 0 {
 			return nil, fmt.Errorf("fed: client %d reports negative MSE %g", u.ClientID, u.MSE)
 		}
-		avg += u.MSE
+		weights[i] = u.MSE
 	}
-	avg /= float64(len(updates))
-
-	weights := make([]float64, len(updates)) //goldfish:allocok — once per round, size = client count
-	var theta float64
-	for i, u := range updates {
-		if avg == 0 {
-			weights[i] = 1 // all clients perfect: uniform weights
-		} else {
-			weights[i] = math.Exp(-(u.MSE - avg) / avg)
-		}
-		theta += weights[i]
-	}
+	eq12Weights(weights)
 	out := make([]float64, size) //goldfish:allocok — the new global vector escapes to the engine
 	for i, u := range updates {
-		w := weights[i] / theta
+		w := weights[i]
 		for j, v := range u.Params {
 			out[j] += w * v
 		}
@@ -147,23 +137,29 @@ func (AdaptiveWeight) Weights(mses []float64) []float64 {
 	if len(mses) == 0 {
 		return nil
 	}
+	out := append([]float64(nil), mses...)
+	eq12Weights(out)
+	return out
+}
+
+// eq12Weights replaces the MSEs in w (non-empty) with their normalized
+// Eq. 12 weights W_c/θ.
+func eq12Weights(w []float64) {
 	var avg float64
-	for _, m := range mses {
+	for _, m := range w {
 		avg += m
 	}
-	avg /= float64(len(mses))
-	out := make([]float64, len(mses))
+	avg /= float64(len(w))
 	var theta float64
-	for i, m := range mses {
+	for i, m := range w {
 		if avg == 0 {
-			out[i] = 1
+			w[i] = 1 // all clients perfect: uniform weights
 		} else {
-			out[i] = math.Exp(-(m - avg) / avg)
+			w[i] = math.Exp(-(m - avg) / avg)
 		}
-		theta += out[i]
+		theta += w[i]
 	}
-	for i := range out {
-		out[i] /= theta
+	for i := range w {
+		w[i] /= theta
 	}
-	return out
 }

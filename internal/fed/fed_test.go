@@ -148,26 +148,33 @@ func (s *stubTrainer) TrainRound(_ context.Context, round int, global []float64)
 	return ModelUpdate{ClientID: s.id, Round: round, Params: append([]float64(nil), s.params...), NumSamples: s.samples}, nil
 }
 
-func TestCoordinatorRunsRounds(t *testing.T) {
+// localEngine builds an Engine over an in-process transport of trainers —
+// the federation every in-process caller (unlearn.NewFederation) runs.
+func localEngine(t *testing.T, cfg EngineConfig, initial []float64, trainers ...LocalTrainer) *Engine {
+	t.Helper()
+	e, err := NewEngine(cfg, initial, NewLocalTransport(trainers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestEngineRunsRounds(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{1, 1}, samples: 10}
 	b := &stubTrainer{id: 1, params: []float64{3, 3}, samples: 30}
 	var rounds []int
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds: 3,
+	e := localEngine(t, EngineConfig{
 		OnRound: func(ri RoundInfo) {
 			rounds = append(rounds, ri.Round)
 			if len(ri.Updates) != 2 {
 				t.Errorf("round %d: %d updates, want 2", ri.Round, len(ri.Updates))
 			}
 		},
-	}, []float64{0, 0}, []LocalTrainer{a, b})
-	if err != nil {
+	}, []float64{0, 0}, a, b)
+	if err := e.Run(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := e.Global()
 	want := 0.25*1 + 0.75*3
 	if math.Abs(final[0]-want) > 1e-12 {
 		t.Errorf("final global = %g, want %g", final[0], want)
@@ -180,28 +187,23 @@ func TestCoordinatorRunsRounds(t *testing.T) {
 	}
 }
 
-func TestCoordinatorDropsFailedClients(t *testing.T) {
+func TestEngineDropsFailedClients(t *testing.T) {
 	good := &stubTrainer{id: 0, params: []float64{2}, samples: 10}
 	bad := &stubTrainer{id: 1, params: []float64{9}, samples: 10}
 	bad.fail.Store(true)
 	var sawDrop bool
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:     2,
+	e := localEngine(t, EngineConfig{
 		MinClients: 1,
 		OnRound: func(ri RoundInfo) {
 			if len(ri.Dropped) == 1 && ri.Dropped[0] == 1 {
 				sawDrop = true
 			}
 		},
-	}, []float64{0}, []LocalTrainer{good, bad})
-	if err != nil {
+	}, []float64{0}, good, bad)
+	if err := e.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final[0] != 2 {
+	if final := e.Global(); final[0] != 2 {
 		t.Errorf("final = %g, want 2 (only good client)", final[0])
 	}
 	if !sawDrop {
@@ -209,82 +211,62 @@ func TestCoordinatorDropsFailedClients(t *testing.T) {
 	}
 }
 
-func TestCoordinatorAbortsBelowMinClients(t *testing.T) {
+func TestEngineAbortsBelowMinClients(t *testing.T) {
 	bad := &stubTrainer{id: 0, params: []float64{1}, samples: 1}
 	bad.fail.Store(true)
-	c, err := NewCoordinator(CoordinatorConfig{Rounds: 1, MinClients: 1},
-		[]float64{0}, []LocalTrainer{bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err == nil {
+	e := localEngine(t, EngineConfig{MinClients: 1}, []float64{0}, bad)
+	if err := e.Run(context.Background(), 1); err == nil {
 		t.Error("run should fail when all clients fail")
 	}
 }
 
-func TestCoordinatorScorerFeedsAggregator(t *testing.T) {
+func TestEngineScorerFeedsAggregator(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{0}, samples: 1}
 	b := &stubTrainer{id: 1, params: []float64{1}, samples: 1}
 	scorer := ScorerFunc(func(params []float64) (float64, error) {
 		return params[0], nil // param value as MSE: client b is "worse"
 	})
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:     1,
-		Aggregator: AdaptiveWeight{},
-		Scorer:     scorer,
-	}, []float64{0}, []LocalTrainer{a, b})
-	if err != nil {
+	e := localEngine(t, EngineConfig{Aggregator: AdaptiveWeight{}, Scorer: scorer}, []float64{0}, a, b)
+	if err := e.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final[0] >= 0.5 {
+	if final := e.Global(); final[0] >= 0.5 {
 		t.Errorf("adaptive aggregate %g should favour the low-MSE client", final[0])
 	}
 }
 
-func TestCoordinatorScorerError(t *testing.T) {
+func TestEngineScorerError(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{0}, samples: 1}
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds: 1,
+	e := localEngine(t, EngineConfig{
 		Scorer: ScorerFunc(func([]float64) (float64, error) { return 0, errors.New("probe broken") }),
-	}, []float64{0}, []LocalTrainer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err == nil {
+	}, []float64{0}, a)
+	if err := e.Run(context.Background(), 1); err == nil {
 		t.Error("scorer error should abort the run")
 	}
 }
 
-func TestCoordinatorCancellation(t *testing.T) {
+func TestEngineCancellation(t *testing.T) {
 	a := &stubTrainer{id: 0, params: []float64{1}, samples: 1}
-	c, err := NewCoordinator(CoordinatorConfig{Rounds: 100}, []float64{0}, []LocalTrainer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := localEngine(t, EngineConfig{}, []float64{0}, a)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Run(ctx); err == nil {
+	if err := e.Run(ctx, 100); err == nil {
 		t.Error("cancelled run should fail")
 	}
 }
 
-func TestCoordinatorConfigValidation(t *testing.T) {
-	tr := []LocalTrainer{&stubTrainer{params: []float64{1}, samples: 1}}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 0}, []float64{0}, tr); err == nil {
-		t.Error("0 rounds accepted")
+func TestEngineConfigValidation(t *testing.T) {
+	tr := NewLocalTransport([]LocalTrainer{&stubTrainer{params: []float64{1}, samples: 1}})
+	if _, err := NewEngine(EngineConfig{}, []float64{0}, nil); err == nil {
+		t.Error("nil transport accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1}, []float64{0}, nil); err == nil {
-		t.Error("no trainers accepted")
-	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1}, nil, tr); err == nil {
+	if _, err := NewEngine(EngineConfig{}, nil, tr); err == nil {
 		t.Error("empty initial params accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1, MinClients: 2}, []float64{0}, tr); err == nil {
-		t.Error("MinClients > clients accepted")
+	// An engine over no trainers is constructible (members may join later)
+	// but cannot run a round.
+	if err := localEngine(t, EngineConfig{}, []float64{0}).Run(context.Background(), 1); err == nil {
+		t.Error("round over no trainers succeeded")
 	}
 }
 
@@ -402,7 +384,7 @@ func TestRunClientConnectionRefused(t *testing.T) {
 	}
 }
 
-func TestCoordinatorClientSampling(t *testing.T) {
+func TestEngineClientSampling(t *testing.T) {
 	trainers := make([]LocalTrainer, 4)
 	stubs := make([]*stubTrainer, 4)
 	for i := range trainers {
@@ -411,17 +393,16 @@ func TestCoordinatorClientSampling(t *testing.T) {
 		trainers[i] = s
 	}
 	var perRound []int
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:         6,
+	e := localEngine(t, EngineConfig{
 		ClientFraction: 0.5,
 		SampleSeed:     3,
 		OnRound:        func(ri RoundInfo) { perRound = append(perRound, len(ri.Updates)) },
-	}, []float64{0}, trainers)
-	if err != nil {
+	}, []float64{0}, trainers...)
+	if err := e.Run(context.Background(), 6); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	if len(perRound) != 6 {
+		t.Errorf("OnRound fired %d times, want 6", len(perRound))
 	}
 	for r, n := range perRound {
 		if n != 2 {
@@ -437,20 +418,18 @@ func TestCoordinatorClientSampling(t *testing.T) {
 	}
 }
 
-func TestCoordinatorClientFractionValidation(t *testing.T) {
-	tr := []LocalTrainer{&stubTrainer{params: []float64{1}, samples: 1}}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1, ClientFraction: -0.1}, []float64{0}, tr); err == nil {
+func TestEngineClientFractionValidation(t *testing.T) {
+	stub := &stubTrainer{params: []float64{1}, samples: 1}
+	tr := NewLocalTransport([]LocalTrainer{stub})
+	if _, err := NewEngine(EngineConfig{ClientFraction: -0.1}, []float64{0}, tr); err == nil {
 		t.Error("negative fraction accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Rounds: 1, ClientFraction: 1.5}, []float64{0}, tr); err == nil {
+	if _, err := NewEngine(EngineConfig{ClientFraction: 1.5}, []float64{0}, tr); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 	// Tiny fraction still samples at least one client.
-	c, err := NewCoordinator(CoordinatorConfig{Rounds: 1, ClientFraction: 0.01}, []float64{0}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err != nil {
+	e := localEngine(t, EngineConfig{ClientFraction: 0.01}, []float64{0}, stub)
+	if err := e.Run(context.Background(), 1); err != nil {
 		t.Errorf("minimum-one sampling failed: %v", err)
 	}
 }
@@ -509,27 +488,22 @@ func (s *slowTrainer) TrainRound(ctx context.Context, round int, _ []float64) (M
 	return ModelUpdate{}, ctx.Err()
 }
 
-func TestCoordinatorRoundTimeoutDropsStragglers(t *testing.T) {
+func TestEngineRoundTimeoutDropsStragglers(t *testing.T) {
 	fast := &stubTrainer{id: 0, params: []float64{3}, samples: 1}
 	slow := &slowTrainer{id: 1}
 	var dropped []int
-	c, err := NewCoordinator(CoordinatorConfig{
-		Rounds:       2,
+	e := localEngine(t, EngineConfig{
 		RoundTimeout: 50 * time.Millisecond,
 		OnRound:      func(ri RoundInfo) { dropped = append(dropped, ri.Dropped...) },
-	}, []float64{0}, []LocalTrainer{fast, slow})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, []float64{0}, fast, slow)
 	start := time.Now()
-	final, err := c.Run(context.Background())
-	if err != nil {
+	if err := e.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("straggler blocked the run for %v", elapsed)
 	}
-	if final[0] != 3 {
+	if final := e.Global(); final[0] != 3 {
 		t.Errorf("final = %g, want the fast client's 3", final[0])
 	}
 	if len(dropped) != 2 || dropped[0] != 1 {

@@ -56,7 +56,9 @@ type RoundStats struct {
 	Global []float64
 	// Updates are the client uploads aggregated this round.
 	Updates []fed.ModelUpdate
-	// Dropped lists client IDs whose local training failed this round.
+	// Dropped lists the transport positions (the i of Partition(i), which
+	// shift on membership changes — not lifetime client IDs) of sampled
+	// clients whose local training failed this round.
 	Dropped []int
 	// UnlearningRound is true when this round processed deletion requests.
 	UnlearningRound bool
@@ -92,15 +94,6 @@ type Federation struct {
 	removed []map[int]bool
 }
 
-// buildModel constructs a network, wrapping errors with package context.
-func buildModel(cfg model.Config) (*nn.Network, error) {
-	net, err := model.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("unlearn: building model: %w", err)
-	}
-	return net, nil
-}
-
 // NewFederation creates a federation with one participant per dataset
 // partition, running the configured unlearning strategy.
 func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
@@ -124,11 +117,11 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 		return nil, fmt.Errorf("unlearn: strategy %s built %d trainers for %d partitions",
 			cfg.Unlearner.Name(), len(trainers), len(parts))
 	}
-	initNet, err := buildModel(cfg.Client.Model)
+	initNet, err := model.Build(cfg.Client.Model)
 	if err != nil {
 		return nil, err
 	}
-	evalNet, err := buildModel(cfg.Client.Model)
+	evalNet, err := model.Build(cfg.Client.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +213,7 @@ func (f *Federation) Global() []float64 { return f.engine.Global() }
 
 // GlobalNet returns a fresh network loaded with the current global state.
 func (f *Federation) GlobalNet() (*nn.Network, error) {
-	net, err := buildModel(f.cfg.Client.Model)
+	net, err := model.Build(f.cfg.Client.Model)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,63 @@
+package unlearn
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"testing"
+
+	"goldfish/internal/data"
+)
+
+// TestBaselineStateDigestPin pins the bits of the B1 ("retrain") and B2
+// ("fisher") training paths: 3 rounds, delete 5 rows of client 0, 3 rounds on
+// tiny MNIST/MLP. The digests were recorded before B2's private epoch loop
+// was folded into core.TrainEpoch; no golden or baseline spec lists "fisher",
+// so nothing else guards its bits.
+func TestBaselineStateDigestPin(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	want := map[string]string{
+		"retrain": "f9bb5e443cafed4a72a0b381a1aa9a1e9536c485903674c98d4d092f93b3e4e8",
+		"fisher":  "723aab44e9e4caea383c4d737284d4bd7a77e28662bc2bc632fe36141913fdea",
+	}
+	for _, name := range []string{"retrain", "fisher"} {
+		parts, err := data.PartitionIID(train, 3, rand.New(rand.NewSource(30)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(10)
+		if name == "fisher" {
+			cfg.Opt.LR = 0.01
+		}
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFederation(Config{Client: cfg, Unlearner: s}, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := f.Run(ctx, 3, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RequestDeletion(0, []int{0, 1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Run(ctx, 3, nil); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, v := range f.Global() {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: final state sha256 = %s, want %s", name, got, want[name])
+		}
+	}
+}
