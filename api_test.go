@@ -182,12 +182,11 @@ func TestAllStrategiesDeletionRoundTrip(t *testing.T) {
 			if accBefore < 0.35 {
 				t.Fatalf("%s: trained accuracy %g too low for a meaningful round trip", name, accBefore)
 			}
-			// The strategies that train against a forget set would weight a
-			// row listed twice double; they reject the request whole.
-			if name == "goldfish" || name == "incompetent-teacher" {
-				if err := e.RequestDeletion(0, []int{5, 5}); err == nil {
-					t.Errorf("%s: row listed twice in one request accepted", name)
-				}
+			// A row listed twice would be weighted double by the strategies
+			// that train against a forget set; every strategy rejects the
+			// request whole.
+			if err := e.RequestDeletion(0, []int{5, 5}); err == nil {
+				t.Errorf("%s: row listed twice in one request accepted", name)
 			}
 			if err := e.RequestDeletion(0, []int{0, 1, 2, 3, 4}); err != nil {
 				t.Fatal(err)
@@ -204,6 +203,112 @@ func TestAllStrategiesDeletionRoundTrip(t *testing.T) {
 			}
 			if accAfter < 0.3 {
 				t.Errorf("%s: accuracy %g did not recover after unlearning (was %g)", name, accAfter, accBefore)
+			}
+		})
+	}
+}
+
+// TestDeletionByOriginalRow is the wrong-row regression: under every
+// registered strategy and through every public deletion entry point, a row
+// index means the same original row before and after earlier deletions. At
+// the parent of this change RequestDeletion did not record what it removed,
+// so a later request by original row was shifted onto a different row of the
+// retrain-family trainers' shrunken view — and silently accepted.
+func TestDeletionByOriginalRow(t *testing.T) {
+	p, err := goldfish.NewPreset("mnist", goldfish.ScaleTiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, name := range goldfish.Unlearners() {
+		t.Run(name, func(t *testing.T) {
+			parts, err := goldfish.PartitionIID(train, 3, rand.New(rand.NewSource(11)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := goldfish.New(
+				goldfish.WithPreset(p),
+				goldfish.WithPartitions(parts),
+				goldfish.WithClientConfig(fastConfig(p)),
+				goldfish.WithUnlearner(name),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			gone := map[int]bool{}
+			checkRemaining := func(when string) {
+				t.Helper()
+				rem := e.RemainingRows(0)
+				if len(rem) != parts[0].Len()-len(gone) {
+					t.Fatalf("%s: RemainingRows(0) has %d rows, want %d", when, len(rem), parts[0].Len()-len(gone))
+				}
+				for _, r := range rem {
+					if gone[r] {
+						t.Fatalf("%s: RemainingRows(0) still lists deleted row %d", when, r)
+					}
+				}
+			}
+
+			if err := e.RequestDeletion(0, []int{0, 1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			gone[0], gone[1], gone[2] = true, true, true
+			checkRemaining("after deleting rows 0-2")
+
+			// Row 1 is gone; no entry point may take it for another row.
+			if err := e.RequestDeletion(0, []int{1}); err == nil {
+				t.Error("RequestDeletion deleted row 1 a second time")
+			}
+			if err := e.RequestSampleDeletion(0, []int{1}); err == nil {
+				t.Error("RequestSampleDeletion deleted row 1 a second time")
+			}
+			svc, err := e.NewDeletionService(goldfish.DeletionServiceConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ticket, err := svc.Enqueue(goldfish.DeletionRequest{Kind: goldfish.DeleteSample, Client: 0, Rows: []int{1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := svc.Lookup(ticket.ID); !ok || got.Status != "failed" {
+				t.Errorf("service ticket for deleted row 1 = %+v, want status failed", got)
+			}
+			checkRemaining("after the rejected repeats")
+
+			if err := e.RequestDeletion(0, []int{10}); err != nil {
+				t.Fatalf("deleting original row 10 after rows 0-2: %v", err)
+			}
+			gone[10] = true
+			checkRemaining("after deleting row 10")
+
+			// A class deletion removes the rest of row 0's class and only that.
+			class := parts[0].Y[0]
+			byClient, err := e.RequestClassDeletion(class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range byClient[0] {
+				if gone[r] {
+					t.Errorf("class deletion returned already-deleted row %d", r)
+				}
+				if parts[0].Y[r] != class {
+					t.Errorf("class deletion returned row %d of class %d, want %d", r, parts[0].Y[r], class)
+				}
+				gone[r] = true
+			}
+			checkRemaining("after the class deletion")
+			if err := e.Run(ctx, 1); err != nil {
+				t.Fatalf("round after the deletions: %v", err)
 			}
 		})
 	}

@@ -4,8 +4,8 @@
 // newline-delimited JSON), non-zero exit when any fire. CI runs
 // `go run ./cmd/goldfishlint ./...` so a PR that breaks a determinism,
 // registry, error-wrapping, error-discard, concurrency, goroutine-leak,
-// hot-path-allocation, context-flow, lock-order, deletion-taint or
-// API-surface contract fails before any golden fixture or determinism gate
+// hot-path-allocation, context-flow, lock-order or API-surface contract
+// fails before any golden fixture or determinism gate
 // does. `goldfishlint -fix` applies the analyzers' mechanical suggested
 // fixes atomically per file (`-fix -dry-run` prints them as a diff and
 // exits 1 while any are pending — the CI gate). `goldfishlint -api` prints

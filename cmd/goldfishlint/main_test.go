@@ -138,8 +138,7 @@ func TestFixDryRunCleanPackage(t *testing.T) {
 func TestSuiteRoster(t *testing.T) {
 	want := []string{
 		"determinism", "registry", "errwrap", "errdrop", "concurrency",
-		"goleak", "hotpathalloc", "ctxflow", "lockorder", "deletedflow",
-		"apisurface",
+		"goleak", "hotpathalloc", "ctxflow", "lockorder", "apisurface",
 	}
 	suite := lint.Suite()
 	if len(suite) != len(want) {

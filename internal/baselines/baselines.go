@@ -68,7 +68,9 @@ func (s Scenario) Validate() error {
 type PlainTrainer struct {
 	id      int
 	sc      Scenario
-	ds      *data.Dataset
+	orig    *data.Dataset // the dataset as handed to the constructor; Forget rows index it
+	removed []int         // original rows forgotten so far
+	ds      *data.Dataset // training view: orig without removed, rebuilt by Forget
 	net     *nn.Network
 	opt     core.Stepper // plain SGD (B1) or its Fisher-preconditioned wrapper (B2)
 	rng     *rand.Rand
@@ -95,6 +97,7 @@ func NewPlainTrainer(id int, sc Scenario, ds *data.Dataset, precond bool) (*Plai
 	p := &PlainTrainer{
 		id:      id,
 		sc:      sc,
+		orig:    ds,
 		ds:      ds,
 		net:     net,
 		rng:     rand.New(rand.NewSource(sc.Seed*7907 + int64(id))),
@@ -111,23 +114,44 @@ func (p *PlainTrainer) NumSamples() int { return p.ds.Len() }
 
 // Forget drops the given rows from the local dataset and resets the
 // optimizer state (and the Fisher estimate), turning the next rounds into a
-// from-scratch retrain over the remaining data. Rows index the current
-// (post-previous-removals) dataset view.
+// from-scratch retrain over the remaining data. Rows index the ORIGINAL
+// dataset the trainer was built over, however many requests came before;
+// a rejected request changes nothing.
 func (p *PlainTrainer) Forget(rows []int) error {
+	if err := checkForget(p.id, p.orig, p.removed, rows); err != nil {
+		return err
+	}
+	p.removed = append(p.removed, rows...)
+	p.ds = p.orig.Remove(p.removed)
+	return p.Reset()
+}
+
+// checkForget validates one deletion request against a trainer's original
+// dataset and the rows it has already forgotten: every row in range, not
+// removed before, listed once, and something left to train on afterwards.
+func checkForget(id int, orig *data.Dataset, removed, rows []int) error {
 	if len(rows) == 0 {
-		return fmt.Errorf("baselines: client %d: empty deletion request", p.id)
+		return fmt.Errorf("baselines: client %d: empty deletion request", id)
+	}
+	gone := make(map[int]bool, len(removed)+len(rows))
+	for _, r := range removed {
+		gone[r] = true
 	}
 	for _, r := range rows {
-		if r < 0 || r >= p.ds.Len() {
-			return fmt.Errorf("baselines: client %d: row %d out of range [0,%d)", p.id, r, p.ds.Len())
+		if r < 0 || r >= orig.Len() {
+			return fmt.Errorf("baselines: client %d: row %d out of range [0,%d)", id, r, orig.Len())
 		}
+		if gone[r] {
+			// Were a repeat let through, B3 would copy the row into Df twice
+			// and weight it double.
+			return fmt.Errorf("baselines: client %d: row %d already removed or listed twice", id, r)
+		}
+		gone[r] = true
 	}
-	nd := p.ds.Remove(rows)
-	if nd.Len() == 0 {
-		return fmt.Errorf("baselines: client %d has no data after removal", p.id)
+	if len(gone) >= orig.Len() {
+		return fmt.Errorf("baselines: client %d has no data after removal", id)
 	}
-	p.ds = nd
-	return p.Reset()
+	return nil
 }
 
 // Reset discards the optimizer's momentum and the running Fisher estimate —
@@ -216,8 +240,10 @@ type IncompetentTrainer struct {
 	id          int
 	sc          Scenario
 	temp        float64
-	dr          *data.Dataset
-	df          *data.Dataset
+	orig        *data.Dataset // the dataset as handed to the constructor; Forget rows index it
+	removed     []int         // original rows forgotten so far
+	dr          *data.Dataset // retain view: orig without removed, rebuilt by Forget
+	df          *data.Dataset // forget set, in request order
 	net         *nn.Network
 	competent   *nn.Network
 	incompetent *nn.Network
@@ -253,6 +279,7 @@ func NewIncompetentTrainer(id int, sc Scenario, ds *data.Dataset, temp float64) 
 		id:   id,
 		sc:   sc,
 		temp: temp,
+		orig: ds,
 		dr:   ds,
 		net:  student,
 		opt:  opt,
@@ -263,33 +290,17 @@ func NewIncompetentTrainer(id int, sc Scenario, ds *data.Dataset, temp float64) 
 // NumSamples returns the client's remaining local dataset size.
 func (t *IncompetentTrainer) NumSamples() int { return t.dr.Len() }
 
-// Forget turns this client into the unlearning party: rows are split out as
-// the forget set Df, the contaminated global model becomes the competent
+// Forget turns this client into the unlearning party: rows — indices into
+// the ORIGINAL dataset the trainer was built over — are split out as the
+// forget set Df, the contaminated global model becomes the competent
 // teacher, and a freshly initialized network of the same architecture the
-// incompetent one.
+// incompetent one. A rejected request changes nothing.
 func (t *IncompetentTrainer) Forget(rows []int, contaminated []float64) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("baselines: client %d: empty deletion request", t.id)
-	}
 	if len(contaminated) == 0 {
 		return fmt.Errorf("baselines: B3 needs the contaminated global model")
 	}
-	seen := make(map[int]bool, len(rows))
-	for _, r := range rows {
-		if r < 0 || r >= t.dr.Len() {
-			return fmt.Errorf("baselines: client %d: row %d out of range [0,%d)", t.id, r, t.dr.Len())
-		}
-		if seen[r] {
-			// Subset would copy the row into Df twice and the forget passes
-			// would weight it double.
-			return fmt.Errorf("baselines: client %d: row %d listed twice in one request", t.id, r)
-		}
-		seen[r] = true
-	}
-	df := t.dr.Subset(rows)
-	dr := t.dr.Remove(rows)
-	if dr.Len() == 0 {
-		return fmt.Errorf("baselines: client %d has no data after removal", t.id)
+	if err := checkForget(t.id, t.orig, t.removed, rows); err != nil {
+		return err
 	}
 	mcfg := t.sc.Model
 	mcfg.Seed = t.sc.Model.Seed + int64(t.id)*881 + 3
@@ -305,14 +316,14 @@ func (t *IncompetentTrainer) Forget(rows []int, contaminated []float64) error {
 	if err != nil {
 		return fmt.Errorf("baselines: %w", err)
 	}
+	df := t.orig.Subset(rows)
 	if t.df != nil {
-		merged, err := t.df.Concat(df)
-		if err != nil {
+		if df, err = t.df.Concat(df); err != nil {
 			return fmt.Errorf("baselines: client %d: merging deletion requests: %w", t.id, err)
 		}
-		df = merged
 	}
-	t.dr, t.df = dr, df
+	t.removed = append(t.removed, rows...)
+	t.dr, t.df = t.orig.Remove(t.removed), df
 	t.competent, t.incompetent = competent, incompetent
 	return nil
 }

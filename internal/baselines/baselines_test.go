@@ -3,6 +3,7 @@ package baselines
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"goldfish/internal/data"
@@ -292,6 +293,57 @@ func TestBaselineErrors(t *testing.T) {
 	}
 	if b3.NumSamples() != parts[0].Len() {
 		t.Errorf("rejected request removed rows: %d samples, want %d", b3.NumSamples(), parts[0].Len())
+	}
+}
+
+// TestForgetByOriginalRow: both trainers take original-row indices
+// on every request, so after {0,1,2} and then {10} the training view is the
+// original dataset minus exactly those four rows, in original order — a
+// trainer indexing its shrunken view would have dropped original row 13
+// on the second request. Rejected requests leave the view alone.
+func TestForgetByOriginalRow(t *testing.T) {
+	parts, _, _, _, _ := poisonedSetup(t)
+	orig, sc := parts[1], testScenario()
+	plain, err := NewPlainTrainer(1, sc, orig, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b3, err := NewIncompetentTrainer(1, sc, orig, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := ReinitVector(sc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range [][]int{{0, 1, 2}, {10}} {
+		if err := plain.Forget(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := b3.Forget(rows, global); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rows := range [][]int{{1}, {11, 10}, {12, orig.Len()}, {12, 12}, {-1}} {
+		if err := plain.Forget(rows); err == nil {
+			t.Errorf("B1 accepted rows %v", rows)
+		}
+		if err := b3.Forget(rows, global); err == nil {
+			t.Errorf("B3 accepted rows %v", rows)
+		}
+	}
+	want := orig.Remove([]int{0, 1, 2, 10})
+	for name, view := range map[string]*data.Dataset{"B1": plain.ds, "B3 retain": b3.dr} {
+		if !reflect.DeepEqual(view.Y, want.Y) || !reflect.DeepEqual(view.X.Data(), want.X.Data()) {
+			t.Errorf("%s view is not the original rows minus {0,1,2,10}", name)
+		}
+	}
+	forgot := orig.Subset([]int{0, 1, 2, 10})
+	if !reflect.DeepEqual(b3.df.Y, forgot.Y) || !reflect.DeepEqual(b3.df.X.Data(), forgot.X.Data()) {
+		t.Error("B3 forget set is not original rows {0,1,2,10}")
+	}
+	if plain.NumSamples() != orig.Len()-4 || b3.NumSamples() != orig.Len()-4 {
+		t.Errorf("NumSamples = %d / %d, want %d", plain.NumSamples(), b3.NumSamples(), orig.Len()-4)
 	}
 }
 

@@ -73,21 +73,6 @@ func TestGoleak(t *testing.T) {
 	linttest.Run(t, testdata("goleak"), "goldfish/internal/lint/linttestdata/goleak", lint.GoleakAnalyzer)
 }
 
-// TestDeletedFlow pins the deletion-taint contract: original-row accessor
-// results (direct, range/append-derived, and seeded entry-point parameters)
-// reaching a training sink are flagged; remapped-through-the-chokepoint,
-// directive-suppressed and untainted flows are not.
-func TestDeletedFlow(t *testing.T) {
-	linttest.Run(t, testdata("deletedflow"), "goldfish/internal/unlearn/linttestdata/deletedflow", lint.DeletedFlowAnalyzer)
-}
-
-// TestDeletedFlowUnscoped pins that the contract is silent outside the
-// deletedflow scope (and in particular that the facade's exact-match scoping
-// does not swallow the whole module).
-func TestDeletedFlowUnscoped(t *testing.T) {
-	linttest.Run(t, testdata("deletedflow_unscoped"), "goldfish/internal/bench/linttestdata/deletedflow", lint.DeletedFlowAnalyzer)
-}
-
 // TestConcurrency pins the Scorer/Prober contract checks: unguarded aliased
 // receiver writes are flagged; mutex-guarded, atomic, read-only and
 // copy-local writes are not.

@@ -244,3 +244,27 @@ func callLabel(info *types.Info, call *ast.CallExpr) string {
 	}
 	return "call"
 }
+
+// calleeName resolves a call expression to its callee's bare name: declared
+// functions and methods through the type info, builtins (append, copy) by
+// identifier. Dynamic calls through function values return "".
+func calleeName(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return ""
+	}
+	switch obj := info.Uses[id].(type) {
+	case *types.Func:
+		return obj.Name()
+	case *types.Builtin:
+		return obj.Name()
+	case nil:
+		return id.Name
+	}
+	return ""
+}

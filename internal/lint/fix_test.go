@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"goldfish/internal/lint"
@@ -164,32 +163,5 @@ func TestFixPlanOverlap(t *testing.T) {
 	}
 	if plan.NumFiles() != 1 {
 		t.Errorf("NumFiles = %d, want 1", plan.NumFiles())
-	}
-}
-
-// TestDeletedFlowSmoke asserts the planted fixture violation fires with the
-// full chokepoint message — the acceptance scenario for the deletion-taint
-// contract: an unremapped original-row read reaching a training sink.
-func TestDeletedFlowSmoke(t *testing.T) {
-	pkg, err := linttest.Loader(t).LoadDir(testdata("deletedflow"), "goldfish/internal/unlearn/linttestdata/deletedflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.DeletedFlowAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "original-row indices (from RemainingRows()) reach training sink RequestDeletion without the remap chokepoint mapRowsForStrategy; remap to the strategy view first"
-	found := false
-	for _, d := range diags {
-		if d.Message == want && strings.HasSuffix(d.Pos.Filename, "deletedflow.go") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("planted source-to-sink violation did not fire; got %d diagnostics:", len(diags))
-		for _, d := range diags {
-			t.Logf("  %s", d)
-		}
 	}
 }

@@ -242,3 +242,31 @@ func indentFor(pass *Pass, pos token.Pos) string {
 	}
 	return strings.Repeat("\t", col-1)
 }
+
+// rootObject resolves the object at the base of an lvalue chain.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if x.Name == "_" {
+				return nil
+			}
+			if obj, ok := info.Defs[x]; ok && obj != nil {
+				return obj
+			}
+			return info.Uses[x]
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}

@@ -95,7 +95,6 @@ func Suite() []*Analyzer {
 		HotPathAllocAnalyzer,
 		CtxFlowAnalyzer,
 		LockOrderAnalyzer,
-		DeletedFlowAnalyzer,
 		APISurfaceAnalyzer,
 	}
 }
@@ -167,11 +166,6 @@ const (
 	// APIOKDirective on the package clause line opts a package out of the
 	// apisurface golden comparison — a mid-refactor escape only.
 	APIOKDirective = "//goldfish:apiok"
-	// DeletedOKDirective opts one sink call out of deletedflow — the audited
-	// escape for code that intentionally hands original-row indices to a
-	// training entry point (e.g. a strategy that declares original
-	// addressing and remaps internally).
-	DeletedOKDirective = "//goldfish:deletedok"
 	// GoleakOKDirective opts one go statement out of goleak — for deliberate
 	// process-lifetime goroutines (daemon worker pools, servers joined by
 	// Shutdown) whose lifecycle the comment must document.

@@ -15,8 +15,7 @@ import (
 func TestSuiteNames(t *testing.T) {
 	want := []string{
 		"determinism", "registry", "errwrap", "errdrop", "concurrency",
-		"goleak", "hotpathalloc", "ctxflow", "lockorder", "deletedflow",
-		"apisurface",
+		"goleak", "hotpathalloc", "ctxflow", "lockorder", "apisurface",
 	}
 	suite := lint.Suite()
 	if len(suite) != len(want) {

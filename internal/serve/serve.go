@@ -8,9 +8,9 @@
 //
 // Every accepted request becomes a Ticket tracking its lifecycle
 // (queued → applied → recovered, or failed) with per-request rounds-to-forget
-// and time-to-forget landing in the serve.* observability histograms — the
-// substrate for the p50/p99 forgetting-latency SLO report
-// (internal/bench RunServe, `goldfish-bench -exp serve`).
+// and time-to-forget landing in the serve.* observability histograms, which
+// Stats and GET /unlearn/stats summarize. The `serve-steady` workload of
+// `go run ./benchmark` is the load harness.
 package serve
 
 import (
@@ -411,8 +411,7 @@ func (s *Service) applyBatchLocked(drained []*Ticket, round int) {
 
 	for _, client := range sortedKeys(samples) {
 		g := samples[client]
-		sort.Ints(g.rows)
-		s.finishGroupLocked(g, s.fed.RequestDeletionRows(client, g.rows), round)
+		s.finishGroupLocked(g, s.fed.RequestDeletion(client, g.rows), round)
 	}
 	for _, class := range sortedKeys(classes) {
 		_, err := s.fed.RequestClassDeletion(class)

@@ -111,10 +111,10 @@ func TestCoalescedBatchMatchesSequential(t *testing.T) {
 
 	// The deduplicated equivalent, in the service's application order:
 	// samples ascending client, classes, removals descending position.
-	if err := direct.RequestDeletionRows(0, []int{1, 3, 5}); err != nil {
+	if err := direct.RequestDeletion(0, []int{1, 3, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := direct.RequestDeletionRows(1, []int{2}); err != nil {
+	if err := direct.RequestDeletion(1, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := direct.RequestClassDeletion(class); err != nil {
@@ -167,8 +167,9 @@ func TestCoalescedBatchMatchesSequential(t *testing.T) {
 }
 
 // TestBackpressure checks the bounded queue: beyond capacity Enqueue
-// rejects with ErrQueueFull, a round boundary drains the queue, and the
-// service accepts again afterwards.
+// rejects with ErrQueueFull, a round boundary drains the queue, the service
+// accepts the rejected request afterwards, and every accepted request is
+// forgotten without a failure.
 func TestBackpressure(t *testing.T) {
 	f := newTestFederation(t, "", 2)
 	svc, err := New(Config{Federation: f, QueueCap: 2})
@@ -201,6 +202,46 @@ func TestBackpressure(t *testing.T) {
 	}
 	if svc.RetryAfter() <= 0 {
 		t.Errorf("RetryAfter = %v, want positive", svc.RetryAfter())
+	}
+	// The retried request and the two before it all get forgotten: nothing
+	// fails, and each lands in the rounds-to-forget histogram.
+	if err := f.Run(context.Background(), 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc.Settle()
+	st = svc.Stats()
+	if st.Failed != 0 || st.Recovered != 3 {
+		t.Errorf("failed/recovered = %d/%d, want 0/3", st.Failed, st.Recovered)
+	}
+	if q := st.RoundsToForget; q.Count != 3 || q.P99 <= 0 {
+		t.Errorf("rounds-to-forget quantiles = %+v, want 3 observations and a positive p99", q)
+	}
+}
+
+// TestIdleServiceIsTrainingNoOp: attaching a service that never receives a
+// request must not perturb training — the global model after the same rounds
+// is bit-equal to a same-seed federation with no service at all.
+func TestIdleServiceIsTrainingNoOp(t *testing.T) {
+	const rounds = 3
+	ctx := context.Background()
+	bare := newTestFederation(t, "", 3)
+	served := newTestFederation(t, "", 3)
+	svc, err := New(Config{Federation: served})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Run(ctx, rounds, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := served.Run(ctx, rounds, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc.Settle()
+	if !reflect.DeepEqual(bare.Global(), served.Global()) {
+		t.Error("an idle service changed the trained global model")
+	}
+	if st := svc.Stats(); st.Round != rounds-1 || st.Accepted != 0 || st.Applied != 0 {
+		t.Errorf("idle service stats = %+v, want last boundary %d and no requests", st, rounds-1)
 	}
 }
 
@@ -381,87 +422,5 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if resp, _ := get("/unlearn/requests/abc"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("GET ticket abc: status = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestProfiles checks the deterministic load generators: same seed, same
-// stream; burst fires only at its round; interleaved mixes kinds and only
-// ever removes the last participant position.
-func TestProfiles(t *testing.T) {
-	cfg := ProfileConfig{Clients: 4, RowsPerClient: []int{30, 30, 30, 30}, Classes: 10, Seed: 42}
-
-	if _, err := NewProfile("bogus", cfg); err == nil {
-		t.Error("unknown profile accepted")
-	}
-	if _, err := NewProfile("steady", ProfileConfig{Clients: 2, RowsPerClient: []int{5}}); err == nil {
-		t.Error("mismatched RowsPerClient accepted")
-	}
-
-	for _, name := range ProfileNames() {
-		a, err := NewProfile(name, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := NewProfile(name, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 10; round++ {
-			ra, rb := a.Requests(round), b.Requests(round)
-			if !reflect.DeepEqual(ra, rb) {
-				t.Errorf("%s round %d: same seed diverged: %v vs %v", name, round, ra, rb)
-			}
-		}
-	}
-
-	idle, _ := NewProfile("idle", cfg)
-	for round := 0; round < 5; round++ {
-		if reqs := idle.Requests(round); len(reqs) != 0 {
-			t.Errorf("idle round %d produced %d requests", round, len(reqs))
-		}
-	}
-
-	burst, _ := NewProfile("burst", ProfileConfig{
-		Clients: 4, RowsPerClient: []int{30, 30, 30, 30}, Classes: 10, Seed: 1, BurstRound: 2, BurstSize: 12,
-	})
-	for round := 0; round < 5; round++ {
-		reqs := burst.Requests(round)
-		if round != 2 && len(reqs) != 0 {
-			t.Errorf("burst round %d produced %d requests, want 0", round, len(reqs))
-		}
-		if round == 2 && len(reqs) != 12 {
-			t.Errorf("burst round 2 produced %d requests, want 12", len(reqs))
-		}
-	}
-
-	inter, _ := NewProfile("interleaved", cfg)
-	kinds := map[Kind]int{}
-	removals := 0
-	for round := 0; round < 20; round++ {
-		for _, r := range inter.Requests(round) {
-			kinds[r.Kind]++
-			if r.Kind == KindClient {
-				want := cfg.Clients - 1 - removals
-				if r.Client != want {
-					t.Errorf("round %d: removal targets client %d, want last position %d", round, r.Client, want)
-				}
-				if want < 1 {
-					t.Error("removal would empty the federation")
-				}
-				removals++
-			}
-			if r.Kind == KindSample {
-				for _, row := range r.Rows {
-					if row < 0 || row >= 30 {
-						t.Errorf("sample row %d out of range", row)
-					}
-				}
-			}
-		}
-	}
-	for _, k := range []Kind{KindSample, KindClass, KindClient} {
-		if kinds[k] == 0 {
-			t.Errorf("interleaved never produced a %s request", k)
-		}
 	}
 }

@@ -87,9 +87,9 @@ type Federation struct {
 
 	// parts holds each participant's ORIGINAL local dataset (by current
 	// position; shifted on Add/RemoveClient), and removed records which
-	// original rows each participant has already deleted. Together they let
-	// RequestDeletionRows and RequestClassDeletion address rows against the
-	// original dataset regardless of the strategy's own row addressing.
+	// original rows each participant has already deleted. Every layer
+	// addresses rows against the original dataset; this is the one record of
+	// what is gone.
 	parts   []*data.Dataset
 	removed []map[int]bool
 }
@@ -224,10 +224,37 @@ func (f *Federation) GlobalNet() (*nn.Network, error) {
 }
 
 // RequestDeletion submits a deletion request for rows of a client's local
-// dataset. The strategy decides how it is honoured: Goldfish runs
+// dataset. Rows index the client's ORIGINAL dataset whatever the strategy;
+// out-of-range, already-removed and repeated rows are rejected before
+// anything is mutated, and the strategy receives the rows in ascending
+// order. The strategy decides how the request is honoured: Goldfish runs
 // Algorithm 1 lines 8–17, the retrain baselines drop the rows and restart
 // from scratch, the incompetent teacher distills the data away.
 func (f *Federation) RequestDeletion(clientID int, rows []int) error {
+	if clientID < 0 || clientID >= len(f.parts) {
+		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
+	}
+	part, rem := f.parts[clientID], f.removed[clientID]
+	seen := make(map[int]bool, len(rows))
+	for _, r := range rows {
+		if r < 0 || r >= part.Len() {
+			return fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
+		}
+		if rem[r] {
+			return fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
+		}
+		if seen[r] {
+			// Df would hold the row twice and the forget steps weight it double.
+			return fmt.Errorf("unlearn: client %d: row %d listed twice in one request", clientID, r)
+		}
+		seen[r] = true
+	}
+	rows = append([]int(nil), rows...)
+	sort.Ints(rows)
+
 	f.obs.Event("unlearn/request",
 		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID), obs.Int("rows", len(rows)))
 	sp := f.obs.StartSpan("unlearn/forget",
@@ -236,6 +263,9 @@ func (f *Federation) RequestDeletion(clientID int, rows []int) error {
 	sp.End()
 	if err != nil {
 		return err
+	}
+	for _, r := range rows {
+		rem[r] = true
 	}
 	if next != nil {
 		f.engine.SetGlobal(next)
@@ -283,71 +313,6 @@ func (f *Federation) settleForgetMarks() {
 			obs.Str("strategy", name), obs.Int("rounds", rounds), obs.F64("ms", ms))
 	}
 	f.forgetMarks = f.forgetMarks[:0]
-}
-
-// RequestDeletionRows submits a deletion request whose rows index the
-// client's ORIGINAL dataset, independent of the strategy's own addressing:
-// the Federation tracks prior removals per participant and remaps to the
-// current post-removal view for strategies that index it (the baselines).
-// Rows already removed by an earlier request are rejected, mirroring the
-// Goldfish client's double-removal check.
-func (f *Federation) RequestDeletionRows(clientID int, rows []int) error {
-	if clientID < 0 || clientID >= len(f.parts) {
-		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
-	}
-	part, rem := f.parts[clientID], f.removed[clientID]
-	uniq := make([]int, 0, len(rows))
-	seen := make(map[int]bool, len(rows))
-	for _, r := range rows {
-		if r < 0 || r >= part.Len() {
-			return fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
-		}
-		if rem[r] {
-			return fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
-		}
-		if !seen[r] {
-			seen[r] = true
-			uniq = append(uniq, r)
-		}
-	}
-	sort.Ints(uniq)
-
-	mapped := f.mapRowsForStrategy(clientID, uniq)
-	if err := f.RequestDeletion(clientID, mapped); err != nil {
-		return err
-	}
-	for _, r := range uniq {
-		rem[r] = true
-	}
-	return nil
-}
-
-// mapRowsForStrategy is the declared remap chokepoint between original-row
-// addressing and the strategy's view: every original-dataset row index must
-// pass through here before it reaches a training sink (the deletedflow
-// analyzer enforces this statically). Strategies that declare original
-// addressing via RowAddresser receive the rows unchanged; for everyone else
-// each original row r maps to its current-view index — r minus the number
-// of already-removed original rows before it.
-func (f *Federation) mapRowsForStrategy(clientID int, rows []int) []int {
-	if ra, ok := f.strategy.(RowAddresser); ok && ra.AddressesOriginalRows() {
-		return rows
-	}
-	rem := f.removed[clientID]
-	removedSorted := make([]int, 0, len(rem))
-	for r := range rem {
-		removedSorted = append(removedSorted, r)
-	}
-	sort.Ints(removedSorted)
-	mapped := make([]int, len(rows))
-	for i, r := range rows {
-		shift := sort.SearchInts(removedSorted, r)
-		mapped[i] = r - shift
-	}
-	return mapped
 }
 
 // RemainingRows returns the not-yet-removed original row indices of
@@ -400,7 +365,7 @@ func (f *Federation) RequestClassDeletion(class int) (map[int][]int, error) {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := f.RequestDeletionRows(i, rows); err != nil {
+		if err := f.RequestDeletion(i, rows); err != nil {
 			return out, fmt.Errorf("unlearn: class %d on client %d: %w", class, i, err)
 		}
 		out[i] = rows

@@ -25,7 +25,6 @@ var (
 	_ Strategy       = (*Goldfish)(nil)
 	_ ClientAccessor = (*Goldfish)(nil)
 	_ Membership     = (*Goldfish)(nil)
-	_ RowAddresser   = (*Goldfish)(nil)
 )
 
 // Name implements Strategy.
@@ -81,10 +80,6 @@ func (g *Goldfish) Forget(clientID int, rows []int, _ []float64) ([]float64, err
 	}
 	return g.reinitVector()
 }
-
-// AddressesOriginalRows implements RowAddresser: core.Client deletion
-// requests index the client's original dataset.
-func (g *Goldfish) AddressesOriginalRows() bool { return true }
 
 // Client implements ClientAccessor.
 func (g *Goldfish) Client(i int) *core.Client {

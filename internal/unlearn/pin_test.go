@@ -6,10 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"math/rand"
 	"testing"
-
-	"goldfish/internal/data"
 )
 
 // TestBaselineStateDigestPin pins the bits of the B1 ("retrain") and B2
@@ -24,22 +21,7 @@ func TestBaselineStateDigestPin(t *testing.T) {
 		"fisher":  "723aab44e9e4caea383c4d737284d4bd7a77e28662bc2bc632fe36141913fdea",
 	}
 	for _, name := range []string{"retrain", "fisher"} {
-		parts, err := data.PartitionIID(train, 3, rand.New(rand.NewSource(30)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig(10)
-		if name == "fisher" {
-			cfg.Opt.LR = 0.01
-		}
-		s, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := NewFederation(Config{Client: cfg, Unlearner: s}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _ := strategyFederation(t, name, train)
 		ctx := context.Background()
 		if err := f.Run(ctx, 3, nil); err != nil {
 			t.Fatal(err)

@@ -39,22 +39,16 @@ type Strategy interface {
 	// before the first round.
 	Setup(env Env) ([]fed.LocalTrainer, error)
 	// Forget processes a deletion request for rows of a client's local
-	// dataset. global is the current global state vector; a non-nil return
-	// value replaces the global model before the next round (e.g. the
+	// dataset. rows are indices into the client's ORIGINAL dataset (the
+	// partition Setup received), already validated by the Federation — in
+	// range, not removed by an earlier request, none repeated — and in
+	// ascending order. global is the current global state vector; a non-nil
+	// return value replaces the global model before the next round (e.g. the
 	// Goldfish reinitialization of Algorithm 1 line 12), while nil keeps
-	// the current one (e.g. B3 keeps the contaminated model as teacher).
+	// the current one (e.g. B3 keeps the contaminated model as teacher). A
+	// Forget that returns an error must leave the strategy unchanged: the
+	// Federation records the rows as removed only on success.
 	Forget(clientID int, rows []int, global []float64) ([]float64, error)
-}
-
-// RowAddresser is optionally implemented by strategies to declare how
-// Forget interprets deletion row indices. Without it the Federation assumes
-// rows address the client's current (post-removal) dataset view, which is
-// how the retrain and incompetent-teacher baselines index.
-type RowAddresser interface {
-	// AddressesOriginalRows reports whether Forget rows index the client's
-	// original dataset (true, e.g. Goldfish) or its current post-removal
-	// view (false).
-	AddressesOriginalRows() bool
 }
 
 // ClientAccessor is implemented by strategies whose participants are

@@ -458,12 +458,12 @@ func TestBaselineStrategiesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestDeletionRowsRemapsForCurrentView exercises the original-row
-// addressing across both addressing families. The retrain baseline indexes
-// the current post-removal view, so a second request against high original
-// indices only succeeds if the federation remapped them; without the remap,
-// original row 9 would be out of range of the 5-row current view.
-func TestRequestDeletionRowsRemapsForCurrentView(t *testing.T) {
+// TestRequestDeletionByOriginalRow exercises original-row addressing
+// on a baseline and on Goldfish: after five rows are gone, a second request
+// against the highest original indices must still land (a trainer indexing
+// its shrunken view would call them out of range), and rows already removed
+// stay rejected.
+func TestRequestDeletionByOriginalRow(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	ctx := context.Background()
 	for _, name := range []string{"retrain", "goldfish"} {
@@ -485,21 +485,21 @@ func TestRequestDeletionRowsRemapsForCurrentView(t *testing.T) {
 				t.Fatal(err)
 			}
 			last := parts[0].Len() - 1
-			if err := f.RequestDeletionRows(0, []int{0, 1, 2, 3, 4}); err != nil {
+			if err := f.RequestDeletion(0, []int{0, 1, 2, 3, 4}); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.RequestDeletionRows(0, []int{last, last - 1}); err != nil {
+			if err := f.RequestDeletion(0, []int{last, last - 1}); err != nil {
 				t.Fatalf("%s: second original-index request failed: %v", name, err)
 			}
-			// Double removal is rejected for both families.
-			if err := f.RequestDeletionRows(0, []int{2}); err == nil {
+			// Double removal is rejected under both strategies.
+			if err := f.RequestDeletion(0, []int{2}); err == nil {
 				t.Errorf("%s: double removal accepted", name)
 			}
 			// Out-of-range originals are rejected.
-			if err := f.RequestDeletionRows(0, []int{parts[0].Len()}); err == nil {
+			if err := f.RequestDeletion(0, []int{parts[0].Len()}); err == nil {
 				t.Errorf("%s: out-of-range row accepted", name)
 			}
-			if err := f.RequestDeletionRows(9, []int{0}); err == nil {
+			if err := f.RequestDeletion(9, []int{0}); err == nil {
 				t.Errorf("%s: out-of-range client accepted", name)
 			}
 			if err := f.Run(ctx, 1, nil); err != nil {

@@ -348,7 +348,7 @@ func runScenarioCell(ctx context.Context, spec ScenarioSpec, cell ScenarioCell) 
 				if len(rows) == 0 {
 					return out, fmt.Errorf("goldfish: schedule round %d: no rows to delete on client %d", d.Round, client)
 				}
-				if err := e.RequestSampleDeletion(client, rows); err != nil {
+				if err := e.RequestDeletion(client, rows); err != nil {
 					return out, err
 				}
 				forget = append(forget, e.Partitions()[client].Subset(rows))

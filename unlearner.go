@@ -391,22 +391,19 @@ func (e *Engine) Run(ctx context.Context, n int) error {
 // RequestDeletion submits a deletion request for rows of a client's local
 // dataset; the configured Unlearner decides how it is honoured on the next
 // Run. clientID is the client's current position (as in Partitions()),
-// which shifts down when an earlier participant is removed. Row indexing is
-// strategy-specific: the "goldfish" strategy addresses the original dataset
-// and rejects double removals, while the retrain baselines address the
-// current post-removal view.
+// which shifts down when an earlier participant is removed. rows index the
+// client's ORIGINAL dataset under every strategy, in any order; a row that
+// is out of range, already deleted or listed twice rejects the whole
+// request and deletes nothing.
 func (e *Engine) RequestDeletion(clientID int, rows []int) error {
 	return e.fed.RequestDeletion(clientID, rows)
 }
 
-// RequestSampleDeletion submits a deletion request whose rows index the
-// client's ORIGINAL dataset regardless of the active strategy's addressing:
-// the federation tracks prior removals per participant and remaps indices
-// for strategies that address the current post-removal view. This is the
-// entry point schedule-driven callers (e.g. RunScenario) should use; rows
-// already removed are rejected.
+// RequestSampleDeletion is RequestDeletion under its former name.
+//
+// Deprecated: use RequestDeletion.
 func (e *Engine) RequestSampleDeletion(clientID int, rows []int) error {
-	return e.fed.RequestDeletionRows(clientID, rows)
+	return e.RequestDeletion(clientID, rows)
 }
 
 // RequestClassDeletion submits a class-level deletion request: every
