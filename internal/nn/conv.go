@@ -7,23 +7,44 @@ import (
 	"goldfish/internal/tensor"
 )
 
+// convTileFloats bounds the column scratch of a Conv2D: the unrolled
+// (inC·k², samples·oh·ow) matrix is built for as many samples at a time as
+// fit in this many float64s (1 MiB), never for the whole batch. Measured at
+// 64 Ki, 128 Ki and 256 Ki with BenchmarkConv2DStep and the train-lenet and
+// unlearn-sample workloads: step and round times did not differ beyond the
+// box's noise except for a single LeNet-5 network at 64 Ki (about a tenth
+// slower), while peak memory fell with the tile; a tile this size also stays
+// in a core's L2 cache between being unrolled and being multiplied.
+const convTileFloats = 128 * 1024
+
 // Conv2D is a 2-D convolution over NCHW inputs with square kernels, uniform
 // stride and zero padding. Weights have shape (outC, inC, k, k).
+//
+// The convolution is im2col + matrix multiplication, walked over the batch
+// in tiles of samples so that the column matrix and the products around it
+// hold one tile (see convTileFloats) whatever the batch size. Forward keeps
+// the input tensor instead of its unrolled columns; Backward unrolls each
+// tile again from it, so the input must stay unmodified until Backward has
+// run (see Layer). Tiling reorders no floating-point sum — output and
+// input-gradient elements belong to one sample, and the weight and bias
+// gradients accumulate tile after tile in sample order — so results are
+// bitwise those of the whole-batch computation.
 type Conv2D struct {
 	InC, OutC    int
 	Kernel       int
 	Stride       int
 	Pad          int
 	w, b         *Param
-	cols         *tensor.Tensor // cached im2col matrix for Backward
+	x            *tensor.Tensor // the last Forward's input, re-unrolled by Backward
 	inH, inW     int
 	outH, outW   int
 	cachedBatch  int
 	cachedShapes bool
 
-	// Reusable scratch recycled across batches; released by
-	// ReleaseActivations together with cols.
-	prod, out, dprod, dw, dcols, dx *tensor.Tensor
+	// Reusable scratch recycled across batches and released by
+	// ReleaseActivations together with x. cols, prod, dprod and dcols hold
+	// one tile of samples; out, dw and dx are the layer's results.
+	cols, prod, out, dprod, dw, dcols, dx *tensor.Tensor
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -54,7 +75,18 @@ func (c *Conv2D) OutSize(in int) int {
 	return (in+2*c.Pad-c.Kernel)/c.Stride + 1
 }
 
-// Forward implements Layer using im2col + matrix multiplication.
+// tileSamples returns how many samples of an n-sample batch one tile holds:
+// the batch is cut into the fewest tiles that respect convTileFloats (a
+// single sample may exceed it), then balanced so the last tile is not a
+// sliver.
+func (c *Conv2D) tileSamples(n int) int {
+	fit := max(convTileFloats/(c.InC*c.Kernel*c.Kernel*c.outH*c.outW), 1)
+	tiles := max((n+fit-1)/fit, 1)
+	return (n + tiles - 1) / tiles
+}
+
+// Forward implements Layer using im2col + matrix multiplication, one tile of
+// samples at a time.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D(inC=%d) got input shape %v", c.InC, x.Shape()))
@@ -66,81 +98,107 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	c.inH, c.inW, c.outH, c.outW, c.cachedBatch = h, w, oh, ow, n
 	c.cachedShapes = true
+	c.x = x
 
-	// cols: (inC*k*k, n*oh*ow)
-	c.cols = tensor.EnsureShape(c.cols, c.InC*c.Kernel*c.Kernel, n*oh*ow)
-	cols := im2col(x, c.Kernel, c.Stride, c.Pad, oh, ow, c.cols)
-	wmat := c.w.W.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
-	c.prod = tensor.EnsureShape(c.prod, c.OutC, n*oh*ow)
-	prod := tensor.MatMulInto(c.prod, wmat, cols) // (outC, n*oh*ow)
-
-	c.out = tensor.EnsureShape(c.out, n, c.OutC, oh, ow)
-	out := c.out
-	od := out.Data()
-	pd := prod.Data()
-	bd := c.b.W.Data()
+	patch := c.InC * c.Kernel * c.Kernel
 	spatial := oh * ow
-	for oc := 0; oc < c.OutC; oc++ {
-		prow := pd[oc*n*spatial : (oc+1)*n*spatial]
-		bias := bd[oc]
-		for i := 0; i < n; i++ {
-			dst := od[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial]
-			src := prow[i*spatial : (i+1)*spatial]
-			for j, v := range src {
-				dst[j] = v + bias
+	wmat := c.w.W.Reshape(c.OutC, patch)
+	c.out = tensor.EnsureShape(c.out, n, c.OutC, oh, ow)
+	od := c.out.Data()
+	bd := c.b.W.Data()
+	tile, width := c.tileSamples(n), 0
+	for i0 := 0; i0 < n; i0 += tile {
+		i1 := min(i0+tile, n)
+		if (i1-i0)*spatial != width { // the first tile, and a shorter last one
+			width = (i1 - i0) * spatial
+			c.cols = tensor.EnsureShape(c.cols, patch, width)
+			c.prod = tensor.EnsureShape(c.prod, c.OutC, width)
+		}
+		im2col(x, i0, i1, c.Kernel, c.Stride, c.Pad, oh, ow, c.cols)
+		pd := tensor.MatMulInto(c.prod, wmat, c.cols).Data() // (outC, width)
+		for oc := 0; oc < c.OutC; oc++ {
+			prow := pd[oc*width : (oc+1)*width]
+			bias := bd[oc]
+			for i := i0; i < i1; i++ {
+				dst := od[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial]
+				src := prow[(i-i0)*spatial : (i-i0+1)*spatial]
+				for j, v := range src {
+					dst[j] = v + bias
+				}
 			}
 		}
 	}
-	return out
+	return c.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It re-reads the input Forward was given.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if !c.cachedShapes {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
 	n, oh, ow := c.cachedBatch, c.outH, c.outW
+	patch := c.InC * c.Kernel * c.Kernel
 	spatial := oh * ow
-
-	// Rearrange dout (n, outC, oh, ow) into (outC, n*oh*ow) to mirror prod.
-	c.dprod = tensor.EnsureShape(c.dprod, c.OutC, n*spatial)
-	dprod := c.dprod
 	dd := dout.Data()
-	dpd := dprod.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		drow := dpd[oc*n*spatial : (oc+1)*n*spatial]
-		for i := 0; i < n; i++ {
-			src := dd[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial]
-			copy(drow[i*spatial:(i+1)*spatial], src)
-		}
-	}
 
-	// Bias gradient: sum over all positions per output channel.
+	// Bias gradient: sum over all positions per output channel, in sample
+	// order.
 	bg := c.b.G.Data()
 	for oc := 0; oc < c.OutC; oc++ {
 		var s float64
-		for _, v := range dpd[oc*n*spatial : (oc+1)*n*spatial] {
-			s += v
+		for i := 0; i < n; i++ {
+			for _, v := range dd[(i*c.OutC+oc)*spatial : (i*c.OutC+oc+1)*spatial] {
+				s += v
+			}
 		}
 		bg[oc] += s
 	}
 
-	// Weight gradient: dW = dprod · colsᵀ, shaped back to (outC, inC, k, k).
-	c.dw = tensor.EnsureShape(c.dw, c.OutC, c.InC*c.Kernel*c.Kernel)
-	dw := tensor.MatMulTransBInto(c.dw, dprod, c.cols) // (outC, inC*k*k)
-	c.w.G.AddInPlace(dw.Reshape(c.w.G.Shape()...))
+	wmat := c.w.W.Reshape(c.OutC, patch)
+	c.dw = tensor.EnsureShape(c.dw, c.OutC, patch).Zero()
+	c.dx = tensor.EnsureShape(c.dx, n, c.InC, c.inH, c.inW).Zero()
+	tile, width := c.tileSamples(n), 0
+	for i0 := 0; i0 < n; i0 += tile {
+		i1 := min(i0+tile, n)
+		if (i1-i0)*spatial != width { // the first tile, and a shorter last one
+			width = (i1 - i0) * spatial
+			c.dprod = tensor.EnsureShape(c.dprod, c.OutC, width)
+			c.cols = tensor.EnsureShape(c.cols, patch, width)
+			c.dcols = tensor.EnsureShape(c.dcols, patch, width)
+		}
 
-	// Input gradient: dcols = Wᵀ · dprod, then col2im.
-	wmat := c.w.W.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
-	c.dcols = tensor.EnsureShape(c.dcols, c.InC*c.Kernel*c.Kernel, n*spatial)
-	dcols := tensor.MatMulTransAInto(c.dcols, wmat, dprod) // (inC*k*k, n*oh*ow)
-	c.dx = tensor.EnsureShape(c.dx, n, c.InC, c.inH, c.inW)
-	return col2im(dcols, n, c.InC, c.inH, c.inW, c.Kernel, c.Stride, c.Pad, oh, ow, c.dx)
+		// Rearrange the tile's dout rows (i, outC, oh, ow) into
+		// (outC, width) to mirror prod.
+		dpd := c.dprod.Data()
+		for oc := 0; oc < c.OutC; oc++ {
+			drow := dpd[oc*width : (oc+1)*width]
+			for i := i0; i < i1; i++ {
+				copy(drow[(i-i0)*spatial:], dd[(i*c.OutC+oc)*spatial:(i*c.OutC+oc+1)*spatial])
+			}
+		}
+
+		// Weight gradient: dw continues dprod · colsᵀ over the tile's
+		// columns, unrolled again from the retained input.
+		im2col(c.x, i0, i1, c.Kernel, c.Stride, c.Pad, oh, ow, c.cols)
+		tensor.MatMulTransBAccInto(c.dw, c.dprod, c.cols) // (outC, patch)
+
+		// Input gradient: dcols = Wᵀ · dprod, then col2im into the tile's
+		// samples of dx.
+		tensor.MatMulTransAInto(c.dcols, wmat, c.dprod) // (patch, width)
+		col2im(c.dcols, i0, i1, c.Kernel, c.Stride, c.Pad, oh, ow, c.dx)
+	}
+	// dw was summed from zero over the whole batch before it meets the
+	// gradient already accumulated, as one whole-batch product would be.
+	wg := c.w.G.Data()
+	for i, v := range c.dw.Data() {
+		wg[i] += v
+	}
+	return c.dx
 }
 
 // ReleaseActivations implements ActivationReleaser.
 func (c *Conv2D) ReleaseActivations() {
-	c.cols, c.prod, c.out, c.dprod, c.dw, c.dcols, c.dx = nil, nil, nil, nil, nil, nil, nil
+	c.x, c.cols, c.prod, c.out, c.dprod, c.dw, c.dcols, c.dx = nil, nil, nil, nil, nil, nil, nil, nil
 	c.cachedShapes = false
 }
 
@@ -162,28 +220,26 @@ func (c *Conv2D) Clone() Layer {
 	}
 }
 
-// im2col unrolls x (n, inC, h, w) into the provided (inC*k*k, n*oh*ow)
-// matrix where each column is one receptive field; every element is
-// written, so cols may hold stale scratch.
-func im2col(x *tensor.Tensor, k, stride, pad, oh, ow int, cols *tensor.Tensor) *tensor.Tensor {
-	n, inC, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+// im2col unrolls samples [i0, i1) of x (n, inC, h, w) into the provided
+// (inC*k*k, (i1-i0)*oh*ow) matrix where each column is one receptive field;
+// every element is written, so cols may hold stale scratch.
+func im2col(x *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, cols *tensor.Tensor) {
+	inC, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	xd := x.Data()
 	cd := cols.Data()
-	colW := n * oh * ow
+	colW := (i1 - i0) * oh * ow
 	for ic := 0; ic < inC; ic++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
 				rowIdx := (ic*k+ky)*k + kx
 				crow := cd[rowIdx*colW : (rowIdx+1)*colW]
-				for i := 0; i < n; i++ {
+				for i := i0; i < i1; i++ {
 					base := (i*inC + ic) * h * w
 					for oy := 0; oy < oh; oy++ {
 						iy := oy*stride + ky - pad
-						dst := crow[(i*oh+oy)*ow : (i*oh+oy+1)*ow]
+						dst := crow[((i-i0)*oh+oy)*ow : ((i-i0)*oh+oy+1)*ow]
 						if iy < 0 || iy >= h {
-							for j := range dst {
-								dst[j] = 0
-							}
+							clear(dst)
 							continue
 						}
 						for ox := 0; ox < ow; ox++ {
@@ -199,29 +255,29 @@ func im2col(x *tensor.Tensor, k, stride, pad, oh, ow int, cols *tensor.Tensor) *
 			}
 		}
 	}
-	return cols
 }
 
-// col2im scatters a column matrix back into the provided (n, inC, h, w)
-// tensor, accumulating overlapping contributions on top of a zeroed buffer.
-func col2im(cols *tensor.Tensor, n, inC, h, w, k, stride, pad, oh, ow int, out *tensor.Tensor) *tensor.Tensor {
-	out.Zero()
+// col2im scatters a (inC*k*k, (i1-i0)*oh*ow) column matrix back into samples
+// [i0, i1) of out (n, inC, h, w), accumulating overlapping contributions on
+// top of what out holds; the caller zeroes out first.
+func col2im(cols *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, out *tensor.Tensor) {
+	inC, h, w := out.Dim(1), out.Dim(2), out.Dim(3)
 	od := out.Data()
 	cd := cols.Data()
-	colW := n * oh * ow
+	colW := (i1 - i0) * oh * ow
 	for ic := 0; ic < inC; ic++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
 				rowIdx := (ic*k+ky)*k + kx
 				crow := cd[rowIdx*colW : (rowIdx+1)*colW]
-				for i := 0; i < n; i++ {
+				for i := i0; i < i1; i++ {
 					base := (i*inC + ic) * h * w
 					for oy := 0; oy < oh; oy++ {
 						iy := oy*stride + ky - pad
 						if iy < 0 || iy >= h {
 							continue
 						}
-						src := crow[(i*oh+oy)*ow : (i*oh+oy+1)*ow]
+						src := crow[((i-i0)*oh+oy)*ow : ((i-i0)*oh+oy+1)*ow]
 						for ox := 0; ox < ow; ox++ {
 							ix := ox*stride + kx - pad
 							if ix < 0 || ix >= w {
@@ -234,5 +290,4 @@ func col2im(cols *tensor.Tensor, n, inC, h, w, k, stride, pad, oh, ow int, out *
 			}
 		}
 	}
-	return out
 }

@@ -11,6 +11,11 @@
 // Layers are not safe for concurrent use: each layer caches its most recent
 // forward activations for the following Backward call. Clone a network per
 // goroutine when training in parallel.
+//
+// Memory: a layer's caches are a few tensors the size of its input or
+// output. Conv2D is im2col + matrix multiplication, but unrolls a tile of
+// samples at a time (convTileFloats) and unrolls it again in Backward, so
+// its column scratch is bounded by the tile, not by the batch.
 package nn
 
 import (
@@ -45,6 +50,10 @@ type ActivationReleaser interface {
 // Layer is one differentiable stage of a network. Forward must be called
 // before Backward; Backward receives ∂L/∂out and returns ∂L/∂in, adding
 // parameter gradients into the layer's Param.G tensors.
+//
+// Input lifetime: a layer may keep the tensor Forward was given, not a copy,
+// and read it again in Backward (Dense and Conv2D do), so the caller must
+// leave it unmodified until the matching Backward has returned.
 //
 // Output lifetime: layers recycle their output and gradient buffers across
 // batches, so a tensor returned by Forward or Backward is valid only until

@@ -30,7 +30,7 @@ func batchState(l Layer) int {
 	case *ReLU:
 		return len(v.mask) + tensorSize(v.out) + tensorSize(v.dx)
 	case *Conv2D:
-		return tensorSize(v.cols) + tensorSize(v.prod) + tensorSize(v.out) +
+		return tensorSize(v.x) + tensorSize(v.cols) + tensorSize(v.prod) + tensorSize(v.out) +
 			tensorSize(v.dprod) + tensorSize(v.dw) + tensorSize(v.dcols) + tensorSize(v.dx)
 	case *BatchNorm2D:
 		return tensorSize(v.xhat) + tensorSize(v.xmu) + tensorSize(v.out) + tensorSize(v.dx)
@@ -85,6 +85,32 @@ func TestReleaseActivationsDropsBatchState(t *testing.T) {
 		if s := batchState(l); s != 0 {
 			t.Errorf("layer %d (%T) still pins %d batch-sized values after ReleaseActivations", i, l, s)
 		}
+	}
+}
+
+// TestConvScratchIndependentOfBatch is the memory bound of the tiled
+// convolution: the column scratch and the products around it are sized by
+// convTileFloats, not by the batch, at the paper's LeNet-5 conv1 shapes.
+func TestConvScratchIndependentOfBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	scratch := func(batch int) int {
+		c := NewConv2D(1, 6, 5, 1, 2, rng)
+		x := tensor.New(batch, 1, 28, 28).RandNormal(rng, 0, 1)
+		c.Backward(tensor.New(c.Forward(x, true).Shape()...).Fill(1))
+		held := 0 // capacity: after a shorter last tile the tensors are shaped to it
+		for _, s := range []*tensor.Tensor{c.cols, c.dcols, c.prod, c.dprod} {
+			held += cap(s.Data())
+		}
+		return held
+	}
+	at100, at400 := scratch(100), scratch(400)
+	if at100 != at400 {
+		t.Errorf("conv scratch holds %d float64s at batch 100 and %d at batch 400; want it independent of the batch", at100, at400)
+	}
+	// cols and dcols are at most a tile each; prod and dprod are outC/patch
+	// (6/25) of one.
+	if limit := 3 * convTileFloats; at400 > limit {
+		t.Errorf("conv scratch holds %d float64s at batch 400, want at most %d (3 tiles)", at400, limit)
 	}
 }
 

@@ -3,18 +3,40 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
-// The three matrix kernels below share one execution scheme: the output is
+// The four matrix kernels below share one execution scheme: the output is
 // split into contiguous row panels that run on the shared worker pool (see
 // pool.go), and within a panel the reduction dimension is tiled so the
 // panel of b being consumed stays cache-resident. Both transformations
 // preserve the per-element floating-point accumulation order of the naive
 // triple loop, so serial and parallel runs — and runs before and after this
 // blocking — are bitwise identical.
+//
+// Inside a panel the kernels work four wide, again without reordering a
+// single addition:
+//
+//   - MatMulInto and MatMulTransAInto sweep an output row once per four
+//     reduction indices instead of once per index,
+//     o[j] = (((o[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j],
+//     which is the same chain of rounded additions the one-at-a-time loop
+//     performs, with a quarter of the loads and stores of o. The scalar loop
+//     skips a zero a, so that 0·Inf in b never becomes a NaN in o; a group
+//     of four holding a zero therefore falls back to that loop.
+//   - MatMulTransBInto and MatMulTransBAccInto compute four output columns
+//     at once: four independent running sums share each load of a[p], and
+//     each is still summed in index order.
+//
+// Remainders (k%4, n%4) use the one-at-a-time loops. The guarantee is
+// per-architecture: Go fuses x*y+z into one rounding on some targets
+// (arm64, GOAMD64=v3) and not on default amd64, whose results are the ones
+// the pinned digests in this repo record. There are no build-tagged
+// variants; every target runs this one file.
 
 // Reduction/column tile sizes, sized so one tile of b (tile × row-width
 // float64s) fits comfortably in a per-core cache alongside the output panel.
+// Both are multiples of four, so a four-wide group never straddles a tile.
 const (
 	matmulKC = 256 // reduction-dimension tile for MatMul / MatMulTransA
 	matmulJB = 48  // b-row tile for MatMulTransB
@@ -47,6 +69,135 @@ func dims2(t *Tensor) (int, int) {
 	return t.shape[0], t.shape[1]
 }
 
+// axpy1 adds a·b to the row o, one element after the other.
+func axpy1(o []float64, a float64, b []float64) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += a * b[j]
+	}
+}
+
+// axpy4 adds a0·b0, a1·b1, a2·b2 and a3·b3 to the row o in that order, in
+// one sweep: each o[j] goes through the same four rounded additions as four
+// axpy1 calls would give it.
+func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+	}
+}
+
+// axpyEach adds a[p]·(row p of b) to o for p = lo..hi-1 in order, skipping
+// zero coefficients; a[p] is ad[p*acs].
+func axpyEach(o, ad []float64, acs int, bd []float64, n, lo, hi int) {
+	for p := lo; p < hi; p++ {
+		if av := ad[p*acs]; av != 0 {
+			axpy1(o, av, bd[p*n:p*n+n])
+		}
+	}
+}
+
+// matCall is one matrix-kernel call in the form the worker pool runs a row
+// panel of: od = A·b for b of shape (k, n) with A[i][p] = ad[i*ars+p*acs]
+// (strides (k, 1) give a·b for a of shape (m, k), strides (1, m) give aᵀ·b
+// for a of shape (k, m)), or, with transB, od = a·bᵀ for a of shape (m, k)
+// and b of shape (n, k), each sum continuing from od's value when acc is set.
+//
+// Calls are recycled through matCalls with run bound once, so a kernel call
+// allocates no closure: a Conv2D issues three per tile of its batch.
+type matCall struct {
+	od, ad, bd  []float64
+	ars, acs    int
+	k, n        int
+	transB, acc bool
+	run         func(lo, hi int) // c.panel
+}
+
+var matCalls = sync.Pool{New: func() any {
+	c := new(matCall)
+	c.run = c.panel
+	return c
+}}
+
+// runMatCall computes the m output rows of call on the worker pool.
+func runMatCall(m int, call matCall) {
+	c := matCalls.Get().(*matCall)
+	call.run = c.run
+	*c = call
+	parallelRows(m, m*c.n*c.k, c.run)
+	c.od, c.ad, c.bd = nil, nil, nil
+	matCalls.Put(c)
+}
+
+// panel computes output rows [lo, hi).
+func (c *matCall) panel(lo, hi int) {
+	if c.transB {
+		matMulTransBPanel(c.od, c.ad, c.bd, c.k, c.n, lo, hi, c.acc)
+	} else {
+		matMulPanel(c.od, c.ad, c.bd, c.ars, c.acs, c.k, c.n, lo, hi)
+	}
+}
+
+// matMulPanel computes rows [lo, hi) of od = A·b (see matCall).
+func matMulPanel(od, ad, bd []float64, ars, acs, k, n, lo, hi int) {
+	clear(od[lo*n : hi*n])
+	for p0 := 0; p0 < k; p0 += matmulKC {
+		p1 := min(p0+matmulKC, k)
+		for i := lo; i < hi; i++ {
+			orow := od[i*n : i*n+n]
+			arow := ad[i*ars:]
+			p := p0
+			for ; p+4 <= p1; p += 4 {
+				a0, a1, a2, a3 := arow[p*acs], arow[(p+1)*acs], arow[(p+2)*acs], arow[(p+3)*acs]
+				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+					axpyEach(orow, arow, acs, bd, n, p, p+4)
+					continue
+				}
+				axpy4(orow, a0, a1, a2, a3,
+					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n], bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n])
+			}
+			axpyEach(orow, arow, acs, bd, n, p, p1)
+		}
+	}
+}
+
+// matMulTransBPanel computes rows [lo, hi) of od = a·bᵀ (see matCall).
+func matMulTransBPanel(od, ad, bd []float64, k, n, lo, hi int, acc bool) {
+	for j0 := 0; j0 < n; j0 += matmulJB {
+		j1 := min(j0+matmulJB, n)
+		for i := lo; i < hi; i++ {
+			arow := ad[i*k : i*k+k]
+			orow := od[i*n : i*n+n]
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				b0, b1, b2, b3 := bd[j*k:j*k+k], bd[(j+1)*k:(j+1)*k+k], bd[(j+2)*k:(j+2)*k+k], bd[(j+3)*k:(j+3)*k+k]
+				var s0, s1, s2, s3 float64
+				if acc {
+					s0, s1, s2, s3 = orow[j], orow[j+1], orow[j+2], orow[j+3]
+				}
+				for p, av := range arow {
+					s0 += av * b0[p]
+					s1 += av * b1[p]
+					s2 += av * b2[p]
+					s3 += av * b3[p]
+				}
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+			}
+			for ; j < j1; j++ {
+				brow := bd[j*k : j*k+k]
+				var s float64
+				if acc {
+					s = orow[j]
+				}
+				for p, av := range arow {
+					s += av * brow[p]
+				}
+				orow[j] = s
+			}
+		}
+	}
+}
+
 // MatMul returns the matrix product a·b for 2-D tensors of shapes (m,k) and
 // (k,n). It panics if either operand is not 2-D or the inner dimensions
 // disagree.
@@ -62,67 +213,7 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k := dims2(a)
 	k2, n := dims2(b)
 	out := checkMatMul2D("MatMul", dst, a, b, m, n, k == k2)
-	ad, bd, od := a.data, b.data, out.data
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			clear(od[i*n : (i+1)*n])
-		}
-		for p0 := 0; p0 < k; p0 += matmulKC {
-			p1 := p0 + matmulKC
-			if p1 > k {
-				p1 = k
-			}
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k+p0 : i*k+p1]
-				orow := od[i*n : i*n+n]
-				for pp, av := range arow {
-					if av == 0 {
-						continue
-					}
-					p := p0 + pp
-					brow := bd[p*n : p*n+n]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
-	})
-	return out
-}
-
-// MatMulTransB returns a·bᵀ for a of shape (m,k) and b of shape (n,k).
-func MatMulTransB(a, b *Tensor) *Tensor { return MatMulTransBInto(nil, a, b) }
-
-// MatMulTransBInto computes a·bᵀ into dst (shape (m,n), or nil to
-// allocate) and returns it. dst must not alias a or b.
-//
-//goldfish:hotpath
-func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
-	m, k := dims2(a)
-	n, k2 := dims2(b)
-	out := checkMatMul2D("MatMulTransB", dst, a, b, m, n, k == k2)
-	ad, bd, od := a.data, b.data, out.data
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		for j0 := 0; j0 < n; j0 += matmulJB {
-			j1 := j0 + matmulJB
-			if j1 > n {
-				j1 = n
-			}
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : i*k+k]
-				orow := od[i*n : i*n+n]
-				for j := j0; j < j1; j++ {
-					brow := bd[j*k : j*k+k]
-					var s float64
-					for p, av := range arow {
-						s += av * brow[p]
-					}
-					orow[j] = s
-				}
-			}
-		}
-	})
+	runMatCall(m, matCall{od: out.data, ad: a.data, bd: b.data, ars: k, acs: 1, k: k, n: n})
 	return out
 }
 
@@ -137,31 +228,40 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	k, m := dims2(a)
 	k2, n := dims2(b)
 	out := checkMatMul2D("MatMulTransA", dst, a, b, m, n, k == k2)
-	ad, bd, od := a.data, b.data, out.data
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			clear(od[i*n : (i+1)*n])
-		}
-		for p0 := 0; p0 < k; p0 += matmulKC {
-			p1 := p0 + matmulKC
-			if p1 > k {
-				p1 = k
-			}
-			for i := lo; i < hi; i++ {
-				orow := od[i*n : i*n+n]
-				for p := p0; p < p1; p++ {
-					av := ad[p*m+i]
-					if av == 0 {
-						continue
-					}
-					brow := bd[p*n : p*n+n]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
-	})
+	runMatCall(m, matCall{od: out.data, ad: a.data, bd: b.data, ars: 1, acs: m, k: k, n: n})
+	return out
+}
+
+// MatMulTransB returns a·bᵀ for a of shape (m,k) and b of shape (n,k).
+func MatMulTransB(a, b *Tensor) *Tensor { return MatMulTransBInto(nil, a, b) }
+
+// MatMulTransBInto computes a·bᵀ into dst (shape (m,n), or nil to
+// allocate) and returns it. dst must not alias a or b.
+//
+//goldfish:hotpath
+func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
+	m, k := dims2(a)
+	n, k2 := dims2(b)
+	out := checkMatMul2D("MatMulTransB", dst, a, b, m, n, k == k2)
+	runMatCall(m, matCall{od: out.data, ad: a.data, bd: b.data, k: k, n: n, transB: true})
+	return out
+}
+
+// MatMulTransBAccInto adds a·bᵀ to dst (shape (m,n)) and returns it. Each
+// element's running sum continues from the value dst holds, so calling it
+// over consecutive column slices of a and b — a[:, c0:c1]·b[:, c0:c1]ᵀ,
+// then [c1:c2), … — on a zeroed dst reproduces one MatMulTransBInto over
+// all the columns bit for bit. dst must not alias a or b.
+//
+//goldfish:hotpath
+func MatMulTransBAccInto(dst, a, b *Tensor) *Tensor {
+	m, k := dims2(a)
+	n, k2 := dims2(b)
+	if dst == nil {
+		panic("tensor: MatMulTransBAcc requires a destination to accumulate into")
+	}
+	out := checkMatMul2D("MatMulTransBAcc", dst, a, b, m, n, k == k2)
+	runMatCall(m, matCall{od: out.data, ad: a.data, bd: b.data, k: k, n: n, transB: true, acc: true})
 	return out
 }
 

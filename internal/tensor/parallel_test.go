@@ -7,26 +7,6 @@ import (
 	"testing"
 )
 
-// naiveMatMul is the reference triple loop the blocked kernels must
-// reproduce bitwise (their tiling preserves per-element accumulation order).
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			av := a.data[i*k+p]
-			if av == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				out.data[i*n+j] += av * b.data[p*n+j]
-			}
-		}
-	}
-	return out
-}
-
 // TestParallelKernelsMatchSerial is the kernel parity gate: every matmul
 // variant must produce identical results (within 1e-12; in fact bitwise)
 // under the worker pool and under GOLDFISH_SERIAL-style serial execution.
@@ -47,14 +27,18 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 			at := Transpose2D(a)
 			bt := Transpose2D(b)
 
+			init := New(s.m, s.n).RandNormal(rng, 0, 1)
+
 			prev := ForceSerial(true)
 			serial := MatMul(a, b)
 			serialTB := MatMulTransB(a, bt)
 			serialTA := MatMulTransA(at, b)
+			serialAcc := MatMulTransBAccInto(init.Clone(), a, bt)
 			ForceSerial(false)
 			par := MatMul(a, b)
 			parTB := MatMulTransB(a, bt)
 			parTA := MatMulTransA(at, b)
+			parAcc := MatMulTransBAccInto(init.Clone(), a, bt)
 			ForceSerial(prev)
 
 			if d := serial.MaxAbsDiff(par); d > 1e-12 {
@@ -66,8 +50,11 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 			if d := serialTA.MaxAbsDiff(parTA); d > 1e-12 {
 				t.Errorf("MatMulTransA parallel vs serial differ by %g", d)
 			}
+			if d := serialAcc.MaxAbsDiff(parAcc); d != 0 {
+				t.Errorf("MatMulTransBAcc parallel vs serial differ by %g", d)
+			}
 			// All variants must also agree with the naive reference exactly.
-			want := naiveMatMul(a, b)
+			want := naiveAB(a, b, false) // kernel_bits_test.go
 			for name, got := range map[string]*Tensor{
 				"MatMul": par, "MatMulTransB": parTB, "MatMulTransA": parTA,
 			} {
@@ -139,7 +126,10 @@ func TestKernelsConcurrentUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := New(70, 90).RandNormal(rng, 0, 1)
 	b := New(90, 50).RandNormal(rng, 0, 1)
+	bt := Transpose2D(b)
+	init := New(70, 50).RandNormal(rng, 0, 1)
 	want := MatMul(a, b)
+	wantAcc := MatMulTransBAccInto(init.Clone(), a, bt)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -148,6 +138,10 @@ func TestKernelsConcurrentUse(t *testing.T) {
 			for it := 0; it < 5; it++ {
 				if d := MatMul(a, b).MaxAbsDiff(want); d != 0 {
 					t.Errorf("concurrent MatMul diverged by %g", d)
+					return
+				}
+				if d := MatMulTransBAccInto(init.Clone(), a, bt).MaxAbsDiff(wantAcc); d != 0 {
+					t.Errorf("concurrent MatMulTransBAcc diverged by %g", d)
 					return
 				}
 			}
@@ -176,3 +170,40 @@ func BenchmarkMatMulSerial64(b *testing.B)    { benchMatMul(b, 64, 512, 512, tru
 func BenchmarkMatMulParallel64(b *testing.B)  { benchMatMul(b, 64, 512, 512, false) }
 func BenchmarkMatMulSerial128(b *testing.B)   { benchMatMul(b, 128, 512, 512, true) }
 func BenchmarkMatMulParallel128(b *testing.B) { benchMatMul(b, 128, 512, 512, false) }
+
+// BenchmarkMatMulConv runs the three products a Conv2D issues per tile of
+// its batch, at the paper's LeNet-5 shapes: w·cols forward, dprod·colsᵀ
+// (accumulated) and wᵀ·dprod backward, for w of shape (outC, patch) and one
+// tile of columns (6 samples of 28×28 for conv1, 8 of 10×10 for conv2).
+func BenchmarkMatMulConv(b *testing.B) {
+	for _, c := range []struct {
+		name               string
+		outC, patch, width int
+	}{
+		{"conv1-6x25x4704", 6, 25, 6 * 28 * 28},
+		{"conv2-16x150x800", 16, 150, 8 * 10 * 10},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		w := New(c.outC, c.patch).RandNormal(rng, 0, 1)
+		cols := New(c.patch, c.width).RandNormal(rng, 0, 1)
+		dprod := New(c.outC, c.width).RandNormal(rng, 0, 1)
+		prod, dw, dcols := New(c.outC, c.width), New(c.outC, c.patch), New(c.patch, c.width)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMul", func() { MatMulInto(prod, w, cols) }},
+			{"TransBAcc", func() { MatMulTransBAccInto(dw, dprod, cols) }},
+			{"TransA", func() { MatMulTransAInto(dcols, w, dprod) }},
+		} {
+			b.Run(k.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+				flops := 2 * float64(c.outC) * float64(c.patch) * float64(c.width)
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

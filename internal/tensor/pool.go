@@ -92,13 +92,18 @@ func parallelRows(n, work int, fn func(lo, hi int)) {
 		chunks = n
 	}
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	lo := 0
 	for lo+size < n {
 		wg.Add(1)
-		poolCh <- panelTask{lo: lo, hi: lo + size, fn: fn, wg: &wg}
+		poolCh <- panelTask{lo: lo, hi: lo + size, fn: fn, wg: wg}
 		lo += size
 	}
 	fn(lo, n)
 	wg.Wait()
+	waitGroups.Put(wg)
 }
+
+// waitGroups recycles the wait group a forked call shares with the workers
+// (it escapes through poolCh), so that forking allocates nothing.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
