@@ -359,7 +359,7 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 				l, grad = (loss.CrossEntropy{}).Compute(logits, t.dr.LabelsFor(b))
 			}
 			t.net.ZeroGrads()
-			t.net.Backward(grad)
+			t.net.BackwardParams(grad)
 			t.opt.Step(params)
 			lastLoss += l
 		}
@@ -379,7 +379,7 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 					badLogits := t.incompetent.Forward(x, false)
 					_, grad := loss.Distillation(logits, badLogits, 1)
 					t.net.ZeroGrads()
-					t.net.Backward(grad)
+					t.net.BackwardParams(grad)
 					t.opt.Step(params)
 				}
 			}

@@ -41,16 +41,21 @@ func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 	var res EpochResult
 	params := student.Params()
 
+	// One batch tensor and one row list for the whole epoch: a batch is
+	// overwritten only after the Backward that reads it has returned (the
+	// Layer input-lifetime rule), and the teacher only reads it.
+	var x *tensor.Tensor
 	batches := data.BatchIndices(len(drIdx), batchSize, rng)
+	rows := make([]int, min(max(batchSize, 0), len(drIdx)))
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		rows := make([]int, len(b))
+		rows = rows[:len(b)]
 		for i, j := range b {
 			rows[i] = drIdx[j]
 		}
-		x := tensor.SliceRows(ds.X, rows)
+		x = tensor.SliceRowsInto(x, ds.X, rows)
 		labels := ds.LabelsFor(rows)
 
 		logits := student.Forward(x, true)
@@ -63,7 +68,7 @@ func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 			grad.AXPY(gl.MuD, gd)
 		}
 		student.ZeroGrads()
-		student.Backward(grad)
+		student.BackwardParams(grad)
 		opt.Step(params)
 
 		res.HardLoss += hardLoss
@@ -80,12 +85,12 @@ func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			x := tensor.SliceRows(df.X, b)
+			x = tensor.SliceRowsInto(x, df.X, b)
 			labels := df.LabelsFor(b)
 			logits := student.Forward(x, true)
 			_, grad := gl.ForgetStep(logits, labels)
 			student.ZeroGrads()
-			student.Backward(grad)
+			student.BackwardParams(grad)
 			opt.Step(params)
 		}
 	}
@@ -101,12 +106,14 @@ func EvalHardLoss(net *nn.Network, ds *data.Dataset, idx []int, h loss.Hard, bat
 	}
 	batches := data.BatchIndices(len(idx), batchSize, nil)
 	var total float64
+	var x *tensor.Tensor
+	rows := make([]int, min(max(batchSize, 0), len(idx)))
 	for _, b := range batches {
-		rows := make([]int, len(b))
+		rows = rows[:len(b)]
 		for i, j := range b {
 			rows[i] = idx[j]
 		}
-		x := tensor.SliceRows(ds.X, rows)
+		x = tensor.SliceRowsInto(x, ds.X, rows)
 		logits := net.Forward(x, false)
 		l, _ := h.Compute(logits, ds.LabelsFor(rows))
 		total += l * float64(len(b))

@@ -132,7 +132,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer. It re-reads the input Forward was given.
-func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor { return c.backward(dout, true) }
+
+// backwardParams implements paramsBackwarder.
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) { c.backward(dout, false) }
+
+// backward accumulates the weight and bias gradients and, when needDx is
+// set, computes and returns the input gradient; without it the layer neither
+// sizes nor touches dx and dcols and returns nil.
+func (c *Conv2D) backward(dout *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if !c.cachedShapes {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
@@ -156,7 +164,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	wmat := c.w.W.Reshape(c.OutC, patch)
 	c.dw = tensor.EnsureShape(c.dw, c.OutC, patch).Zero()
-	c.dx = tensor.EnsureShape(c.dx, n, c.InC, c.inH, c.inW).Zero()
+	if needDx {
+		c.dx = tensor.EnsureShape(c.dx, n, c.InC, c.inH, c.inW).Zero()
+	}
 	tile, width := c.tileSamples(n), 0
 	for i0 := 0; i0 < n; i0 += tile {
 		i1 := min(i0+tile, n)
@@ -164,7 +174,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			width = (i1 - i0) * spatial
 			c.dprod = tensor.EnsureShape(c.dprod, c.OutC, width)
 			c.cols = tensor.EnsureShape(c.cols, patch, width)
-			c.dcols = tensor.EnsureShape(c.dcols, patch, width)
+			if needDx {
+				c.dcols = tensor.EnsureShape(c.dcols, patch, width)
+			}
 		}
 
 		// Rearrange the tile's dout rows (i, outC, oh, ow) into
@@ -182,16 +194,21 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		im2col(c.x, i0, i1, c.Kernel, c.Stride, c.Pad, oh, ow, c.cols)
 		tensor.MatMulTransBAccInto(c.dw, c.dprod, c.cols) // (outC, patch)
 
-		// Input gradient: dcols = Wᵀ · dprod, then col2im into the tile's
-		// samples of dx.
-		tensor.MatMulTransAInto(c.dcols, wmat, c.dprod) // (patch, width)
-		col2im(c.dcols, i0, i1, c.Kernel, c.Stride, c.Pad, oh, ow, c.dx)
+		if needDx {
+			// Input gradient: dcols = Wᵀ · dprod, then col2im into the
+			// tile's samples of dx.
+			tensor.MatMulTransAInto(c.dcols, wmat, c.dprod) // (patch, width)
+			col2im(c.dcols, i0, i1, c.Kernel, c.Stride, c.Pad, oh, ow, c.dx)
+		}
 	}
 	// dw was summed from zero over the whole batch before it meets the
 	// gradient already accumulated, as one whole-batch product would be.
 	wg := c.w.G.Data()
 	for i, v := range c.dw.Data() {
 		wg[i] += v
+	}
+	if !needDx {
+		return nil
 	}
 	return c.dx
 }
@@ -220,9 +237,27 @@ func (c *Conv2D) Clone() Layer {
 	}
 }
 
+// tapRange returns the output columns [lo, hi) of an ow-wide output row whose
+// input column ox·stride + off (off = kx − pad, one kernel tap) lies inside
+// [0, w); every other column of that tap reads padding. The range may be
+// empty (lo == hi) or the whole row.
+func tapRange(off, stride, w, ow int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride // the first ox with ox·stride + off ≥ 0
+	}
+	if last := w - 1 - off; last >= 0 {
+		hi = last/stride + 1 // one past the last ox with ox·stride + off ≤ w − 1
+	}
+	hi = min(hi, ow)
+	return min(lo, hi), hi
+}
+
 // im2col unrolls samples [i0, i1) of x (n, inC, h, w) into the provided
 // (inC*k*k, (i1-i0)*oh*ow) matrix where each column is one receptive field;
-// every element is written, so cols may hold stale scratch.
+// every element is written, so cols may hold stale scratch. Per kernel tap
+// the columns that read input are one range (tapRange), so a row is two
+// clears and a copy — a strided gather when stride > 1 — with no test per
+// element.
 func im2col(x *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, cols *tensor.Tensor) {
 	inC, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	xd := x.Data()
@@ -233,6 +268,12 @@ func im2col(x *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, cols *tensor.T
 			for kx := 0; kx < k; kx++ {
 				rowIdx := (ic*k+ky)*k + kx
 				crow := cd[rowIdx*colW : (rowIdx+1)*colW]
+				off := kx - pad
+				lo, hi := tapRange(off, stride, w, ow)
+				if lo == hi {
+					clear(crow)
+					continue
+				}
 				for i := i0; i < i1; i++ {
 					base := (i*inC + ic) * h * w
 					for oy := 0; oy < oh; oy++ {
@@ -242,13 +283,17 @@ func im2col(x *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, cols *tensor.T
 							clear(dst)
 							continue
 						}
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*stride + kx - pad
-							if ix < 0 || ix >= w {
-								dst[ox] = 0
-							} else {
-								dst[ox] = xd[base+iy*w+ix]
-							}
+						clear(dst[:lo])
+						clear(dst[hi:])
+						first := base + iy*w + lo*stride + off
+						if stride == 1 {
+							copy(dst[lo:hi], xd[first:])
+							continue
+						}
+						dst = dst[lo:hi]
+						src := xd[first : first+(len(dst)-1)*stride+1]
+						for j := range dst {
+							dst[j] = src[j*stride]
 						}
 					}
 				}
@@ -259,7 +304,9 @@ func im2col(x *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, cols *tensor.T
 
 // col2im scatters a (inC*k*k, (i1-i0)*oh*ow) column matrix back into samples
 // [i0, i1) of out (n, inC, h, w), accumulating overlapping contributions on
-// top of what out holds; the caller zeroes out first.
+// top of what out holds; the caller zeroes out first. It walks the loop nest
+// of im2col and adds over the same per-tap range, so every element of out
+// receives its contributions in (ic, ky, kx) order.
 func col2im(cols *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, out *tensor.Tensor) {
 	inC, h, w := out.Dim(1), out.Dim(2), out.Dim(3)
 	od := out.Data()
@@ -270,6 +317,11 @@ func col2im(cols *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, out *tensor
 			for kx := 0; kx < k; kx++ {
 				rowIdx := (ic*k+ky)*k + kx
 				crow := cd[rowIdx*colW : (rowIdx+1)*colW]
+				off := kx - pad
+				lo, hi := tapRange(off, stride, w, ow)
+				if lo == hi {
+					continue
+				}
 				for i := i0; i < i1; i++ {
 					base := (i*inC + ic) * h * w
 					for oy := 0; oy < oh; oy++ {
@@ -277,13 +329,18 @@ func col2im(cols *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, out *tensor
 						if iy < 0 || iy >= h {
 							continue
 						}
-						src := crow[((i-i0)*oh+oy)*ow : ((i-i0)*oh+oy+1)*ow]
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*stride + kx - pad
-							if ix < 0 || ix >= w {
-								continue
+						src := crow[((i-i0)*oh+oy)*ow+lo : ((i-i0)*oh+oy)*ow+hi]
+						first := base + iy*w + lo*stride + off
+						if stride == 1 {
+							dst := od[first : first+len(src)]
+							for j, v := range src {
+								dst[j] += v
 							}
-							od[base+iy*w+ix] += src[ox]
+							continue
+						}
+						dst := od[first : first+(len(src)-1)*stride+1]
+						for j, v := range src {
+							dst[j*stride] += v
 						}
 					}
 				}

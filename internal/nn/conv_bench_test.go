@@ -39,9 +39,10 @@ var convStepCases = []struct {
 	}},
 }
 
-// BenchmarkConv2DStep times one training step (Forward, Backward, ZeroGrads)
-// of each case on one network and on five at once, the way a round's five
-// clients share the kernel worker pool.
+// BenchmarkConv2DStep times one training step (ZeroGrads, Forward and the
+// params-only backward pass the training loops run) of each case on one
+// network and on five at once, the way a round's five clients share the
+// kernel worker pool.
 func BenchmarkConv2DStep(b *testing.B) {
 	for _, c := range convStepCases {
 		for _, nets := range []int{1, 5} {
@@ -53,7 +54,7 @@ func BenchmarkConv2DStep(b *testing.B) {
 				step := func(i int) {
 					networks[i].ZeroGrads()
 					networks[i].Forward(x, true)
-					networks[i].Backward(douts[i])
+					networks[i].BackwardParams(douts[i])
 				}
 				for i := range networks {
 					networks[i] = c.build(rng)
@@ -76,5 +77,38 @@ func BenchmarkConv2DStep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkIm2col times the two data-movement loops of Conv2D alone, on as
+// many samples as fit one column tile, at the presets' first-layer geometries
+// (what convStepCases issue) and the stride-2 1×1 projection of a Residual,
+// reporting MB/s of column tile moved.
+func BenchmarkIm2col(b *testing.B) {
+	for _, g := range []struct {
+		name                           string
+		batch, inC, hw, k, stride, pad int
+	}{
+		{"1x28x28-k5-p2", 100, 1, 28, 5, 1, 2},
+		{"3x16x16-k5-p2", 32, 3, 16, 5, 1, 2},
+		{"3x16x16-k3-p1", 32, 3, 16, 3, 1, 1},
+		{"4x16x16-k1-s2", 32, 4, 16, 1, 2, 0},
+	} {
+		oh, patch := (g.hw+2*g.pad-g.k)/g.stride+1, g.inC*g.k*g.k
+		n := min(g.batch, convTileFloats/(patch*oh*oh))
+		x := tensor.New(n, g.inC, g.hw, g.hw).RandNormal(rand.New(rand.NewSource(2)), 0, 1)
+		cols := tensor.New(patch, n*oh*oh)
+		b.Run(g.name+"/im2col", func(b *testing.B) {
+			b.SetBytes(int64(8 * cols.Size()))
+			for it := 0; it < b.N; it++ {
+				im2col(x, 0, n, g.k, g.stride, g.pad, oh, oh, cols)
+			}
+		})
+		b.Run(g.name+"/col2im", func(b *testing.B) {
+			b.SetBytes(int64(8 * cols.Size()))
+			for it := 0; it < b.N; it++ {
+				col2im(cols, 0, n, g.k, g.stride, g.pad, oh, oh, x)
+			}
+		})
 	}
 }

@@ -216,3 +216,130 @@ func TestConvTiledMatchesWholeBatchBitwise(t *testing.T) {
 		})
 	}
 }
+
+// oldIm2col and oldCol2im are the bodies im2col and col2im had while they
+// tested every element's input column against [0, w), kept as the oracle for
+// the range-copied loops: same loop nest, one bounds test per element.
+func oldIm2col(x *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, cols *tensor.Tensor) {
+	inC, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
+	xd := x.Data()
+	cd := cols.Data()
+	colW := (i1 - i0) * oh * ow
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				rowIdx := (ic*k+ky)*k + kx
+				crow := cd[rowIdx*colW : (rowIdx+1)*colW]
+				for i := i0; i < i1; i++ {
+					base := (i*inC + ic) * h * w
+					for oy := 0; oy < oh; oy++ {
+						iy := oy*stride + ky - pad
+						dst := crow[((i-i0)*oh+oy)*ow : ((i-i0)*oh+oy+1)*ow]
+						if iy < 0 || iy >= h {
+							clear(dst)
+							continue
+						}
+						for ox := 0; ox < ow; ox++ {
+							ix := ox*stride + kx - pad
+							if ix < 0 || ix >= w {
+								dst[ox] = 0
+							} else {
+								dst[ox] = xd[base+iy*w+ix]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func oldCol2im(cols *tensor.Tensor, i0, i1, k, stride, pad, oh, ow int, out *tensor.Tensor) {
+	inC, h, w := out.Dim(1), out.Dim(2), out.Dim(3)
+	od := out.Data()
+	cd := cols.Data()
+	colW := (i1 - i0) * oh * ow
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				rowIdx := (ic*k+ky)*k + kx
+				crow := cd[rowIdx*colW : (rowIdx+1)*colW]
+				for i := i0; i < i1; i++ {
+					base := (i*inC + ic) * h * w
+					for oy := 0; oy < oh; oy++ {
+						iy := oy*stride + ky - pad
+						if iy < 0 || iy >= h {
+							continue
+						}
+						src := crow[((i-i0)*oh+oy)*ow : ((i-i0)*oh+oy+1)*ow]
+						for ox := 0; ox < ow; ox++ {
+							ix := ox*stride + kx - pad
+							if ix < 0 || ix >= w {
+								continue
+							}
+							od[base+iy*w+ix] += src[ox]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2colCol2imMatchPerElementBitwise sweeps kernel, stride, padding,
+// non-square and narrower-than-kernel inputs and tile offsets, and requires
+// the range-copied im2col and col2im to produce the bits of the per-element
+// loops — im2col over stale scratch, col2im on top of a non-zero out. The
+// sweep must meet taps whose range is empty, partial and the whole row.
+func TestIm2colCol2imMatchPerElementBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n, inC = 3, 2
+	sizes := [][2]int{{7, 4}, {4, 9}, {6, 2}, {2, 6}, {3, 3}, {11, 5}}
+	tiles := [][2]int{{0, n}, {1, n}, {1, 2}}
+	var empty, partial, whole, cases int
+	for _, k := range []int{1, 3, 5} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2, k, k + 1} {
+				for _, hw := range sizes {
+					h, w := hw[0], hw[1]
+					if h+2*pad < k || w+2*pad < k {
+						continue // no output
+					}
+					oh, ow := (h+2*pad-k)/stride+1, (w+2*pad-k)/stride+1
+					for kx := 0; kx < k; kx++ {
+						switch lo, hi := tapRange(kx-pad, stride, w, ow); {
+						case lo == hi:
+							empty++
+						case lo == 0 && hi == ow:
+							whole++
+						default:
+							partial++
+						}
+					}
+					x := tensor.New(n, inC, h, w).RandNormal(rng, 0, 1)
+					for _, tl := range tiles {
+						i0, i1 := tl[0], tl[1]
+						what := fmt.Sprintf("k=%d stride=%d pad=%d %dx%d samples [%d,%d)", k, stride, pad, h, w, i0, i1)
+						got := tensor.New(inC*k*k, (i1-i0)*oh*ow).Fill(math.NaN())
+						want := tensor.New(inC*k*k, (i1-i0)*oh*ow).Fill(math.Inf(1))
+						im2col(x, i0, i1, k, stride, pad, oh, ow, got)
+						oldIm2col(x, i0, i1, k, stride, pad, oh, ow, want)
+						wantSameBits(t, what+" im2col", got.Data(), want.Data())
+
+						cols := tensor.New(inC*k*k, (i1-i0)*oh*ow).RandNormal(rng, 0, 1)
+						gotX := tensor.New(n, inC, h, w).RandNormal(rng, 0, 1)
+						wantX := gotX.Clone()
+						col2im(cols, i0, i1, k, stride, pad, oh, ow, gotX)
+						oldCol2im(cols, i0, i1, k, stride, pad, oh, ow, wantX)
+						wantSameBits(t, what+" col2im", gotX.Data(), wantX.Data())
+						cases++
+					}
+				}
+			}
+		}
+	}
+	if empty == 0 || partial == 0 || whole == 0 {
+		t.Errorf("the sweep met %d empty, %d partial and %d whole-row tap ranges; want some of each", empty, partial, whole)
+	}
+	t.Logf("%d geometries × tiles; tap ranges: %d empty, %d partial, %d whole", cases, empty, partial, whole)
+}

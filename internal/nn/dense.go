@@ -61,7 +61,14 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor { return d.backward(dout, true) }
+
+// backwardParams implements paramsBackwarder.
+func (d *Dense) backwardParams(dout *tensor.Tensor) { d.backward(dout, false) }
+
+// backward accumulates the weight and bias gradients and, when needDx is
+// set, computes and returns the input gradient (nil without it).
+func (d *Dense) backward(dout *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if d.x == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
@@ -70,6 +77,9 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	d.w.G.AddInPlace(tensor.MatMulTransAInto(d.dw, dout, d.x))
 	d.db = tensor.SumRowsInto(d.db, dout)
 	d.b.G.AddInPlace(d.db)
+	if !needDx {
+		return nil
+	}
 	d.dx = tensor.EnsureShape(d.dx, dout.Dim(0), d.In)
 	return tensor.MatMulInto(d.dx, dout, d.w.W)
 }

@@ -16,6 +16,17 @@
 // output. Conv2D is im2col + matrix multiplication, but unrolls a tile of
 // samples at a time (convTileFloats) and unrolls it again in Backward, so
 // its column scratch is bounded by the tile, not by the batch.
+//
+// Who may skip an input gradient: only a caller that discards it. A training
+// loop wants parameter gradients, not ∂L/∂input, so it calls
+// Network.BackwardParams, which stops at the first layer holding parameters
+// and lets that layer leave its input gradient uncomputed. The decision is
+// the top-level caller's and lasts for that call: Network.Backward and
+// Layer.Backward always return the full gradient, because a composite layer
+// depends on it — Residual trains its inner main and skip networks through
+// Network.Backward and sums what they return into its own result, so a skip
+// keyed on a layer's position inside whichever network holds it would zero
+// the gradients of everything below the block.
 package nn
 
 import (
@@ -49,7 +60,9 @@ type ActivationReleaser interface {
 
 // Layer is one differentiable stage of a network. Forward must be called
 // before Backward; Backward receives ∂L/∂out and returns ∂L/∂in, adding
-// parameter gradients into the layer's Param.G tensors.
+// parameter gradients into the layer's Param.G tensors. Backward always
+// returns the input gradient: whether anyone reads it is not something a
+// layer can know (see paramsBackwarder).
 //
 // Input lifetime: a layer may keep the tensor Forward was given, not a copy,
 // and read it again in Backward (Dense and Conv2D do), so the caller must
@@ -74,6 +87,14 @@ type Layer interface {
 	Clone() Layer
 }
 
+// paramsBackwarder is implemented by layers that can accumulate their
+// parameter gradients without computing the input gradient (Conv2D, Dense).
+// Only Network.BackwardParams calls it, and only on the lowest layer that
+// has parameters, where ∂L/∂in has no reader.
+type paramsBackwarder interface {
+	backwardParams(dout *tensor.Tensor)
+}
+
 // Network is a sequential composition of layers. The zero value is an empty
 // network; use NewNetwork or Add.
 type Network struct {
@@ -81,8 +102,10 @@ type Network struct {
 
 	// params caches the flattened Params() view; Add invalidates it. Training
 	// and vector plumbing call Params() every batch, so rebuilding the slice
-	// each time was a steady per-batch allocation.
-	params []*Param
+	// each time was a steady per-batch allocation. firstParam, built with it,
+	// is the index of the first layer that has parameters.
+	params     []*Param
+	firstParam int
 }
 
 // NewNetwork builds a sequential network from the given layers.
@@ -114,9 +137,11 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward propagates the output gradient through every layer in reverse.
-// Like Forward, the returned gradient aliases layer scratch and is only
-// valid until the next Forward/Backward on this network.
+// Backward propagates the output gradient through every layer in reverse and
+// returns the gradient with respect to the network's input, whatever the
+// network's place in a larger one (Residual's inner networks need it). Like
+// Forward, the returned gradient aliases layer scratch and is only valid
+// until the next Forward/Backward on this network.
 func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		dout = n.layers[i].Backward(dout)
@@ -124,13 +149,39 @@ func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dout
 }
 
+// BackwardParams is Backward for a caller that wants the parameter gradients
+// only, as every training loop does: it leaves each Param.G exactly as
+// Backward would, but stops at the first layer that has parameters — the
+// parameter-free layers below it are not called, and that layer skips its
+// own input gradient when it can (paramsBackwarder). It is for the outermost
+// network of a model; nothing inside a layer may call it.
+func (n *Network) BackwardParams(dout *tensor.Tensor) {
+	n.Params() // builds firstParam
+	if n.firstParam == len(n.layers) {
+		return
+	}
+	for i := len(n.layers) - 1; i > n.firstParam; i-- {
+		dout = n.layers[i].Backward(dout)
+	}
+	if pb, ok := n.layers[n.firstParam].(paramsBackwarder); ok {
+		pb.backwardParams(dout)
+	} else {
+		n.layers[n.firstParam].Backward(dout)
+	}
+}
+
 // Params returns all learnable parameters in layer order. The slice is built
 // once and cached (Add invalidates it); callers must not append to or mutate
 // it.
 func (n *Network) Params() []*Param {
 	if n.params == nil {
-		for _, l := range n.layers {
-			n.params = append(n.params, l.Params()...) //goldfish:allocok — built once, then cached
+		n.firstParam = len(n.layers)
+		for i, l := range n.layers {
+			ps := l.Params()
+			if len(ps) > 0 && n.firstParam == len(n.layers) {
+				n.firstParam = i
+			}
+			n.params = append(n.params, ps...) //goldfish:allocok — built once, then cached
 		}
 	}
 	return n.params

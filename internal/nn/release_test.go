@@ -114,6 +114,41 @@ func TestConvScratchIndependentOfBatch(t *testing.T) {
 	}
 }
 
+// TestParamsOnlyBackwardHoldsNoInputGradient: a first-layer convolution
+// trained through BackwardParams never sizes dx or dcols — its batch state is
+// smaller than under Backward by exactly those two — and the same holds for a
+// first-layer Dense.
+func TestParamsOnlyBackwardHoldsNoInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	x := tensor.New(6, 1, 8, 8).RandNormal(rng, 0, 1)
+	full := NewNetwork(NewConv2D(1, 4, 3, 1, 1, rng), NewReLU(), NewFlatten(), NewDense(4*8*8, 3, rng))
+	paramsOnly := full.Clone()
+	dout := tensor.New(full.Forward(x, true).Shape()...).Fill(1)
+	paramsOnly.Forward(x, true)
+	full.Backward(dout)
+	paramsOnly.BackwardParams(dout)
+
+	withDx, without := full.Layers()[0].(*Conv2D), paramsOnly.Layers()[0].(*Conv2D)
+	if without.dx != nil || without.dcols != nil {
+		t.Errorf("params-only conv holds dx=%d dcols=%d values, want neither", tensorSize(without.dx), tensorSize(without.dcols))
+	}
+	if withDx.dx == nil || withDx.dcols == nil {
+		t.Fatal("Backward no longer keeps dx and dcols on the convolution")
+	}
+	if got, want := batchState(without), batchState(withDx)-withDx.dx.Size()-withDx.dcols.Size(); got != want {
+		t.Errorf("params-only conv pins %d batch-sized values, want %d (Backward's less dx and dcols)", got, want)
+	}
+	if d := paramsOnly.Layers()[3].(*Dense); d.dx == nil {
+		t.Error("a Dense above the first parameter layer must still compute its input gradient")
+	}
+
+	first := NewNetwork(NewFlatten(), NewDense(64, 3, rng))
+	first.BackwardParams(tensor.New(first.Forward(x, true).Shape()...).Fill(1))
+	if d := first.Layers()[1].(*Dense); d.dx != nil || d.dw == nil {
+		t.Errorf("first-layer Dense under BackwardParams: dx=%d values (want none), dw=%d (want some)", tensorSize(d.dx), tensorSize(d.dw))
+	}
+}
+
 // TestScratchReuseMatchesFreshAllocations guards the buffer-recycling path:
 // running several batches (of varying size) through one network must produce
 // bitwise the same outputs and gradients as running each batch through a

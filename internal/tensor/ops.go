@@ -436,7 +436,8 @@ func SliceRowsInto(dst, t *Tensor, idx []int) *Tensor {
 	for _, d := range t.shape[1:] {
 		rowLen *= d
 	}
-	outShape := append([]int{len(idx)}, t.shape[1:]...) //goldfish:allocok — shape header only
+	var buf [8]int
+	outShape := append(append(buf[:0], len(idx)), t.shape[1:]...) //goldfish:allocok — stays in buf, on the stack, up to rank 8
 	out := EnsureShape(dst, outShape...)
 	for i, r := range idx {
 		if r < 0 || r >= t.shape[0] {

@@ -119,6 +119,33 @@ func TestEnsureShape(t *testing.T) {
 	}
 }
 
+// TestEnsureShapeReuseAllocatesNothing pins the steady state of the layer
+// scratch: reshaping a tensor that already fits costs no heap allocation
+// (the variadic shape must not escape through a panic message).
+func TestEnsureShapeReuseAllocatesNothing(t *testing.T) {
+	buf := New(2, 3, 4, 5)
+	if n := testing.AllocsPerRun(100, func() { buf = EnsureShape(buf, 2, 3, 4, 5) }); n != 0 {
+		t.Errorf("EnsureShape on a fitting tensor allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = EnsureShape(buf, 6, 20) }); n != 0 {
+		t.Errorf("EnsureShape to a lower rank allocates %v times per call, want 0", n)
+	}
+}
+
+// TestSliceRowsIntoReuseAllocatesNothing is the same for the batch gather
+// every training step starts with.
+func TestSliceRowsIntoReuseAllocatesNothing(t *testing.T) {
+	src := New(10, 3, 4, 4).RandNormal(rand.New(rand.NewSource(1)), 0, 1)
+	idx := []int{7, 0, 7, 3}
+	dst := SliceRowsInto(nil, src, idx)
+	if n := testing.AllocsPerRun(100, func() { dst = SliceRowsInto(dst, src, idx) }); n != 0 {
+		t.Errorf("SliceRowsInto a fitting dst allocates %v times per call, want 0", n)
+	}
+	if want := SliceRows(src, idx); dst.MaxAbsDiff(want) != 0 || dst.Dim(0) != 4 || dst.Dims() != 4 {
+		t.Errorf("SliceRowsInto reuse got shape %v, differs from SliceRows", dst.Shape())
+	}
+}
+
 // TestKernelsConcurrentUse exercises the shared worker pool from many
 // goroutines at once; run under -race this is the data-race gate for the
 // pool itself.

@@ -51,9 +51,12 @@ func checkShape(shape []int) int {
 		panic("tensor: empty shape")
 	}
 	n := 1
-	for _, d := range shape {
+	for i, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// Formats the dimension, not the shape: boxing the slice for
+			// %v would make every caller's variadic shape escape, one heap
+			// allocation per EnsureShape on the reuse path.
+			panic(fmt.Sprintf("tensor: negative dimension %d at index %d", d, i))
 		}
 		n *= d
 	}
