@@ -281,7 +281,8 @@ func startObsServer(addr string, o *goldfish.Observer, mounts ...func(*http.Serv
 		return nil, nil, fmt.Errorf("obs endpoint: %w", err)
 	}
 	srv := &http.Server{Handler: obs.Handler("goldfish-server "+version.Version, o.Registry(), mounts...)}
-	//goldfish:goleakok — joined by the caller's deferred srv.Shutdown: Serve returns ErrServerClosed on graceful shutdown and the goroutine exits
+	// Joined by the caller's deferred srv.Shutdown: Serve returns
+	// ErrServerClosed on graceful shutdown and the goroutine exits.
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "goldfish-server: obs endpoint: %v\n", err)

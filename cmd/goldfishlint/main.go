@@ -2,15 +2,11 @@
 // over package patterns, multichecker-style: every analyzer on every
 // matched package, diagnostics printed one per line (-json switches to
 // newline-delimited JSON), non-zero exit when any fire. CI runs
-// `go run ./cmd/goldfishlint ./...` so a PR that breaks a determinism,
-// registry, error-wrapping, error-discard, concurrency, goroutine-leak,
-// hot-path-allocation, context-flow, lock-order or API-surface contract
-// fails before any golden fixture or determinism gate
-// does. `goldfishlint -fix` applies the analyzers' mechanical suggested
-// fixes atomically per file (`-fix -dry-run` prints them as a diff and
-// exits 1 while any are pending — the CI gate). `goldfishlint -api` prints
-// the canonical exported surface of package goldfish that the apisurface
-// analyzer gates on.
+// `go run ./cmd/goldfishlint ./...` so a PR that allocates on a hot path,
+// discards an error in a report-producing or server package, or changes
+// package goldfish's exported surface without regenerating the golden fails
+// before any test runs. `goldfishlint -api` prints the canonical exported
+// surface that the apisurface analyzer gates on.
 package main
 
 import (
@@ -40,8 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listRules   = fs.Bool("lint-rules", false, "print the enabled analyzers and their docs, then exit")
 		jsonOut     = fs.Bool("json", false, "print diagnostics as JSON, one object per line")
 		apiOut      = fs.Bool("api", false, "print the canonical exported API surface of package goldfish and exit")
-		applyFix    = fs.Bool("fix", false, "apply the analyzers' suggested mechanical fixes to the source files")
-		dryRun      = fs.Bool("dry-run", false, "with -fix: print the fixes as a diff instead of applying them; exit 1 if any are pending")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: goldfishlint [flags] [packages]\n\n"+
@@ -50,10 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *dryRun && !*applyFix {
-		fmt.Fprintln(stderr, "goldfishlint: -dry-run requires -fix")
 		return 2
 	}
 	if *showVersion {
@@ -91,64 +81,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "goldfishlint: %v\n", err)
 		return 2
 	}
-	if *applyFix {
-		return runFix(diags, *dryRun, stdout, stderr)
-	}
 	if perr := printDiags(stdout, diags, *jsonOut); perr != nil {
 		fmt.Fprintf(stderr, "goldfishlint: %v\n", perr)
 		return 2
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "goldfishlint: %d violation(s) in %d package(s)\n", len(diags), len(pkgs))
-		return 1
-	}
-	return 0
-}
-
-// runFix drives the -fix engine over the diagnostics: dry-run renders the
-// planned edits as a deterministic diff and exits 1 while any mechanical fix
-// is pending (the CI gate), apply mode rewrites the files atomically and
-// exits 1 only when unfixable diagnostics remain.
-func runFix(diags []lint.Diagnostic, dryRun bool, stdout, stderr io.Writer) int {
-	plan := lint.PlanFixes(diags)
-	unfixable := 0
-	for _, d := range diags {
-		if len(d.Fixes) == 0 {
-			unfixable++
-			fmt.Fprintln(stdout, d)
-		}
-	}
-	if dryRun {
-		if !plan.Empty() {
-			diff, err := plan.Diff()
-			if err != nil {
-				fmt.Fprintf(stderr, "goldfishlint: %v\n", err)
-				return 2
-			}
-			if _, err := stdout.Write(diff); err != nil {
-				fmt.Fprintf(stderr, "goldfishlint: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "goldfishlint: %d mechanical fix edit(s) pending in %d file(s); run goldfishlint -fix\n",
-				plan.NumEdits(), plan.NumFiles())
-			return 1
-		}
-		if unfixable > 0 {
-			fmt.Fprintf(stderr, "goldfishlint: %d violation(s) without a mechanical fix\n", unfixable)
-			return 1
-		}
-		return 0
-	}
-	changed, err := plan.Apply()
-	if err != nil {
-		fmt.Fprintf(stderr, "goldfishlint: %v\n", err)
-		return 2
-	}
-	if changed > 0 {
-		fmt.Fprintf(stderr, "goldfishlint: applied %d fix edit(s) across %d file(s)\n", plan.NumEdits(), changed)
-	}
-	if unfixable > 0 {
-		fmt.Fprintf(stderr, "goldfishlint: %d violation(s) need manual fixes\n", unfixable)
 		return 1
 	}
 	return 0

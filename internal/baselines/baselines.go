@@ -4,7 +4,8 @@
 //   - B1 — retrain from scratch after dropping the removed data
 //     (the reference unlearning procedure, as in Zhang et al. [23]);
 //   - B2 — rapid retraining guided by diagonal Fisher information
-//     (Liu et al. [21]; see DESIGN.md §4 for the substitution details);
+//     (Liu et al. [21]; README "Unlearning strategies" names the
+//     diagonal-Fisher substitution);
 //   - B3 — incompetent-teacher unlearning (Chundawat et al. [35]): distill
 //     from the competent (original) teacher on remaining data and from a
 //     randomly initialized incompetent teacher on removed data.

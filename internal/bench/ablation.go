@@ -149,7 +149,7 @@ func RunTable11(opts Options) (*Report, error) {
 
 // RunAblateEarly measures this reproduction's early-termination mechanism:
 // local epochs actually run and final accuracy with δ disabled versus
-// enabled (DESIGN.md ablation).
+// enabled.
 func RunAblateEarly(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	s, err := newSetup("mnist", model.ArchLeNet5, opts)
@@ -195,7 +195,7 @@ func RunAblateEarly(opts Options) (*Report, error) {
 }
 
 // RunAblateTemp compares fixed versus adaptive distillation temperature
-// (Eq. 11) on the backdoor-unlearning pipeline (DESIGN.md ablation).
+// (Eq. 11) on the backdoor-unlearning pipeline.
 func RunAblateTemp(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	s, err := newSetup("mnist", model.ArchLeNet5, opts)

@@ -8,7 +8,7 @@
 // pure-Go CPU runs tractable; ScalePaper mirrors the paper's dimensions.
 // Absolute numbers differ from the paper (synthetic data, reduced scale);
 // the shape — who wins, by how much, where crossovers fall — is the
-// reproduction target. EXPERIMENTS.md records paper-vs-measured values.
+// reproduction target (README "Examples and experiments").
 package bench
 
 import (

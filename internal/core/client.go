@@ -42,7 +42,6 @@ type Client struct {
 	teacher    *nn.Network
 	shards     *shard.Manager
 	lastGlobal []float64
-	lastUpload []float64
 	lastEpochs int
 	rng        *rand.Rand
 }
@@ -102,14 +101,6 @@ func (c *Client) LastEpochs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastEpochs
-}
-
-// LastUpload returns a copy of the most recently uploaded model state, or
-// nil before the first round.
-func (c *Client) LastUpload() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]float64(nil), c.lastUpload...)
 }
 
 // RequestDeletion marks the given local rows for removal. The data is
@@ -206,7 +197,6 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 	c.pendingDf = nil
 	c.pendingIdx = nil
 	c.retrain = false
-	c.lastUpload = append([]float64(nil), update.Params...)
 	return update, nil
 }
 

@@ -1,7 +1,7 @@
 // Package data provides the dataset substrate for the Goldfish
 // reproduction: a labelled image container, deterministic synthetic vision
 // datasets standing in for MNIST / Fashion-MNIST / CIFAR-10 / CIFAR-100
-// (this module is offline; see DESIGN.md §4 for the substitution argument),
+// (this module is offline, so nothing is downloaded),
 // IID and heterogeneous client partitioning, batching, and the backdoor
 // trigger machinery the paper uses to probe unlearning.
 package data

@@ -51,7 +51,7 @@ type FuncNode struct {
 	Calls []string
 }
 
-// Program is the whole-load call graph plus memoized derived queries.
+// Program is the whole-load call graph.
 type Program struct {
 	// Pkgs are the packages the program was built from, in load order.
 	Pkgs []*Package
@@ -59,7 +59,8 @@ type Program struct {
 	Nodes map[string]*FuncNode
 
 	byDecl map[ast.Node]*FuncNode
-	memo   map[string]any
+	// hot caches HotPaths: a whole-program result every package's pass reads.
+	hot map[string]string
 }
 
 // NodeOf returns the call-graph node for a FuncDecl or FuncLit of a loaded
@@ -79,18 +80,6 @@ func (n *FuncNode) InspectOwn(f func(ast.Node) bool) {
 		}
 		return f(x)
 	})
-}
-
-// Memo returns the cached value under key, computing and caching it on first
-// use. Analyzers use it for whole-program results (hot sets, lock graphs)
-// that must not be recomputed per package.
-func (p *Program) Memo(key string, compute func() any) any {
-	if v, ok := p.memo[key]; ok {
-		return v
-	}
-	v := compute()
-	p.memo[key] = v
-	return v
 }
 
 // Keys returns every node key, sorted.
@@ -123,69 +112,39 @@ func (p *Program) Edges() []string {
 // was first reached from (roots map to themselves). Breadth-first from the
 // sorted root list, so provenance is deterministic.
 func (p *Program) HotPaths() map[string]string {
-	return p.Memo("hotpaths", func() any {
-		from := map[string]string{}
-		var queue []string
-		for _, k := range p.Keys() {
-			n := p.Nodes[k]
-			if n.Hot && !n.Cold {
-				from[k] = k
-				queue = append(queue, k)
-			}
-		}
-		for len(queue) > 0 {
-			k := queue[0]
-			queue = queue[1:]
-			node, ok := p.Nodes[k]
-			if !ok {
-				continue
-			}
-			for _, callee := range node.Calls {
-				if _, seen := from[callee]; seen {
-					continue
-				}
-				cn, loaded := p.Nodes[callee]
-				if !loaded || cn.Cold {
-					continue
-				}
-				from[callee] = from[k]
-				queue = append(queue, callee)
-			}
-		}
-		return from
-	}).(map[string]string)
-}
-
-// ReachesAny returns the set of node keys from which any of the target keys
-// is reachable (targets included). Used by ctxflow to find the functions
-// that sit on a path into the transport/engine layer.
-func (p *Program) ReachesAny(targets map[string]bool) map[string]bool {
-	// Reverse adjacency, then BFS from the targets.
-	rev := map[string][]string{}
-	for _, k := range p.Keys() {
-		for _, callee := range p.Nodes[k].Calls {
-			rev[callee] = append(rev[callee], k)
-		}
+	if p.hot != nil {
+		return p.hot
 	}
-	reaches := map[string]bool{}
+	from := map[string]string{}
 	var queue []string
 	for _, k := range p.Keys() {
-		if targets[k] {
-			reaches[k] = true
+		n := p.Nodes[k]
+		if n.Hot && !n.Cold {
+			from[k] = k
 			queue = append(queue, k)
 		}
 	}
 	for len(queue) > 0 {
 		k := queue[0]
 		queue = queue[1:]
-		for _, caller := range rev[k] {
-			if !reaches[caller] {
-				reaches[caller] = true
-				queue = append(queue, caller)
+		node, ok := p.Nodes[k]
+		if !ok {
+			continue
+		}
+		for _, callee := range node.Calls {
+			if _, seen := from[callee]; seen {
+				continue
 			}
+			cn, loaded := p.Nodes[callee]
+			if !loaded || cn.Cold {
+				continue
+			}
+			from[callee] = from[k]
+			queue = append(queue, callee)
 		}
 	}
-	return reaches
+	p.hot = from
+	return from
 }
 
 // BuildProgram constructs the call graph over the loaded packages. Two
@@ -199,7 +158,6 @@ func BuildProgram(pkgs []*Package) *Program {
 			Pkgs:   pkgs,
 			Nodes:  map[string]*FuncNode{},
 			byDecl: map[ast.Node]*FuncNode{},
-			memo:   map[string]any{},
 		},
 		methods:   map[string][]string{},
 		addrTaken: map[string][]string{},

@@ -1,10 +1,7 @@
 package lint
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/types"
 	"strings"
 )
@@ -12,9 +9,7 @@ import (
 // ErrdropScopes lists the package-path prefixes where discarding an error is
 // forbidden: the report-producing packages (whose silent failures corrupt
 // the byte-deterministic reports CI diffs) and the server/CLI surface
-// (whose silent failures strand users without a message). It composes with
-// ErrwrapScopes: errwrap shapes the errors these packages build, errdrop
-// guarantees the ones they receive are not thrown away.
+// (whose silent failures strand users without a message).
 var ErrdropScopes = []string{
 	"goldfish/internal/scenario",
 	"goldfish/internal/attack",
@@ -36,13 +31,12 @@ expression statement). Print-family calls (fmt.Fprint*/Print*) and the
 documented never-fail writers (bytes.Buffer, strings.Builder) are exempt;
 defer statements are out of scope (a deferred cleanup error has no frame to
 return through). //goldfish:errok on the line is the escape for discards
-whose impossibility is documented. The -fix engine scaffolds the missing
-check.`,
+whose impossibility is documented.`,
 	Run: runErrdrop,
 }
 
 func runErrdrop(pass *Pass) error {
-	if !reportProducing(pass.Pkg.Path, ErrdropScopes) {
+	if !inScope(pass.Pkg.Path, ErrdropScopes) {
 		return nil
 	}
 	info := pass.Pkg.Info
@@ -60,8 +54,8 @@ func runErrdrop(pass *Pass) error {
 				if allowedErrDiscard(info, call) {
 					return true
 				}
-				if pos := errResultIndex(info, call); pos >= 0 {
-					reportDroppedCall(pass, s, call, pos)
+				if hasErrResult(info, call) {
+					pass.Reportf(s.Pos(), "error result of %s dropped; handle or return it", callLabel(info, call))
 				}
 				return true
 			case *ast.AssignStmt:
@@ -77,26 +71,22 @@ func runErrdrop(pass *Pass) error {
 	return nil
 }
 
-// errResultIndex returns the index of the first error-typed result of the
-// call, or -1 when no result is an error.
-func errResultIndex(info *types.Info, call *ast.CallExpr) int {
+// hasErrResult reports whether any result of the call is error-typed.
+func hasErrResult(info *types.Info, call *ast.CallExpr) bool {
 	tv, ok := info.Types[call]
 	if !ok || tv.Type == nil {
-		return -1
+		return false
 	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if isErrorType(t.At(i).Type()) {
-				return i
-			}
-		}
-	default:
-		if isErrorType(t) {
-			return 0
+	tuple, isTuple := tv.Type.(*types.Tuple)
+	if !isTuple {
+		return isErrorType(tv.Type)
+	}
+	for i := 0; i < tuple.Len(); i++ {
+		if isErrorType(tuple.At(i).Type()) {
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
 // isErrorType reports whether t is the predeclared error interface.
@@ -176,58 +166,12 @@ func checkBlankErrAssign(pass *Pass, s *ast.AssignStmt) {
 			if allowedErrDiscard(info, call) {
 				continue
 			}
-			// The whole statement is `_ = call(...)`: scaffold the check.
 			if len(s.Lhs) == 1 {
-				fix := errCheckFix(pass, s, call, 0, false)
-				pass.ReportfFix(lhs.Pos(), fix, "error result of %s discarded into blank; handle or return it", callLabel(info, call))
+				pass.Reportf(lhs.Pos(), "error result of %s discarded into blank; handle or return it", callLabel(info, call))
 				continue
 			}
 		}
 		pass.Reportf(lhs.Pos(), "error value discarded into blank; handle or return it")
-	}
-}
-
-// reportDroppedCall flags a bare expression-statement call that returns an
-// error, attaching the mechanical if-err scaffold.
-func reportDroppedCall(pass *Pass, s *ast.ExprStmt, call *ast.CallExpr, errPos int) {
-	info := pass.Pkg.Info
-	multi := false
-	if tuple, ok := info.Types[call].Type.(*types.Tuple); ok && tuple.Len() > 1 {
-		multi = true
-	}
-	fix := errCheckFix(pass, s, call, errPos, multi)
-	pass.ReportfFix(s.Pos(), fix, "error result of %s dropped; handle or return it", callLabel(info, call))
-}
-
-// errCheckFix builds the mechanical repair replacing a discarded call with
-//
-//	if err := call(...); err != nil {
-//		// TODO(goldfishlint): handle this error
-//	}
-//
-// padding non-error results with blanks for multi-result callees.
-func errCheckFix(pass *Pass, stmt ast.Stmt, call *ast.CallExpr, errPos int, multi bool) SuggestedFix {
-	var src bytes.Buffer
-	if err := printer.Fprint(&src, pass.Pkg.Fset, call); err != nil {
-		// Unprintable expression: report without a fix.
-		return SuggestedFix{}
-	}
-	lhs := "err"
-	if multi {
-		tuple, _ := pass.Pkg.Info.Types[call].Type.(*types.Tuple)
-		parts := make([]string, tuple.Len())
-		for i := range parts {
-			parts[i] = "_"
-		}
-		parts[errPos] = "err"
-		lhs = strings.Join(parts, ", ")
-	}
-	indent := indentFor(pass, stmt.Pos())
-	text := fmt.Sprintf("if %s := %s; err != nil {\n%s\t// TODO(goldfishlint): handle this error\n%s}",
-		lhs, src.String(), indent, indent)
-	return SuggestedFix{
-		Message: "scaffold the missing error check",
-		Edits:   []TextEdit{pass.Edit(stmt.Pos(), stmt.End(), text)},
 	}
 }
 
@@ -237,18 +181,10 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-// callLabel renders a short name for the called function for messages.
+// callLabel renders a short name for the called function for messages:
+// declared functions, methods and builtins by their bare name, dynamic calls
+// through function values as "call".
 func callLabel(info *types.Info, call *ast.CallExpr) string {
-	if name := calleeName(info, call); name != "" {
-		return name
-	}
-	return "call"
-}
-
-// calleeName resolves a call expression to its callee's bare name: declared
-// functions and methods through the type info, builtins (append, copy) by
-// identifier. Dynamic calls through function values return "".
-func calleeName(info *types.Info, call *ast.CallExpr) string {
 	var id *ast.Ident
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -256,7 +192,7 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return ""
+		return "call"
 	}
 	switch obj := info.Uses[id].(type) {
 	case *types.Func:
@@ -266,5 +202,5 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 	case nil:
 		return id.Name
 	}
-	return ""
+	return "call"
 }

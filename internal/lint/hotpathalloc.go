@@ -41,7 +41,7 @@ escape for grow-once scratch and documented defensive copies).`,
 }
 
 func runHotPathAlloc(pass *Pass) error {
-	if !reportProducing(pass.Pkg.Path, HotPathAllocScope) {
+	if !inScope(pass.Pkg.Path, HotPathAllocScope) {
 		return nil
 	}
 	hot := pass.Prog.HotPaths()

@@ -1,7 +1,8 @@
 // Package lint is goldfishlint: a static-analysis suite that machine-checks
-// the repo's load-bearing conventions — byte-deterministic reports, registry
-// discipline, error-wrapping prefixes and the concurrent-safety contracts of
-// fed.Scorer and attack.Prober. The analyzers mirror the
+// the three repo conventions no stock tool observes — no allocation on the
+// round-loop hot path, no discarded error in the report-producing and
+// server packages, and no unreviewed change to package goldfish's exported
+// surface. The analyzers mirror the
 // golang.org/x/tools/go/analysis shape (Analyzer / Pass / Diagnostic, with
 // analysistest-style `// want` testdata), but run on a self-contained
 // stdlib-only driver: packages are type-checked from source with
@@ -31,9 +32,8 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Prog is the whole-load call graph shared by every pass of one Run; the
-	// interprocedural analyzers (hotpathalloc, ctxflow, lockorder) query and
-	// memoize against it.
+	// Prog is the whole-load call graph shared by every pass of one Run;
+	// hotpathalloc queries its reachability.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -48,24 +48,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportfFix records a diagnostic carrying one mechanical SuggestedFix that
-// the -fix engine may apply.
-func (p *Pass) ReportfFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
-	})
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with newText,
-// resolving positions against the pass's FileSet.
-func (p *Pass) Edit(from, to token.Pos, newText string) TextEdit {
-	start, end := p.Pkg.Fset.Position(from), p.Pkg.Fset.Position(to)
-	return TextEdit{Filename: start.Filename, Start: start.Offset, End: end.Offset, NewText: newText}
-}
-
 // Diagnostic is one reported violation.
 type Diagnostic struct {
 	// Analyzer is the reporting analyzer's name.
@@ -74,9 +56,6 @@ type Diagnostic struct {
 	Pos token.Position
 	// Message describes it.
 	Message string
-	// Fixes holds the mechanical repairs the -fix engine may apply, empty
-	// when the violation needs human judgement.
-	Fixes []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -86,15 +65,8 @@ func (d Diagnostic) String() string {
 // Suite returns the goldfishlint analyzers in deterministic order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer,
-		RegistryAnalyzer,
-		ErrwrapAnalyzer,
 		ErrdropAnalyzer,
-		ConcurrencyAnalyzer,
-		GoleakAnalyzer,
 		HotPathAllocAnalyzer,
-		CtxFlowAnalyzer,
-		LockOrderAnalyzer,
 		APISurfaceAnalyzer,
 	}
 }
@@ -119,8 +91,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // SortDiagnostics orders diagnostics by analyzer name, then position, then
-// message — the deterministic order every output mode (human, -json, -fix
-// planning) shares.
+// message — the deterministic order both output modes (human, -json) share.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -143,10 +114,6 @@ func SortDiagnostics(diags []Diagnostic) {
 // The //goldfish: directives. Each analyzer's escape hatch is a distinct
 // directive so one suppression can never silently widen to another rule.
 const (
-	// NondeterministicDirective opts one line out of the determinism
-	// analyzer — for code that is nondeterministic on purpose, like opt-in
-	// wall-time tracking.
-	NondeterministicDirective = "//goldfish:nondeterministic"
 	// HotPathDirective marks a function declaration (or function literal) as
 	// a hot-path root: the call-graph layer treats everything reachable from
 	// it as allocation-sensitive.
@@ -158,18 +125,9 @@ const (
 	// allocations on a hot path (grow-once scratch, documented defensive
 	// copies).
 	AllocOKDirective = "//goldfish:allocok"
-	// CtxOKDirective opts one line out of ctxflow — for deliberate context
-	// detachment (fire-and-forget cleanup, background reaping).
-	CtxOKDirective = "//goldfish:ctxok"
-	// LockOKDirective opts one acquisition line out of lockorder.
-	LockOKDirective = "//goldfish:lockok"
 	// APIOKDirective on the package clause line opts a package out of the
 	// apisurface golden comparison — a mid-refactor escape only.
 	APIOKDirective = "//goldfish:apiok"
-	// GoleakOKDirective opts one go statement out of goleak — for deliberate
-	// process-lifetime goroutines (daemon worker pools, servers joined by
-	// Shutdown) whose lifecycle the comment must document.
-	GoleakOKDirective = "//goldfish:goleakok"
 	// ErrOKDirective opts one statement out of errdrop — for discards whose
 	// impossibility of failure is documented on the line.
 	ErrOKDirective = "//goldfish:errok"
@@ -204,7 +162,13 @@ func matchesDirective(text, directive string) bool {
 	return rest == "" || rest[0] == ' ' || rest[0] == '\t'
 }
 
-// suppressedLines is directiveLines for the determinism escape hatch.
-func suppressedLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	return directiveLines(fset, file, NondeterministicDirective)
+// inScope reports whether the import path is one of the prefixes or a
+// package below one — how errdrop and hotpathalloc limit where they report.
+func inScope(path string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
 }

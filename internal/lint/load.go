@@ -136,13 +136,9 @@ func NewLoader(moduleDir string, patterns ...string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves the patterns to packages and type-checks each from source.
 // Test files are not analyzed: the contracts goldfishlint checks are about
-// shipped report-producing code, and tests legitimately use wall clocks and
-// ad-hoc randomness.
+// shipped code, and tests legitimately discard errors and allocate freely.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	listed, err := goList(l.ModuleDir, patterns...)
 	if err != nil {

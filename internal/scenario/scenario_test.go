@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func validSpec() Spec {
@@ -507,6 +508,36 @@ func TestExecuteCellsSubsetAndCancellation(t *testing.T) {
 	}
 	if err := rep.Complete(); err == nil {
 		t.Error("incomplete partial passed Complete")
+	}
+}
+
+// TestNoGoroutineLeakExecuteCells: a matrix cancelled while its pool is busy
+// returns with every worker gone — the feeder drained the remaining cells and
+// closed the channel rather than abandoning workers parked on it.
+func TestNoGoroutineLeakExecuteCells(t *testing.T) {
+	s := Spec{Name: "leak", Dataset: "mnist", Scale: "tiny", Rounds: 1,
+		Strategies: []string{"a", "b"}, Repetitions: 100, Workers: 4}
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran int32
+	_, err := ExecuteCells(ctx, s, s.Cells(), func(ctx context.Context, c Cell) (Outcome, error) {
+		if atomic.AddInt32(&ran, 1) == 10 {
+			cancel()
+		}
+		return Outcome{State: []float64{1}}, nil
+	})
+	if err == nil {
+		t.Fatal("cancelled ExecuteCells returned nil error")
+	}
+	// Poll: a worker is still counted for an instant after its wg.Done.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the run:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

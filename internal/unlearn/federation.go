@@ -225,36 +225,57 @@ func (f *Federation) GlobalNet() (*nn.Network, error) {
 
 // RequestDeletion submits a deletion request for rows of a client's local
 // dataset. Rows index the client's ORIGINAL dataset whatever the strategy;
-// out-of-range, already-removed and repeated rows are rejected before
-// anything is mutated, and the strategy receives the rows in ascending
-// order. The strategy decides how the request is honoured: Goldfish runs
-// Algorithm 1 lines 8–17, the retrain baselines drop the rows and restart
-// from scratch, the incompetent teacher distills the data away.
+// out-of-range, already-removed and repeated rows, and a request that would
+// leave the client with no rows, are rejected before anything is mutated,
+// and the strategy receives the rows in ascending order. The strategy
+// decides how the request is honoured: Goldfish runs Algorithm 1 lines
+// 8–17, the retrain baselines drop the rows and restart from scratch, the
+// incompetent teacher distills the data away.
 func (f *Federation) RequestDeletion(clientID int, rows []int) error {
+	rows, err := f.checkDeletion(clientID, rows)
+	if err != nil {
+		return err
+	}
+	return f.forget(clientID, rows)
+}
+
+// checkDeletion validates a deletion request without mutating anything and
+// returns its rows in ascending order.
+func (f *Federation) checkDeletion(clientID int, rows []int) ([]int, error) {
 	if clientID < 0 || clientID >= len(f.parts) {
-		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
+		return nil, fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
 	}
 	if len(rows) == 0 {
-		return fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
+		return nil, fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
 	}
 	part, rem := f.parts[clientID], f.removed[clientID]
 	seen := make(map[int]bool, len(rows))
 	for _, r := range rows {
 		if r < 0 || r >= part.Len() {
-			return fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
+			return nil, fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
 		}
 		if rem[r] {
-			return fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
+			return nil, fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
 		}
 		if seen[r] {
 			// Df would hold the row twice and the forget steps weight it double.
-			return fmt.Errorf("unlearn: client %d: row %d listed twice in one request", clientID, r)
+			return nil, fmt.Errorf("unlearn: client %d: row %d listed twice in one request", clientID, r)
 		}
 		seen[r] = true
 	}
+	if len(rem)+len(rows) == part.Len() {
+		// A client with no rows fails every later round and is dropped with
+		// its deletion still pending; leaving is a membership change.
+		return nil, fmt.Errorf("unlearn: client %d: request removes all %d remaining rows; use RemoveClient(%d, true) to forget a whole client",
+			clientID, len(rows), clientID)
+	}
 	rows = append([]int(nil), rows...)
 	sort.Ints(rows)
+	return rows, nil
+}
 
+// forget applies a request checkDeletion accepted.
+func (f *Federation) forget(clientID int, rows []int) error {
 	f.obs.Event("unlearn/request",
 		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID), obs.Int("rows", len(rows)))
 	sp := f.obs.StartSpan("unlearn/forget",
@@ -265,7 +286,7 @@ func (f *Federation) RequestDeletion(clientID int, rows []int) error {
 		return err
 	}
 	for _, r := range rows {
-		rem[r] = true
+		f.removed[clientID][r] = true
 	}
 	if next != nil {
 		f.engine.SetGlobal(next)
@@ -349,9 +370,12 @@ func (f *Federation) RemainingRowsOfClass(clientID, class int) []int {
 
 // RequestClassDeletion submits a class-level deletion: every remaining
 // sample labelled class, across all participants, is requested for removal
-// (one Forget per affected participant, in participant order). It returns
-// the removed original row indices per participant position; at least one
-// sample must remain to remove or an error is returned.
+// (one Forget per affected participant, in participant order). Every
+// participant's request is validated before the first is applied, so a
+// rejection — a participant holding nothing but that class — leaves the
+// class untouched everywhere. It returns the removed original row indices
+// per participant position; at least one sample must remain to remove or an
+// error is returned.
 func (f *Federation) RequestClassDeletion(class int) (map[int][]int, error) {
 	if len(f.parts) == 0 {
 		return nil, fmt.Errorf("unlearn: no participants")
@@ -360,18 +384,30 @@ func (f *Federation) RequestClassDeletion(class int) (map[int][]int, error) {
 		return nil, fmt.Errorf("unlearn: class %d out of range [0,%d)", class, f.parts[0].Classes)
 	}
 	out := map[int][]int{}
+	var affected []int
 	for i := range f.parts {
 		rows := f.RemainingRowsOfClass(i, class)
 		if len(rows) == 0 {
 			continue
 		}
-		if err := f.RequestDeletion(i, rows); err != nil {
-			return out, fmt.Errorf("unlearn: class %d on client %d: %w", class, i, err)
+		rows, err := f.checkDeletion(i, rows)
+		if err != nil {
+			return nil, fmt.Errorf("unlearn: class %d: %w", class, err)
 		}
 		out[i] = rows
+		affected = append(affected, i)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("unlearn: no remaining samples of class %d", class)
+	}
+	for n, i := range affected {
+		if err := f.forget(i, out[i]); err != nil {
+			// The strategy refused a validated request: report what was applied.
+			for _, j := range affected[n:] {
+				delete(out, j)
+			}
+			return out, fmt.Errorf("unlearn: class %d on client %d: %w", class, i, err)
+		}
 	}
 	return out, nil
 }

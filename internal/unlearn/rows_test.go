@@ -17,6 +17,13 @@ func strategyFederation(t *testing.T, name string, train *data.Dataset) (*Federa
 	if err != nil {
 		t.Fatal(err)
 	}
+	return federationOver(t, name, parts), parts
+}
+
+// federationOver builds a federation running the named strategy over the
+// given partitions.
+func federationOver(t *testing.T, name string, parts []*data.Dataset) *Federation {
+	t.Helper()
 	cfg := testConfig(10)
 	if name == "fisher" {
 		cfg.Opt.LR = 0.01 // preconditioned steps are larger; lower LR
@@ -29,7 +36,7 @@ func strategyFederation(t *testing.T, name string, train *data.Dataset) (*Federa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, parts
+	return f
 }
 
 // trainerSamples is the size of the view participant i's trainer trains on.
@@ -119,7 +126,8 @@ func TestRowOrderWithinARequestIsIrrelevant(t *testing.T) {
 }
 
 // TestFailedRequestChangesNothing (ROADMAP 5b): a request with one bad row
-// among good ones — out of range, already removed, or listed twice — is
+// among good ones — out of range, already removed, or listed twice — or one
+// that would leave the client with no rows at all is
 // rejected whole. RemainingRows, the trainer's view and the global model are
 // untouched, and training continues bit-identically to a twin federation
 // that never saw the rejected requests.
@@ -147,6 +155,7 @@ func TestFailedRequestChangesNothing(t *testing.T) {
 				{4, 1, 5},              // row 1 already removed
 				{4, 5, 4},              // listed twice
 				{-1, 4},
+				remaining, // every row the client has left
 			} {
 				if err := f.RequestDeletion(0, rows); err == nil {
 					t.Fatalf("request %v accepted", rows)
@@ -172,6 +181,45 @@ func TestFailedRequestChangesNothing(t *testing.T) {
 			}
 			if !reflect.DeepEqual(f.Global(), twin.Global()) {
 				t.Error("rejected requests changed later training")
+			}
+		})
+	}
+}
+
+// TestRejectedClassDeletionChangesNothing: a class deletion is validated for
+// every participant before any is applied. Client 1 holds nothing but the
+// deleted class, so its share of the request would leave it without rows;
+// the whole request is rejected and clients 0 and 2, which precede and
+// follow it, keep their rows of that class.
+func TestRejectedClassDeletionChangesNothing(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	const class = 3
+	ofClass := train.RowsOfClass(class)
+	mixed, err := data.PartitionIID(train.Remove(ofClass[:10]), 2, rand.New(rand.NewSource(30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := []*data.Dataset{mixed[0], train.Subset(ofClass[:10]), mixed[1]}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			f := federationOver(t, name, parts)
+			if err := f.Run(context.Background(), 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			global := f.Global()
+			if len(f.RemainingRowsOfClass(0, class)) == 0 || len(f.RemainingRowsOfClass(2, class)) == 0 {
+				t.Fatal("fixture: clients 0 and 2 must hold the class too")
+			}
+			if removed, err := f.RequestClassDeletion(class); err == nil {
+				t.Fatalf("class deletion emptying client 1 accepted: %v", removed)
+			}
+			for i, p := range parts {
+				if got := len(f.RemainingRows(i)); got != p.Len() {
+					t.Errorf("client %d has %d rows after the rejected request, want %d", i, got, p.Len())
+				}
+			}
+			if !reflect.DeepEqual(f.Global(), global) {
+				t.Error("a rejected class deletion changed the global model")
 			}
 		})
 	}

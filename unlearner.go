@@ -394,7 +394,8 @@ func (e *Engine) Run(ctx context.Context, n int) error {
 // which shifts down when an earlier participant is removed. rows index the
 // client's ORIGINAL dataset under every strategy, in any order; a row that
 // is out of range, already deleted or listed twice rejects the whole
-// request and deletes nothing.
+// request and deletes nothing, as does a request for every row the client
+// has left (use RemoveClient(clientID, true) to forget a whole client).
 func (e *Engine) RequestDeletion(clientID int, rows []int) error {
 	return e.fed.RequestDeletion(clientID, rows)
 }
@@ -408,7 +409,9 @@ func (e *Engine) RequestSampleDeletion(clientID int, rows []int) error {
 
 // RequestClassDeletion submits a class-level deletion request: every
 // remaining sample labelled class, across all participants, is removed. It
-// returns the deleted original row indices keyed by client position.
+// returns the deleted original row indices keyed by client position. A
+// client holding nothing but that class rejects the whole request and
+// nothing is deleted anywhere.
 func (e *Engine) RequestClassDeletion(class int) (map[int][]int, error) {
 	return e.fed.RequestClassDeletion(class)
 }
