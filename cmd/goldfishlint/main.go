@@ -2,10 +2,10 @@
 // over package patterns, multichecker-style: every analyzer on every
 // matched package, diagnostics printed one per line (-json switches to
 // newline-delimited JSON), non-zero exit when any fire. CI runs
-// `go run ./cmd/goldfishlint ./...` so a PR that allocates on a hot path,
-// discards an error in a report-producing or server package, or changes
-// package goldfish's exported surface without regenerating the golden fails
-// before any test runs. `goldfishlint -api` prints the canonical exported
+// `go run ./cmd/goldfishlint ./...` so a change that discards an error in a
+// report-producing or server package (errdrop), or changes package
+// goldfish's exported surface without regenerating the golden (apisurface),
+// fails before any test runs. `goldfishlint -api` prints the canonical exported
 // surface that the apisurface analyzer gates on.
 package main
 

@@ -53,7 +53,8 @@ type RoundInfo struct {
 	// Updates are the client updates that went into the aggregate.
 	Updates []ModelUpdate
 	// Dropped lists the transport indices (RoundResult.Index) of sampled
-	// participants whose training failed this round.
+	// participants whose training failed this round or whose update was
+	// invalid: sized unlike the global model, or holding a non-finite value.
 	Dropped []int
 }
 
@@ -116,9 +117,10 @@ type EngineConfig struct {
 
 // Engine runs federation rounds over a Transport: every round it samples
 // participants, fans the global model out, gathers updates, drops failures
-// (crash-stop model), scores, aggregates and fires the round hook. The run
-// aborts only when fewer than MinClients updates arrive. The round counter
-// is monotonic across Run calls. An Engine is not safe for concurrent use.
+// (crash-stop model) and invalid updates, scores, aggregates and fires the
+// round hook. The run aborts only when fewer than MinClients updates
+// arrive. The round counter is monotonic across Run calls. An Engine is not
+// safe for concurrent use.
 type Engine struct {
 	cfg     EngineConfig
 	trans   Transport
@@ -158,14 +160,10 @@ func NewEngine(cfg EngineConfig, initial []float64, trans Transport) (*Engine, e
 }
 
 // Global returns a copy of the current global parameters.
-//
-//goldfish:coldpath — accessor; the copy is its contract, called between rounds
 func (e *Engine) Global() []float64 { return append([]float64(nil), e.global...) }
 
 // SetGlobal replaces the global parameters (the deletion lifecycle
 // reinitializes the model between rounds through this).
-//
-//goldfish:coldpath — deletion lifecycle, once per unlearning round boundary
 func (e *Engine) SetGlobal(g []float64) { e.global = append([]float64(nil), g...) }
 
 // Round returns the number of completed rounds.
@@ -198,7 +196,7 @@ func (e *Engine) Run(ctx context.Context, n int) error {
 func (e *Engine) sample() []int {
 	n := e.trans.NumClients()
 	if cap(e.sampleBuf) < n {
-		e.sampleBuf = make([]int, n) //goldfish:allocok — grow-once buffer, reused across rounds
+		e.sampleBuf = make([]int, n)
 	}
 	all := e.sampleBuf[:n]
 	for i := range all {
@@ -227,8 +225,6 @@ func (e *Engine) sample() []int {
 // score → aggregate) are reported through the context's obs.Observer as
 // fed/* spans and fed.phase_us.* counters; with no observer attached every
 // obs call is a nil-receiver no-op.
-//
-//goldfish:hotpath
 func (e *Engine) RunRound(ctx context.Context) (err error) {
 	o := obs.FromContext(ctx)
 	span := o.StartSpan("fed/round", obs.Int("round", e.round))
@@ -270,24 +266,36 @@ func (e *Engine) RunRound(ctx context.Context) (err error) {
 	o.Counter("fed.phase_us.train").Add((o.Elapsed() - phase).Microseconds())
 	trainSpan.End()
 
-	updates := make([]ModelUpdate, 0, len(results)) //goldfish:allocok — escapes to Aggregator and OnRound per round
+	updates := make([]ModelUpdate, 0, len(results))
 	var dropped []int
+	invalid := 0
 	for _, r := range results {
-		if r.Err != nil {
-			dropped = append(dropped, r.Index) //goldfish:allocok — escapes via RoundInfo
-			continue
+		switch {
+		case r.Err != nil:
+			dropped = append(dropped, r.Index)
+		case !validUpdate(r.Update.Params, len(e.global)):
+			invalid++
+			dropped = append(dropped, r.Index)
+		default:
+			updates = append(updates, r.Update)
 		}
-		updates = append(updates, r.Update) //goldfish:allocok — escapes to Aggregator and OnRound
 	}
 	o.Counter("fed.updates").Add(int64(len(updates)))
 	o.Counter("fed.dropped").Add(int64(len(dropped)))
+	o.Counter("fed.dropped_invalid").Add(int64(invalid))
 	minOK := e.cfg.MinClients
 	if minOK > len(participants) {
 		minOK = len(participants)
 	}
 	if len(updates) < minOK {
-		return fmt.Errorf("fed: round %d: only %d/%d sampled clients succeeded (min %d)",
+		err = fmt.Errorf("fed: round %d: only %d/%d sampled clients succeeded (min %d)",
 			e.round, len(updates), len(participants), minOK)
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			// The caller cancelled the round (an expired RoundTimeout leaves
+			// ctx alone): wrap the cause so an interrupt reads as one.
+			return fmt.Errorf("%w: %w", err, ctxErr)
+		}
+		return err
 	}
 
 	if e.cfg.Scorer != nil {
@@ -315,7 +323,7 @@ func (e *Engine) RunRound(ctx context.Context) (err error) {
 	if e.cfg.OnRound != nil {
 		e.cfg.OnRound(RoundInfo{
 			Round:   e.round - 1,
-			Global:  append([]float64(nil), global...), //goldfish:allocok — documented defensive copy: callbacks may retain it
+			Global:  append([]float64(nil), global...),
 			Updates: updates,
 			Dropped: dropped,
 		})
@@ -323,12 +331,26 @@ func (e *Engine) RunRound(ctx context.Context) (err error) {
 	return nil
 }
 
+// validUpdate reports whether an uploaded parameter vector may enter the
+// aggregate: it has the global model's length and only finite values.
+func validUpdate(params []float64, size int) bool {
+	if len(params) != size {
+		return false
+	}
+	for _, v := range params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // scoreUpdates fills each update's MSE via the configured Scorer. Client
 // updates are independent, so the server-side quality probe (Eq. 12) scores
 // them concurrently; Scorer implementations must be safe for concurrent use
 // (see the Scorer contract).
 func (e *Engine) scoreUpdates(updates []ModelUpdate) error {
-	scoreErrs := make([]error, len(updates)) //goldfish:allocok — once per scored round, not per client
+	scoreErrs := make([]error, len(updates))
 	var wg sync.WaitGroup
 	for i := range updates {
 		wg.Add(1)
@@ -372,8 +394,6 @@ func (t *LocalTransport) NumClients() int { return len(t.trainers) }
 func (t *LocalTransport) Append(tr LocalTrainer) { t.trainers = append(t.trainers, tr) }
 
 // Remove deletes trainer i (a client leaving between rounds).
-//
-//goldfish:coldpath — membership change, once per departing client
 func (t *LocalTransport) Remove(i int) error {
 	if i < 0 || i >= len(t.trainers) {
 		return fmt.Errorf("fed: trainer %d out of range [0,%d)", i, len(t.trainers))
@@ -386,15 +406,16 @@ func (t *LocalTransport) Remove(i int) error {
 // is traced as a fed/client_train span through the context's observer.
 func (t *LocalTransport) ExecuteRound(ctx context.Context, round int, participants []int, global []float64) []RoundResult {
 	o := obs.FromContext(ctx)
-	results := make([]RoundResult, len(participants)) //goldfish:allocok — result set escapes to the engine
+	results := make([]RoundResult, len(participants))
 	var wg sync.WaitGroup
 	for k, idx := range participants {
 		wg.Add(1)
 		go func(k, idx int) {
 			defer wg.Done()
 			sp := o.StartSpan("fed/client_train", obs.Int("round", round), obs.Int("client", idx))
-			// Each trainer receives its own copy of the global vector.
-			g := append([]float64(nil), global...) //goldfish:allocok — per-trainer isolation is the Transport contract
+			// Each trainer receives its own copy of the global vector: per-trainer
+			// isolation is the Transport contract.
+			g := append([]float64(nil), global...)
 			u, err := t.trainers[idx].TrainRound(ctx, round, g)
 			sp.End()
 			results[k] = RoundResult{Index: idx, Update: u, Err: err}

@@ -76,7 +76,7 @@ func (FedAvg) Aggregate(updates []ModelUpdate) ([]float64, error) {
 		}
 		total += u.NumSamples
 	}
-	out := make([]float64, size) //goldfish:allocok — the new global vector escapes to the engine
+	out := make([]float64, size)
 	if total == 0 {
 		// Degenerate: unweighted mean.
 		inv := 1 / float64(len(updates))
@@ -114,7 +114,7 @@ func (AdaptiveWeight) Aggregate(updates []ModelUpdate) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights := make([]float64, len(updates)) //goldfish:allocok — once per round, size = client count
+	weights := make([]float64, len(updates))
 	for i, u := range updates {
 		if u.MSE < 0 {
 			return nil, fmt.Errorf("fed: client %d reports negative MSE %g", u.ClientID, u.MSE)
@@ -122,7 +122,7 @@ func (AdaptiveWeight) Aggregate(updates []ModelUpdate) ([]float64, error) {
 		weights[i] = u.MSE
 	}
 	eq12Weights(weights)
-	out := make([]float64, size) //goldfish:allocok — the new global vector escapes to the engine
+	out := make([]float64, size)
 	for i, u := range updates {
 		w := weights[i]
 		for j, v := range u.Params {

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"goldfish/internal/obs"
 )
 
 func TestFedAvgWeighting(t *testing.T) {
@@ -252,6 +256,106 @@ func TestEngineCancellation(t *testing.T) {
 	cancel()
 	if err := e.Run(ctx, 100); err == nil {
 		t.Error("cancelled run should fail")
+	}
+}
+
+// blockingTrainer reports that it started, then blocks until its context
+// ends.
+type blockingTrainer struct{ started chan<- struct{} }
+
+func (b blockingTrainer) TrainRound(ctx context.Context, _ int, _ []float64) (ModelUpdate, error) {
+	b.started <- struct{}{}
+	<-ctx.Done()
+	return ModelUpdate{}, ctx.Err()
+}
+
+// TestEngineCancelMidRoundWrapsCanceled is the regression for an interrupt
+// during local training: the round failed with "only 0/2 sampled clients
+// succeeded" and nothing callers could match, so the server exited as if the
+// federation had broken instead of reporting the interrupt.
+func TestEngineCancelMidRoundWrapsCanceled(t *testing.T) {
+	started := make(chan struct{})
+	e := localEngine(t, EngineConfig{}, []float64{0}, blockingTrainer{started}, blockingTrainer{started})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		<-started
+		cancel()
+	}()
+	err := e.RunRound(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("round cancelled mid-training returned %v, want it to wrap context.Canceled", err)
+	}
+	if e.Round() != 0 {
+		t.Errorf("cancelled round counted: Round() = %d", e.Round())
+	}
+}
+
+// TestEngineRoundTimeoutIsNotCancellation pins the other side: an expired
+// RoundTimeout with every client straggling is a failed round, not an
+// interrupt.
+func TestEngineRoundTimeoutIsNotCancellation(t *testing.T) {
+	e := localEngine(t, EngineConfig{RoundTimeout: 20 * time.Millisecond}, []float64{0},
+		&slowTrainer{id: 0}, &slowTrainer{id: 1})
+	err := e.RunRound(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "only 0/2 sampled clients succeeded") {
+		t.Fatalf("all-straggler round returned %v, want the only-k/n error", err)
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("round timeout reported as the caller's context ending: %v", err)
+	}
+}
+
+// TestEngineDropsNonFiniteUpdates pins that a client uploading a NaN or an
+// Inf is dropped before scoring: the global model equals the round run
+// without that client, and the drop is counted as invalid.
+func TestEngineDropsNonFiniteUpdates(t *testing.T) {
+	a := &stubTrainer{id: 0, params: []float64{1, 2}, samples: 10}
+	b := &stubTrainer{id: 1, params: []float64{3, 5}, samples: 30}
+	nan := &stubTrainer{id: 2, params: []float64{1, math.NaN()}, samples: 10}
+	inf := &stubTrainer{id: 3, params: []float64{math.Inf(-1), 0}, samples: 10}
+
+	clean := localEngine(t, EngineConfig{}, []float64{0, 0}, a, b)
+	if err := clean.RunRound(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var dropped []int
+	e := localEngine(t, EngineConfig{
+		Scorer: ScorerFunc(func(p []float64) (float64, error) {
+			if !validUpdate(p, 2) {
+				return 0, fmt.Errorf("scored the invalid update %v", p)
+			}
+			return 0.1, nil
+		}),
+		OnRound: func(ri RoundInfo) { dropped = ri.Dropped },
+	}, []float64{0, 0}, a, nan, b, inf)
+	o := obs.New(nil)
+	if err := e.RunRound(obs.NewContext(context.Background(), o)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Global(), clean.Global(); !slices.Equal(got, want) {
+		t.Errorf("global with the non-finite clients = %v, want %v (the round without them)", got, want)
+	}
+	if !slices.Equal(dropped, []int{1, 3}) {
+		t.Errorf("Dropped = %v, want [1 3]", dropped)
+	}
+	if n := o.Counter("fed.dropped_invalid").Value(); n != 2 {
+		t.Errorf("fed.dropped_invalid = %d, want 2", n)
+	}
+}
+
+// TestEngineRejectsMissizedUpdates pins that clients agreeing on a length
+// other than the global model's do not replace it: the round fails and the
+// global model is unchanged.
+func TestEngineRejectsMissizedUpdates(t *testing.T) {
+	a := &stubTrainer{id: 0, params: []float64{1, 2, 3}, samples: 1}
+	b := &stubTrainer{id: 1, params: []float64{1, 2, 3}, samples: 1}
+	e := localEngine(t, EngineConfig{}, []float64{0, 0}, a, b)
+	if err := e.RunRound(context.Background()); err == nil {
+		t.Fatal("round of wrong-size updates succeeded")
+	}
+	if got := e.Global(); !slices.Equal(got, []float64{0, 0}) {
+		t.Errorf("global = %v after a rejected round, want [0 0]", got)
 	}
 }
 

@@ -123,8 +123,6 @@ type clientConn struct {
 // round has its late update decoded whole and discarded by a later round's
 // collector — the client rejoins instead of being lost to a corrupted
 // stream. Serve unblocks the decode on shutdown by closing the connection.
-//
-//goldfish:coldpath — once per connection (join, or first use of a test-assembled transport)
 func (c *clientConn) startReader() {
 	c.inbox = make(chan envelope, 1)
 	c.done = make(chan struct{})
@@ -161,7 +159,7 @@ func (t *tcpTransport) NumClients() int { return len(t.clients) }
 // straggler finally responding — are consumed and discarded here, which is
 // what lets that client take part in the current round again.
 func (t *tcpTransport) ExecuteRound(ctx context.Context, round int, participants []int, global []float64) []RoundResult {
-	results := make([]RoundResult, len(participants)) //goldfish:allocok — result set escapes to the engine
+	results := make([]RoundResult, len(participants))
 	var wg sync.WaitGroup
 	for k, idx := range participants {
 		c := t.clients[idx]
@@ -310,8 +308,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) (final []float64, e
 // the AfterFunc forces an already-expired read deadline so the read
 // unblocks immediately. A connection that fails the handshake, or completes
 // it after the roster filled, is closed here.
-//
-//goldfish:coldpath — once per joining connection, before any round runs
 func (s *Server) handshake(ctx context.Context, conn net.Conn, joined chan<- *clientConn) {
 	joinBound := s.cfg.RoundTimeout
 	if joinBound <= 0 {

@@ -24,14 +24,6 @@ func TestErrdropUnscoped(t *testing.T) {
 	linttest.Run(t, testdata("errdrop_unscoped"), "goldfish/internal/bench/linttestdata/errdrop", lint.ErrdropAnalyzer)
 }
 
-// TestHotPathAlloc pins the call-graph-aware allocation rule inside the
-// scoped packages: builtins, composite literals and constructor calls
-// reachable from a //goldfish:hotpath root are flagged; //goldfish:coldpath
-// cuts subtrees out of reachability and //goldfish:allocok vouches for lines.
-func TestHotPathAlloc(t *testing.T) {
-	linttest.Run(t, testdata("hotpathalloc"), "goldfish/internal/tensor/linttestdata/hotpathalloc", lint.HotPathAllocAnalyzer)
-}
-
 // TestAPISurfaceMatch loads a fixture under import path "goldfish" whose
 // committed golden matches its surface: the gate stays silent.
 func TestAPISurfaceMatch(t *testing.T) {

@@ -97,7 +97,7 @@ func isErrorType(t types.Type) bool {
 // allowedErrDiscard exempts calls whose error is conventionally ignored:
 // the fmt print family, and writes to the never-fail in-memory writers.
 func allowedErrDiscard(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -175,6 +175,17 @@ func checkBlankErrAssign(pass *Pass, s *ast.AssignStmt) {
 	}
 }
 
+// inScope reports whether the import path is one of the prefixes or a
+// package below one.
+func inScope(path string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 // isBlank reports whether the expression is the blank identifier.
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
@@ -186,7 +197,7 @@ func isBlank(e ast.Expr) bool {
 // through function values as "call".
 func callLabel(info *types.Info, call *ast.CallExpr) string {
 	var id *ast.Ident
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:

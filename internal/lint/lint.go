@@ -1,13 +1,15 @@
 // Package lint is goldfishlint: a static-analysis suite that machine-checks
-// the three repo conventions no stock tool observes — no allocation on the
-// round-loop hot path, no discarded error in the report-producing and
-// server packages, and no unreviewed change to package goldfish's exported
-// surface. The analyzers mirror the
-// golang.org/x/tools/go/analysis shape (Analyzer / Pass / Diagnostic, with
-// analysistest-style `// want` testdata), but run on a self-contained
-// stdlib-only driver: packages are type-checked from source with
-// dependencies imported from `go list -export` data, so the suite needs no
-// module downloads — a hard requirement for the offline CI image.
+// the two repo conventions no stock tool observes — no discarded error in
+// the report-producing and server packages, and no unreviewed change to
+// package goldfish's exported surface. Both are per-package type passes.
+// The analyzers mirror the golang.org/x/tools/go/analysis shape (Analyzer /
+// Pass / Diagnostic, with analysistest-style `// want` testdata), but run on
+// a self-contained stdlib-only driver: packages are type-checked from source
+// with dependencies imported from `go list -export` data, so the suite needs
+// no module downloads — a hard requirement for the offline CI image.
+//
+// Allocations on the round's hot paths are not a lint rule: they are
+// measured, by the allocation budgets in internal/core.
 package lint
 
 import (
@@ -32,9 +34,6 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Prog is the whole-load call graph shared by every pass of one Run;
-	// hotpathalloc queries its reachability.
-	Prog *Program
 
 	diags *[]Diagnostic
 }
@@ -66,21 +65,18 @@ func (d Diagnostic) String() string {
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		ErrdropAnalyzer,
-		HotPathAllocAnalyzer,
 		APISurfaceAnalyzer,
 	}
 }
 
 // Run applies the analyzers to the packages and returns every diagnostic,
 // sorted by analyzer name then position so output is deterministic and CI
-// diffs group by rule. The call graph over all packages is built once and
-// shared across every pass.
+// diffs group by rule.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := BuildProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog, diags: &diags}
+			pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 			}
@@ -114,17 +110,6 @@ func SortDiagnostics(diags []Diagnostic) {
 // The //goldfish: directives. Each analyzer's escape hatch is a distinct
 // directive so one suppression can never silently widen to another rule.
 const (
-	// HotPathDirective marks a function declaration (or function literal) as
-	// a hot-path root: the call-graph layer treats everything reachable from
-	// it as allocation-sensitive.
-	HotPathDirective = "//goldfish:hotpath"
-	// ColdPathDirective cuts a function out of hot-path reachability: setup,
-	// constructors and per-cell plumbing that hot roots call once.
-	ColdPathDirective = "//goldfish:coldpath"
-	// AllocOKDirective opts one line out of hotpathalloc — for deliberate
-	// allocations on a hot path (grow-once scratch, documented defensive
-	// copies).
-	AllocOKDirective = "//goldfish:allocok"
 	// APIOKDirective on the package clause line opts a package out of the
 	// apisurface golden comparison — a mid-refactor escape only.
 	APIOKDirective = "//goldfish:apiok"
@@ -152,23 +137,12 @@ func directiveLines(fset *token.FileSet, file *ast.File, directive string) map[i
 }
 
 // matchesDirective reports whether comment text carries the directive,
-// requiring a word boundary so //goldfish:hotpath never matches a
-// hypothetical //goldfish:hotpathx.
+// requiring a word boundary so //goldfish:errok never matches a
+// hypothetical //goldfish:errokx.
 func matchesDirective(text, directive string) bool {
 	if !strings.HasPrefix(text, directive) {
 		return false
 	}
 	rest := text[len(directive):]
 	return rest == "" || rest[0] == ' ' || rest[0] == '\t'
-}
-
-// inScope reports whether the import path is one of the prefixes or a
-// package below one — how errdrop and hotpathalloc limit where they report.
-func inScope(path string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
 }

@@ -46,18 +46,6 @@ func sharedLoader() (*lint.Loader, error) {
 	return loader, loaderErr
 }
 
-// Loader returns the shared module loader, building it on first use. Tests
-// that drive the call-graph layer directly (rather than through Run) use it
-// to load fixture packages without paying a second `go list` survey.
-func Loader(t *testing.T) *lint.Loader {
-	t.Helper()
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
 // Run loads the package in testdata dir under the synthetic import path and
 // checks the analyzer's diagnostics against the `// want` comments.
 func Run(t *testing.T, dir, importPath string, a *lint.Analyzer) {

@@ -13,7 +13,7 @@ import (
 // must be a conscious act (docs, CI and the -lint-rules output all key on
 // these names).
 func TestSuiteNames(t *testing.T) {
-	want := []string{"errdrop", "hotpathalloc", "apisurface"}
+	want := []string{"errdrop", "apisurface"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))

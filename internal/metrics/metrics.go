@@ -49,7 +49,7 @@ func forEachProbBatch(net *nn.Network, d *data.Dataset, batch int, fn func(start
 			end = n
 		}
 		if cap(s.idx) < end-start {
-			s.idx = make([]int, end-start) //goldfish:allocok — grow-once scratch, pooled across evaluations
+			s.idx = make([]int, end-start)
 		}
 		s.idx = s.idx[:end-start]
 		for i := range s.idx {
@@ -70,7 +70,7 @@ func Probabilities(net *nn.Network, d *data.Dataset, batch int) *tensor.Tensor {
 	var out *tensor.Tensor
 	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
 		if out == nil {
-			out = tensor.New(d.Len(), probs.Dim(1)) //goldfish:allocok — full matrix escapes by API contract
+			out = tensor.New(d.Len(), probs.Dim(1))
 		}
 		copy(out.Data()[start*probs.Dim(1):], probs.Data())
 	})
@@ -225,7 +225,7 @@ func ModelDivergence(a, b *nn.Network, d *data.Dataset, batch int) (Divergence, 
 // TopConfidences returns each sample's maximum predicted probability — the
 // per-sample statistic the t-test compares.
 func TopConfidences(net *nn.Network, d *data.Dataset, batch int) []float64 {
-	out := make([]float64, d.Len()) //goldfish:allocok — per-sample statistics escape by API contract
+	out := make([]float64, d.Len())
 	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
 		m, c := probs.Dim(0), probs.Dim(1)
 		pd := probs.Data()

@@ -34,8 +34,6 @@ var _ Layer = (*BatchNorm2D)(nil)
 
 // NewBatchNorm2D creates a batch-normalization layer over c channels with
 // gamma=1, beta=0, eps=1e-5 and momentum 0.1.
-//
-//goldfish:coldpath
 func NewBatchNorm2D(c int) *BatchNorm2D {
 	if c <= 0 {
 		panic(fmt.Sprintf("nn: BatchNorm2D channels must be positive, got %d", c))
@@ -92,7 +90,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.xhat = tensor.EnsureShape(b.xhat, x.Shape()...)
 	b.xmu = tensor.EnsureShape(b.xmu, x.Shape()...)
 	if cap(b.invStd) < c {
-		b.invStd = make([]float64, c) //goldfish:allocok — grow-once scratch, reused across batches
+		b.invStd = make([]float64, c)
 	}
 	b.invStd = b.invStd[:c]
 	xh, xm := b.xhat.Data(), b.xmu.Data()
@@ -176,7 +174,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (b *BatchNorm2D) Params() []*Param { return []*Param{b.gamma, b.beta} } //goldfish:allocok — tiny header; Network.Params caches the result
+func (b *BatchNorm2D) Params() []*Param { return []*Param{b.gamma, b.beta} }
 
 // ReleaseActivations implements ActivationReleaser. Running statistics are
 // model state and survive; only batch-sized caches and scratch are dropped.
@@ -202,8 +200,6 @@ func (b *BatchNorm2D) SetRunningStats(mean, variance []float64) error {
 }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (b *BatchNorm2D) Clone() Layer {
 	out := NewBatchNorm2D(b.C)
 	out.Eps = b.Eps

@@ -50,8 +50,6 @@ type Conv2D struct {
 var _ Layer = (*Conv2D)(nil)
 
 // NewConv2D creates a convolution layer with He-normal initialized weights.
-//
-//goldfish:coldpath
 func NewConv2D(inC, outC, kernel, stride, pad int, rng *rand.Rand) *Conv2D {
 	if inC <= 0 || outC <= 0 || kernel <= 0 || stride <= 0 || pad < 0 {
 		panic(fmt.Sprintf("nn: invalid Conv2D config inC=%d outC=%d k=%d s=%d p=%d",
@@ -220,11 +218,9 @@ func (c *Conv2D) ReleaseActivations() {
 }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} } //goldfish:allocok — tiny header; Network.Params caches the result
+func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (c *Conv2D) Clone() Layer {
 	return &Conv2D{
 		InC:    c.InC,

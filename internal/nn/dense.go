@@ -24,8 +24,6 @@ var _ Layer = (*Dense)(nil)
 
 // NewDense creates a fully connected layer with He-normal weights and zero
 // bias, drawing initialization randomness from rng.
-//
-//goldfish:coldpath
 func NewDense(in, out int, rng *rand.Rand) *Dense {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: Dense dimensions must be positive, got in=%d out=%d", in, out))
@@ -90,11 +88,9 @@ func (d *Dense) ReleaseActivations() {
 }
 
 // Params implements Layer.
-func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} } //goldfish:allocok — tiny header; Network.Params caches the result
+func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (d *Dense) Clone() Layer {
 	return &Dense{
 		In:  d.In,
@@ -114,15 +110,13 @@ type ReLU struct {
 var _ Layer = (*ReLU)(nil)
 
 // NewReLU creates a ReLU activation layer.
-//
-//goldfish:coldpath
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	r.out = tensor.EnsureShape(r.out, x.Shape()...)
 	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size()) //goldfish:allocok — grow-once scratch, reused across batches
+		r.mask = make([]bool, x.Size())
 	}
 	r.mask = r.mask[:x.Size()]
 	od := r.out.Data()
@@ -159,8 +153,6 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (r *ReLU) Params() []*Param { return nil }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (r *ReLU) Clone() Layer { return &ReLU{} }
 
 // ReleaseActivations implements ActivationReleaser.
@@ -174,8 +166,6 @@ type Flatten struct {
 var _ Layer = (*Flatten)(nil)
 
 // NewFlatten creates a flattening layer.
-//
-//goldfish:coldpath
 func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward implements Layer.
@@ -197,8 +187,6 @@ func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (f *Flatten) Params() []*Param { return nil }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (f *Flatten) Clone() Layer { return &Flatten{} }
 
 // ReleaseActivations implements ActivationReleaser.

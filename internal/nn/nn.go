@@ -109,15 +109,11 @@ type Network struct {
 }
 
 // NewNetwork builds a sequential network from the given layers.
-//
-//goldfish:coldpath
 func NewNetwork(layers ...Layer) *Network {
 	return &Network{layers: append([]Layer(nil), layers...)}
 }
 
 // Add appends layers to the network and returns it for chaining.
-//
-//goldfish:coldpath
 func (n *Network) Add(layers ...Layer) *Network {
 	n.layers = append(n.layers, layers...)
 	n.params = nil
@@ -181,7 +177,7 @@ func (n *Network) Params() []*Param {
 			if len(ps) > 0 && n.firstParam == len(n.layers) {
 				n.firstParam = i
 			}
-			n.params = append(n.params, ps...) //goldfish:allocok — built once, then cached
+			n.params = append(n.params, ps...)
 		}
 	}
 	return n.params
@@ -217,8 +213,6 @@ func (n *Network) ZeroGrads() {
 
 // Clone returns a deep copy of the network (parameters copied, activations
 // not).
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (n *Network) Clone() *Network {
 	out := &Network{layers: make([]Layer, len(n.layers))}
 	for i, l := range n.layers {
@@ -231,9 +225,9 @@ func (n *Network) Clone() *Network {
 // order. The layout is stable for networks of identical architecture, which
 // federated aggregation relies on.
 func (n *Network) ParamVector() []float64 {
-	out := make([]float64, 0, n.NumParams()) //goldfish:allocok — new vector escapes by API contract
+	out := make([]float64, 0, n.NumParams())
 	for _, p := range n.Params() {
-		out = append(out, p.W.Data()...) //goldfish:allocok — fills the preallocated vector above
+		out = append(out, p.W.Data()...)
 	}
 	return out
 }
@@ -241,9 +235,9 @@ func (n *Network) ParamVector() []float64 {
 // GradVector flattens all gradients into a single new []float64 in the same
 // layout as ParamVector.
 func (n *Network) GradVector() []float64 {
-	out := make([]float64, 0, n.NumParams()) //goldfish:allocok — new vector escapes by API contract
+	out := make([]float64, 0, n.NumParams())
 	for _, p := range n.Params() {
-		out = append(out, p.G.Data()...) //goldfish:allocok — fills the preallocated vector above
+		out = append(out, p.G.Data()...)
 	}
 	return out
 }

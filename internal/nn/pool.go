@@ -21,8 +21,6 @@ type MaxPool2D struct {
 var _ Layer = (*MaxPool2D)(nil)
 
 // NewMaxPool2D creates a max-pooling layer with the given window size.
-//
-//goldfish:coldpath
 func NewMaxPool2D(window int) *MaxPool2D {
 	if window <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D window must be positive, got %d", window))
@@ -45,7 +43,7 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	m.out = tensor.EnsureShape(m.out, n, c, oh, ow)
 	out := m.out
 	if cap(m.argmax) < out.Size() {
-		m.argmax = make([]int, out.Size()) //goldfish:allocok — grow-once scratch, reused across batches
+		m.argmax = make([]int, out.Size())
 	}
 	m.argmax = m.argmax[:out.Size()]
 	xd, od := x.Data(), out.Data()
@@ -97,8 +95,6 @@ func (m *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (m *MaxPool2D) Params() []*Param { return nil }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (m *MaxPool2D) Clone() Layer { return &MaxPool2D{Window: m.Window} }
 
 // ReleaseActivations implements ActivationReleaser.
@@ -118,8 +114,6 @@ type GlobalAvgPool2D struct {
 var _ Layer = (*GlobalAvgPool2D)(nil)
 
 // NewGlobalAvgPool2D creates a global average pooling layer.
-//
-//goldfish:coldpath
 func NewGlobalAvgPool2D() *GlobalAvgPool2D { return &GlobalAvgPool2D{} }
 
 // Forward implements Layer.
@@ -174,8 +168,6 @@ func (g *GlobalAvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (g *GlobalAvgPool2D) Params() []*Param { return nil }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (g *GlobalAvgPool2D) Clone() Layer { return &GlobalAvgPool2D{} }
 
 // ReleaseActivations implements ActivationReleaser.

@@ -26,8 +26,6 @@ var _ Layer = (*Residual)(nil)
 // NewResidual builds a basic residual block mapping inC channels to outC
 // with the given stride on the first convolution. A projection shortcut is
 // added automatically when inC != outC or stride != 1.
-//
-//goldfish:coldpath
 func NewResidual(inC, outC, stride int, rng *rand.Rand) *Residual {
 	main := NewNetwork(
 		NewConv2D(inC, outC, 3, stride, 1, rng),
@@ -84,13 +82,11 @@ func (r *Residual) Params() []*Param {
 	// Copy before concatenating: main.Params() is the sub-network's cached
 	// slice, and appending to it directly would scribble on the cache's
 	// spare capacity.
-	ps := append([]*Param(nil), r.main.Params()...) //goldfish:allocok — tiny header; Network.Params caches the result
-	return append(ps, r.skip.Params()...)           //goldfish:allocok — tiny header; Network.Params caches the result
+	ps := append([]*Param(nil), r.main.Params()...)
+	return append(ps, r.skip.Params()...)
 }
 
 // Clone implements Layer.
-//
-//goldfish:coldpath — replica construction is setup; hot paths reuse pooled replicas
 func (r *Residual) Clone() Layer {
 	out := &Residual{main: r.main.Clone(), act: NewReLU()}
 	if r.skip != nil {

@@ -23,9 +23,9 @@ var (
 // State implements Stateful for BatchNorm2D: running mean followed by
 // running variance.
 func (b *BatchNorm2D) State() []float64 {
-	out := make([]float64, 0, 2*b.C) //goldfish:allocok — state copy escapes by Stateful contract
-	out = append(out, b.runMean...)  //goldfish:allocok — fills the preallocated vector above
-	out = append(out, b.runVar...)   //goldfish:allocok — fills the preallocated vector above
+	out := make([]float64, 0, 2*b.C)
+	out = append(out, b.runMean...)
+	out = append(out, b.runVar...)
 	return out
 }
 
@@ -44,7 +44,7 @@ func (b *BatchNorm2D) SetStateVec(v []float64) error {
 func (r *Residual) State() []float64 {
 	out := r.main.State()
 	if r.skip != nil {
-		out = append(out, r.skip.State()...) //goldfish:allocok — state copy escapes by Stateful contract
+		out = append(out, r.skip.State()...)
 	}
 	return out
 }
@@ -74,7 +74,7 @@ func (n *Network) State() []float64 {
 	var out []float64
 	for _, l := range n.layers {
 		if s, ok := l.(Stateful); ok {
-			out = append(out, s.State()...) //goldfish:allocok — state copy escapes by Stateful contract
+			out = append(out, s.State()...)
 		}
 	}
 	return out
@@ -110,7 +110,7 @@ func (n *Network) StateSize() int { return len(n.State()) }
 // by non-learnable layer state — as a single flat vector. This is the
 // representation exchanged in the federation and stored in checkpoints.
 func (n *Network) StateVector() []float64 {
-	return append(n.ParamVector(), n.State()...) //goldfish:allocok — new vector escapes by API contract
+	return append(n.ParamVector(), n.State()...)
 }
 
 // SetStateVector loads a vector previously produced by StateVector on a

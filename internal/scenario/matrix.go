@@ -83,8 +83,6 @@ func Execute(ctx context.Context, spec Spec, run Runner) ([]Outcome, error) {
 // most `workers` goroutines, not 10k. outcomes[i] corresponds to cells[i].
 // Cells reached after ctx cancellation are marked Canceled instead of run;
 // the context error is returned once in-flight cells finish.
-//
-//goldfish:hotpath
 func ExecuteCells(ctx context.Context, spec Spec, cells []Cell, run Runner) ([]Outcome, error) {
 	if run == nil {
 		return nil, fmt.Errorf("scenario: nil runner")

@@ -52,7 +52,7 @@ func checkMatMul2D(op string, dst, a, b *Tensor, m, n int, innerOK bool) *Tensor
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v · %v", op, a.shape, b.shape))
 	}
 	if dst == nil {
-		return New(m, n) //goldfish:allocok — nil-dst convenience path; hot callers pass a reusable dst
+		return New(m, n)
 	}
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: %s destination shape %v, want [%d %d]", op, dst.shape, m, n))
@@ -207,8 +207,6 @@ func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
 // (m,n) or be nil, in which case a new tensor is allocated; passing a
 // reusable dst eliminates the per-call output allocation on hot paths.
 // dst must not alias a or b.
-//
-//goldfish:hotpath
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k := dims2(a)
 	k2, n := dims2(b)
@@ -222,8 +220,6 @@ func MatMulTransA(a, b *Tensor) *Tensor { return MatMulTransAInto(nil, a, b) }
 
 // MatMulTransAInto computes aᵀ·b into dst (shape (m,n), or nil to
 // allocate) and returns it. dst must not alias a or b.
-//
-//goldfish:hotpath
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	k, m := dims2(a)
 	k2, n := dims2(b)
@@ -237,8 +233,6 @@ func MatMulTransB(a, b *Tensor) *Tensor { return MatMulTransBInto(nil, a, b) }
 
 // MatMulTransBInto computes a·bᵀ into dst (shape (m,n), or nil to
 // allocate) and returns it. dst must not alias a or b.
-//
-//goldfish:hotpath
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	m, k := dims2(a)
 	n, k2 := dims2(b)
@@ -252,8 +246,6 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 // over consecutive column slices of a and b — a[:, c0:c1]·b[:, c0:c1]ᵀ,
 // then [c1:c2), … — on a zeroed dst reproduces one MatMulTransBInto over
 // all the columns bit for bit. dst must not alias a or b.
-//
-//goldfish:hotpath
 func MatMulTransBAccInto(dst, a, b *Tensor) *Tensor {
 	m, k := dims2(a)
 	n, k2 := dims2(b)
@@ -292,15 +284,13 @@ func (t *Tensor) Row(i int) []float64 {
 // SoftmaxRows returns row-wise softmax(logits/temp) for a 2-D tensor.
 // temp must be positive.
 func SoftmaxRows(logits *Tensor, temp float64) *Tensor {
-	return SoftmaxRowsInto(nil, logits, temp) //goldfish:allocok — convenience wrapper; result escapes to caller
+	return SoftmaxRowsInto(nil, logits, temp)
 }
 
 // SoftmaxRowsInto computes row-wise softmax(logits/temp) into dst and returns
 // it. dst is resized via EnsureShape (nil allocates); passing a reusable dst
 // eliminates the per-call output allocation on hot paths. dst must not alias
 // logits. temp must be positive.
-//
-//goldfish:hotpath
 func SoftmaxRowsInto(dst, logits *Tensor, temp float64) *Tensor {
 	if len(logits.shape) != 2 {
 		panic(fmt.Sprintf("tensor: SoftmaxRows requires a 2-D tensor, got %v", logits.shape))
@@ -342,14 +332,12 @@ func softmaxInto(dst, src []float64, temp float64) {
 }
 
 // LogSoftmaxRows returns row-wise log-softmax of a 2-D tensor.
-//
-//goldfish:hotpath
 func LogSoftmaxRows(logits *Tensor) *Tensor {
 	if len(logits.shape) != 2 {
 		panic(fmt.Sprintf("tensor: LogSoftmaxRows requires a 2-D tensor, got %v", logits.shape))
 	}
 	m, n := logits.shape[0], logits.shape[1]
-	out := New(m, n) //goldfish:allocok — result escapes to caller by API contract
+	out := New(m, n)
 	parallelRows(m, 8*m*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src := logits.data[i*n : (i+1)*n]
@@ -380,7 +368,7 @@ func ArgMaxRows(t *Tensor) []int {
 		panic(fmt.Sprintf("tensor: ArgMaxRows requires a 2-D tensor, got %v", t.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	out := make([]int, m) //goldfish:allocok — result escapes to caller; hot callers stream per batch
+	out := make([]int, m)
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
 		best := 0
@@ -396,7 +384,7 @@ func ArgMaxRows(t *Tensor) []int {
 
 // SumRows returns a length-n vector with the column sums of an (m,n) tensor.
 func SumRows(t *Tensor) *Tensor {
-	return SumRowsInto(nil, t) //goldfish:allocok — convenience wrapper; result escapes to caller
+	return SumRowsInto(nil, t)
 }
 
 // SumRowsInto writes the column sums of an (m,n) tensor into dst (a length-n
@@ -422,7 +410,7 @@ func SumRowsInto(dst, t *Tensor) *Tensor {
 // of an (m, …) tensor; trailing dimensions are preserved. Row indices may
 // repeat.
 func SliceRows(t *Tensor, idx []int) *Tensor {
-	return SliceRowsInto(nil, t, idx) //goldfish:allocok — convenience wrapper; result escapes to caller
+	return SliceRowsInto(nil, t, idx)
 }
 
 // SliceRowsInto copies the selected rows of t into dst (resized via
@@ -437,7 +425,7 @@ func SliceRowsInto(dst, t *Tensor, idx []int) *Tensor {
 		rowLen *= d
 	}
 	var buf [8]int
-	outShape := append(append(buf[:0], len(idx)), t.shape[1:]...) //goldfish:allocok — stays in buf, on the stack, up to rank 8
+	outShape := append(append(buf[:0], len(idx)), t.shape[1:]...) // stays in buf, on the stack, up to rank 8
 	out := EnsureShape(dst, outShape...)
 	for i, r := range idx {
 		if r < 0 || r >= t.shape[0] {
@@ -471,8 +459,8 @@ func Concat(ts ...*Tensor) *Tensor {
 		}
 		total += t.shape[0]
 	}
-	outShape := append([]int{total}, rowShape...) //goldfish:allocok — shape header only
-	out := New(outShape...)                       //goldfish:allocok — result escapes to caller by API contract
+	outShape := append([]int{total}, rowShape...)
+	out := New(outShape...)
 	off := 0
 	for _, t := range ts {
 		copy(out.data[off:], t.data)

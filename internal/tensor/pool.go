@@ -52,10 +52,8 @@ var (
 
 // ensurePool lazily starts the GOMAXPROCS-sized worker pool. Workers live
 // for the life of the process; an idle pool costs only blocked goroutines.
-//
-//goldfish:coldpath — one-time pool construction behind sync.Once
 func ensurePool() {
-	poolOnce.Do(func() { //goldfish:coldpath — one-time pool construction behind sync.Once
+	poolOnce.Do(func() {
 		poolSize = runtime.GOMAXPROCS(0)
 		poolCh = make(chan panelTask, 4*poolSize)
 		for i := 0; i < poolSize; i++ {

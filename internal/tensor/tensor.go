@@ -25,11 +25,6 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape. It panics if any
 // dimension is negative or if the shape is empty.
-//
-// New is the module's designated allocator: hotpathalloc treats it as a cut
-// (its internals are expected to allocate) and flags hot call sites instead.
-//
-//goldfish:coldpath
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
 	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
@@ -71,15 +66,15 @@ func checkShape(shape []int) int {
 func EnsureShape(t *Tensor, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if t == nil || cap(t.data) < n {
-		return New(shape...) //goldfish:allocok — the grow path; steady state reuses t
+		return New(shape...)
 	}
 	t.data = t.data[:n]
-	t.shape = append(t.shape[:0], shape...) //goldfish:allocok — grows only on rank change
+	t.shape = append(t.shape[:0], shape...)
 	return t
 }
 
 // Shape returns a copy of the tensor's shape.
-func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) } //goldfish:allocok — defensive copy by contract
+func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 
 // Dims returns the number of dimensions.
 func (t *Tensor) Dims() int { return len(t.shape) }
@@ -95,8 +90,6 @@ func (t *Tensor) Size() int { return len(t.data) }
 func (t *Tensor) Data() []float64 { return t.data }
 
 // Clone returns a deep copy.
-//
-//goldfish:coldpath
 func (t *Tensor) Clone() *Tensor {
 	d := make([]float64, len(t.data))
 	copy(d, t.data)
@@ -106,7 +99,7 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a view of the same data with a new shape. The element
 // count must match. One dimension may be -1, in which case it is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := append([]int(nil), shape...) //goldfish:allocok — view header only; data is shared
+	out := append([]int(nil), shape...)
 	infer := -1
 	known := 1
 	for i, d := range out {
@@ -132,7 +125,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if known != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, known))
 	}
-	return &Tensor{shape: out, data: t.data} //goldfish:allocok — view header only; data is shared
+	return &Tensor{shape: out, data: t.data}
 }
 
 // At returns the element at the given multi-dimensional index.
