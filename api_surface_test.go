@@ -1,80 +1,86 @@
-package lint
+package goldfish_test
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"go/importer"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
-	"path/filepath"
+	"os/exec"
 	"sort"
 	"strings"
+	"testing"
 )
 
-// APISurfaceGolden is the module-relative path of the exported-surface
-// golden for the root goldfish package.
-const APISurfaceGolden = "api/goldfish.txt"
+const (
+	apiGolden     = "api/goldfish.txt"
+	apiRegenerate = "go test . -run '^TestAPISurface$' -update"
+)
 
-// APISurfaceRegenHint tells a failing CI run how to accept an intentional
-// surface change.
-const APISurfaceRegenHint = "go test ./internal/lint -run TestAPISurface -update"
-
-// APISurfaceAnalyzer byte-compares the root package's exported surface
-// against the committed golden.
-var APISurfaceAnalyzer = &Analyzer{
-	Name: "apisurface",
-	Doc: `gate the root package's exported API against a committed golden
-
-The exported surface of package goldfish is the contract every embedder,
-scenario spec and CLI builds on; a renamed method or a changed signature must
-be an explicit, reviewed diff, not an accident noticed downstream. This
-analyzer renders the package's exported consts, vars, funcs, types, fields
-and methods into a canonical text form and byte-compares it against
-api/goldfish.txt next to the package. Regenerate deliberately with
-` + "`" + APISurfaceRegenHint + "`" + `. A //goldfish:apiok directive on the
-package clause line opts out — a mid-refactor escape only.`,
-	Run: runAPISurface,
-}
-
-func runAPISurface(pass *Pass) error {
-	if pass.Pkg.Path != "goldfish" || len(pass.Pkg.Files) == 0 {
-		return nil
-	}
-	first := pass.Pkg.Files[0]
-	apiOK := directiveLines(pass.Pkg.Fset, first, APIOKDirective)
-	if apiOK[pass.Pkg.Fset.Position(first.Package).Line] {
-		return nil
-	}
-	dir := filepath.Dir(pass.Pkg.Fset.Position(first.Pos()).Filename)
-	goldenPath := filepath.Join(dir, filepath.FromSlash(APISurfaceGolden))
-	got := Surface(pass.Pkg)
-	want, err := os.ReadFile(goldenPath)
+// TestAPISurface byte-compares the exported surface of package goldfish with
+// the committed golden, so a public API change is always a reviewed diff.
+// The package is read from its own compiled export data, so the test neither
+// parses nor type-checks source. After an intentional change, regenerate
+// with the -update flag of this package's tests:
+//
+//	go test . -run '^TestAPISurface$' -update
+func TestAPISurface(t *testing.T) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}", "goldfish").Output()
 	if err != nil {
-		pass.Reportf(first.Package, "exported API surface golden %s is missing; generate it with %q",
-			APISurfaceGolden, APISurfaceRegenHint)
-		return nil
+		t.Fatalf("go list -export: %v", err)
 	}
-	if got == string(want) {
-		return nil
-	}
-	gotLines := strings.Split(got, "\n")
-	wantLines := strings.Split(string(want), "\n")
-	detail := "length differs"
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			detail = fmt.Sprintf("first difference at line %d: have %q, golden %q", i+1, g, w)
-			break
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+			exports[path] = file
 		}
 	}
-	pass.Reportf(first.Package, "exported API surface differs from %s (%s); if intentional, regenerate with %q",
-		APISurfaceGolden, detail, APISurfaceRegenHint)
-	return nil
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
+	pkg, err := importer.ForCompiler(token.NewFileSet(), "gc", lookup).Import("goldfish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []byte(Surface(pkg))
+
+	// The flag is the one scenario_golden_test.go registers for the whole
+	// test binary.
+	if flag.Lookup("update").Value.String() == "true" {
+		if err := os.WriteFile(apiGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", apiGolden, len(got))
+		return
+	}
+	want, err := os.ReadFile(apiGolden)
+	if err != nil {
+		t.Fatalf("%v (generate it with %s)", err, apiRegenerate)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+		i++
+	}
+	var g, w string
+	if i < len(gotLines) {
+		g = gotLines[i]
+	}
+	if i < len(wantLines) {
+		w = wantLines[i]
+	}
+	t.Fatalf("exported API surface differs from %s at line %d:\n  have: %s\n  want: %s\nif intentional, regenerate with: %s",
+		apiGolden, i+1, g, w, apiRegenerate)
 }
 
 // Surface renders the package's exported API in a canonical, deterministic
@@ -83,11 +89,11 @@ func runAPISurface(pass *Pass) error {
 // methods and the exported method set indented under each type. Types from
 // other packages print with their full import paths; the package's own types
 // print bare.
-func Surface(pkg *Package) string {
+func Surface(pkg *types.Package) string {
 	var b strings.Builder
-	qual := types.RelativeTo(pkg.Pkg)
-	fmt.Fprintf(&b, "package %s // import %q\n", pkg.Name, pkg.Path)
-	scope := pkg.Pkg.Scope()
+	qual := types.RelativeTo(pkg)
+	fmt.Fprintf(&b, "package %s // import %q\n", pkg.Name(), pkg.Path())
+	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		if !token.IsExported(name) {
 			continue

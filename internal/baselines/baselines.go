@@ -337,6 +337,10 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 	params := t.net.Params()
 	unlearning := t.df != nil && t.df.Len() > 0 && t.competent != nil
 	var lastLoss float64
+	// One batch tensor for the round, as in core.TrainEpoch: a batch is
+	// overwritten only after the Backward that reads it has returned, and
+	// the teachers only read it.
+	var x *tensor.Tensor
 	for e := 0; e < t.sc.LocalEpochs; e++ {
 		if err := ctx.Err(); err != nil {
 			return fed.ModelUpdate{}, err
@@ -344,7 +348,7 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 		lastLoss = 0
 		batches := data.BatchIndices(t.dr.Len(), t.sc.BatchSize, t.rng)
 		for _, b := range batches {
-			x := sliceX(t.dr, b)
+			x = tensor.SliceRowsInto(x, t.dr.X, b)
 			logits := t.net.Forward(x, true)
 			var l float64
 			var grad *tensor.Tensor
@@ -375,7 +379,7 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 			const forgetPasses = 3
 			for pass := 0; pass < forgetPasses; pass++ {
 				for _, b := range data.BatchIndices(t.df.Len(), t.sc.BatchSize, t.rng) {
-					x := sliceX(t.df, b)
+					x = tensor.SliceRowsInto(x, t.df.X, b)
 					logits := t.net.Forward(x, true)
 					badLogits := t.incompetent.Forward(x, false)
 					_, grad := loss.Distillation(logits, badLogits, 1)
@@ -393,9 +397,4 @@ func (t *IncompetentTrainer) TrainRound(ctx context.Context, round int, global [
 		NumSamples: t.dr.Len(),
 		TrainLoss:  lastLoss,
 	}, nil
-}
-
-// sliceX extracts the given rows of a dataset as a batch tensor.
-func sliceX(ds *data.Dataset, rows []int) *tensor.Tensor {
-	return tensor.SliceRows(ds.X, rows)
 }

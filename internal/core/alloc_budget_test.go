@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"goldfish/internal/baselines"
 	"goldfish/internal/core"
 	"goldfish/internal/data"
 	"goldfish/internal/fed"
@@ -67,6 +68,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{"mse-scorer/resnet", 737, resnet.mseScorer},
 		{"train-round/lenet5", 258, lenet.trainRound},
 		{"train-round/resnet", 2120, resnet.trainRound},
+		{"train-round/incompetent", 542, lenet.incompetentRound},
 		{"aggregate/fedavg", 1, aggregate(fed.FedAvg{})},
 		{"aggregate/adaptive", 2, aggregate(fed.AdaptiveWeight{})},
 		{"engine-round/local", 19, engineRound},
@@ -161,6 +163,33 @@ func (w budgetWorkload) trainRound(t *testing.T) func() {
 	round := 0
 	return func() {
 		if _, err := c.TrainRound(context.Background(), round, global); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	}
+}
+
+// incompetentRound is one B3 client round after Forget: distillation from
+// the competent teacher on the retain rows, then the forget passes against
+// the incompetent one.
+func (w budgetWorkload) incompetentRound(t *testing.T) func() {
+	cfg := w.p.ClientConfig()
+	sc := baselines.Scenario{Model: cfg.Model, Opt: cfg.Opt, LocalEpochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, Seed: cfg.Seed}
+	tr, err := baselines.NewIncompetentTrainer(0, sc, w.train, cfg.Loss.Temp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := w.net(t).StateVector()
+	forget := make([]int, 20)
+	for i := range forget {
+		forget[i] = i
+	}
+	if err := tr.Forget(forget, global); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	return func() {
+		if _, err := tr.TrainRound(context.Background(), round, global); err != nil {
 			t.Fatal(err)
 		}
 		round++

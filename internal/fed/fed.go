@@ -74,6 +74,9 @@ func (FedAvg) Aggregate(updates []ModelUpdate) ([]float64, error) {
 		if u.NumSamples < 0 {
 			return nil, fmt.Errorf("fed: client %d reports negative sample count %d", u.ClientID, u.NumSamples)
 		}
+		if u.NumSamples > math.MaxInt-total {
+			return nil, fmt.Errorf("fed: client %d reports sample count %d, overflowing the round's total", u.ClientID, u.NumSamples)
+		}
 		total += u.NumSamples
 	}
 	out := make([]float64, size)

@@ -61,6 +61,15 @@ func TestAggregateErrors(t *testing.T) {
 	if _, err := (FedAvg{}).Aggregate([]ModelUpdate{{Params: []float64{1}, NumSamples: -1}}); err == nil {
 		t.Error("negative sample count accepted")
 	}
+	// Sample counts arrive over the wire; two halves of MaxInt wrapped the
+	// total negative and aggregated [1] and [1] to [-1] with no error.
+	huge := []ModelUpdate{
+		{ClientID: 0, Params: []float64{1}, NumSamples: math.MaxInt/2 + 1},
+		{ClientID: 1, Params: []float64{1}, NumSamples: math.MaxInt/2 + 1},
+	}
+	if out, err := (FedAvg{}).Aggregate(huge); err == nil || !strings.Contains(err.Error(), "client 1") {
+		t.Errorf("overflowing sample counts: got %v, %v; want an error naming client 1", out, err)
+	}
 	if _, err := (AdaptiveWeight{}).Aggregate([]ModelUpdate{{Params: []float64{1}, MSE: -1}}); err == nil {
 		t.Error("negative MSE accepted")
 	}

@@ -11,7 +11,7 @@ import (
 // HTTP surface of the service, mounted on the observability mux
 // (goldfish-server -serve -obs-addr):
 //
-//	POST /unlearn               → 202 + ticket, 400 invalid, 429 + Retry-After when full
+//	POST /unlearn               → 202 + ticket, 400 invalid, 413 body too large, 429 + Retry-After when full
 //	GET  /unlearn/stats         → queue depth, counters, forgetting-latency quantiles
 //	GET  /unlearn/requests/{id} → the ticket's current lifecycle state
 
@@ -44,10 +44,17 @@ func (s *Service) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST a deletion request"})
 		return
 	}
+	s.mu.Lock()
+	limit := s.view.maxBody
+	s.mu.Unlock()
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, httpError{Error: "request body over " + strconv.FormatInt(limit, 10) + " bytes"})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, httpError{Error: "invalid request body: " + err.Error()})
 		return
 	}

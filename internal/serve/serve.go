@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -140,6 +141,7 @@ type view struct {
 	clients int
 	partLen []int
 	classes int
+	maxBody int64 // largest POST /unlearn body a valid request can need
 }
 
 // Service is the deletion-request service: a bounded queue drained into the
@@ -210,12 +212,18 @@ func New(cfg Config) (*Service, error) {
 func (s *Service) refreshViewLocked() {
 	n := s.fed.NumClients()
 	v := view{clients: n, partLen: make([]int, n)}
+	maxPart := 0
 	for i := 0; i < n; i++ {
 		if p := s.fed.Partition(i); p != nil {
 			v.partLen[i] = p.Len()
 			v.classes = p.Classes
+			maxPart = max(maxPart, p.Len())
 		}
 	}
+	// The longest valid request lists every row of the largest partition,
+	// each index at most as many digits as that partition's length, plus a
+	// comma; 1 KiB covers the rest of the envelope and its whitespace.
+	v.maxBody = int64(maxPart*(len(strconv.Itoa(maxPart))+1) + 1<<10)
 	s.view = v
 }
 

@@ -424,3 +424,52 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("GET ticket abc: status = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestHTTPBodyLimit: a body longer than any valid request is refused with
+// 413 before it is decoded, while a request listing every row of the largest
+// partition still fits.
+func TestHTTPBodyLimit(t *testing.T) {
+	f := newTestFederation(t, "", 2)
+	svc, err := New(Config{Federation: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	svc.Mount(mux)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/unlearn", strings.NewReader(body)))
+		return rec
+	}
+
+	oversized := `{"kind":"sample","client":0,"rows":[` + strings.Repeat("0,", 1<<20) + `0]}`
+	rec := post(oversized)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST: status = %d, want 413", rec.Code)
+	}
+	var herr httpError
+	if err := json.Unmarshal(rec.Body.Bytes(), &herr); err != nil || herr.Error == "" {
+		t.Errorf("oversized POST: body %q is not a JSON error (%v)", rec.Body, err)
+	}
+	if st := svc.Stats(); st.Accepted != 0 {
+		t.Errorf("oversized POST moved Accepted to %d", st.Accepted)
+	}
+
+	largest := 0
+	for i := 1; i < f.NumClients(); i++ {
+		if f.Partition(i).Len() > f.Partition(largest).Len() {
+			largest = i
+		}
+	}
+	rows := make([]int, f.Partition(largest).Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	full, err := json.Marshal(Request{Kind: KindSample, Client: largest, Rows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(string(full)); rec.Code != http.StatusAccepted {
+		t.Errorf("full-partition POST (%d bytes): status = %d, want 202: %s", len(full), rec.Code, rec.Body)
+	}
+}
