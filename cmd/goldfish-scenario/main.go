@@ -3,7 +3,7 @@
 // (a single attack.type, or an attack.types axis sweeping several probe
 // styles — "backdoor", "label-flip", "targeted-class"), a deletion schedule
 // (sample-, class- or client-level requests at given rounds), and the
-// strategy × seed × shard × attack axes. Cells execute concurrently and the
+// strategy × seed × attack axes. Cells execute concurrently and the
 // structured report is deterministic — two runs of the same spec produce
 // byte-identical JSON.
 //
@@ -133,8 +133,7 @@ func run() int {
 				return 2
 			}
 			cells := spec.Cells()
-			axes := fmt.Sprintf("%d strategies × %d seeds × %d shard counts",
-				len(spec.Strategies), len(spec.SeedList()), len(spec.ShardList()))
+			axes := fmt.Sprintf("%d strategies × %d seeds", len(spec.Strategies), len(spec.SeedList()))
 			if spec.Attack != nil {
 				axes += fmt.Sprintf(" × %d attack types", len(spec.AttackList()))
 			}

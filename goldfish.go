@@ -4,8 +4,8 @@
 // synthetic vision datasets, submit deletion requests, and unlearn them
 // efficiently via the paper's four modules: knowledge-distillation basic
 // model, composite loss (hard + confusion + distillation), optimization
-// (early termination, SISA data sharding) and extension (adaptive
-// distillation temperature, adaptive-weight aggregation).
+// (early termination) and extension (adaptive distillation temperature,
+// adaptive-weight aggregation).
 //
 // The public surface is an engine + strategy design: goldfish.New builds a
 // federated-unlearning engine from functional options, and the Unlearner
@@ -49,7 +49,7 @@ import (
 // details).
 type (
 	// Config configures a Goldfish client: model, loss, optimizer, local
-	// epochs, early termination, sharding.
+	// epochs, early termination.
 	Config = core.Config
 	// Client is one federation participant.
 	Client = core.Client

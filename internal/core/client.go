@@ -11,12 +11,11 @@ import (
 	"goldfish/internal/model"
 	"goldfish/internal/nn"
 	"goldfish/internal/optim"
-	"goldfish/internal/shard"
 )
 
 // Client is one federation participant: it owns local data, the local
-// model (or per-shard models when sharding is enabled), and the unlearning
-// state machine of Algorithm 1. Client implements fed.LocalTrainer.
+// model, and the unlearning state machine of Algorithm 1. Client implements
+// fed.LocalTrainer.
 //
 // A client is in one of three modes for a round:
 //
@@ -31,16 +30,14 @@ type Client struct {
 	id  int
 	cfg Config
 
-	mu         sync.Mutex
-	dataset    *data.Dataset
-	removed    map[int]bool  // rows logically deleted from dataset
-	pendingDf  *data.Dataset // removed data awaiting the unlearning round
-	pendingIdx []int
-	retrain    bool // participate in KD retraining next round
+	mu        sync.Mutex
+	dataset   *data.Dataset
+	removed   map[int]bool  // rows logically deleted from dataset
+	pendingDf *data.Dataset // removed data awaiting the unlearning round
+	retrain   bool          // participate in KD retraining next round
 
 	student    *nn.Network
 	teacher    *nn.Network
-	shards     *shard.Manager
 	lastGlobal []float64
 	lastEpochs int
 	rng        *rand.Rand
@@ -66,7 +63,7 @@ func NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
+	return &Client{
 		id:      id,
 		cfg:     cfg,
 		dataset: ds,
@@ -74,15 +71,7 @@ func NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
 		student: student,
 		teacher: teacher,
 		rng:     rand.New(rand.NewSource(cfg.Seed*100003 + int64(id))),
-	}
-	if cfg.Shards > 1 {
-		mgr, err := shard.NewManager(student, ds.Len(), cfg.Shards, c.rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: client %d: %w", id, err)
-		}
-		c.shards = mgr
-	}
-	return c, nil
+	}, nil
 }
 
 // ID returns the client identifier.
@@ -134,10 +123,8 @@ func (c *Client) RequestDeletion(rows []int) error {
 			return fmt.Errorf("core: client %d: merging deletion requests: %w", c.id, err)
 		}
 		c.pendingDf = merged
-		c.pendingIdx = append(c.pendingIdx, rows...)
 	} else {
 		c.pendingDf = df
-		c.pendingIdx = append([]int(nil), rows...)
 	}
 	for _, r := range rows {
 		c.removed[r] = true
@@ -169,39 +156,13 @@ func (c *Client) activeRowsLocked() []int {
 func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (fed.ModelUpdate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The client is idle until the next round: drop every batch-sized
+	// activation cache and scratch buffer so waiting clients pin no memory.
+	defer c.teacher.ReleaseActivations()
+	defer c.student.ReleaseActivations()
 
 	teacherVec := c.lastGlobal
 	c.lastGlobal = append([]float64(nil), global...)
-
-	var (
-		update fed.ModelUpdate
-		err    error
-	)
-	if c.shards != nil {
-		update, err = c.trainShardedLocked(ctx, round, teacherVec)
-	} else {
-		update, err = c.trainPlainLocked(ctx, round, global, teacherVec)
-	}
-	// The client is idle until the next round: drop every batch-sized
-	// activation cache and scratch buffer so waiting clients pin no memory.
-	c.student.ReleaseActivations()
-	c.teacher.ReleaseActivations()
-	if c.shards != nil {
-		for i := 0; i < c.shards.NumShards(); i++ {
-			c.shards.Shard(i).Model.ReleaseActivations()
-		}
-	}
-	if err != nil {
-		return fed.ModelUpdate{}, err
-	}
-	c.pendingDf = nil
-	c.pendingIdx = nil
-	c.retrain = false
-	return update, nil
-}
-
-// trainPlainLocked is the non-sharded client round.
-func (c *Client) trainPlainLocked(ctx context.Context, round int, global, teacherVec []float64) (fed.ModelUpdate, error) {
 	if err := c.student.SetStateVector(global); err != nil {
 		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading global model: %w", c.id, err)
 	}
@@ -257,6 +218,8 @@ func (c *Client) trainPlainLocked(ctx context.Context, round int, global, teache
 		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: round %d: %w", c.id, round, err)
 	}
 	c.lastEpochs = epochs
+	c.pendingDf = nil
+	c.retrain = false
 
 	return fed.ModelUpdate{
 		ClientID:   c.id,
@@ -266,91 +229,3 @@ func (c *Client) trainPlainLocked(ctx context.Context, round int, global, teache
 		TrainLoss:  last.TotalLoss,
 	}, nil
 }
-
-// trainShardedLocked is the SISA-sharded client round. Shard models persist
-// locally across rounds; on deletion only affected shards retrain from
-// their checkpoints (Eq. 9), and the upload is always the Eq. 8 aggregate.
-// Early termination is not applied per shard (fixed LocalEpochs), matching
-// the paper's treatment of sharding as an independent optimization.
-func (c *Client) trainShardedLocked(ctx context.Context, round int, teacherVec []float64) (fed.ModelUpdate, error) {
-	gl := c.cfg.Loss
-	df := c.pendingDf
-	unlearning := df != nil && df.Len() > 0
-
-	var toTrain []int
-	dfByShard := make(map[int]*data.Dataset)
-	if unlearning {
-		affected := c.shards.AffectedShards(c.pendingIdx)
-		// Per-shard removed rows, captured before deletion.
-		rm := make(map[int]bool, len(c.pendingIdx))
-		for _, r := range c.pendingIdx {
-			rm[r] = true
-		}
-		for _, si := range affected {
-			var rows []int
-			for _, idx := range c.shards.Shard(si).Indices {
-				if rm[idx] {
-					rows = append(rows, idx)
-				}
-			}
-			dfByShard[si] = c.dataset.Subset(rows)
-		}
-		c.shards.DeleteSamples(c.pendingIdx)
-		toTrain = affected
-	} else {
-		toTrain = make([]int, c.shards.NumShards())
-		for i := range toTrain {
-			toTrain[i] = i
-		}
-		gl.MuD = 0 // plain local training between deletions
-	}
-
-	var teacher *nn.Network
-	if unlearning && teacherVec != nil && gl.MuD > 0 {
-		if err := c.teacher.SetStateVector(teacherVec); err != nil {
-			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading teacher model: %w", c.id, err)
-		}
-		teacher = c.teacher
-	} else {
-		gl.MuD = 0
-	}
-	if unlearning && c.cfg.AdaptiveTemp && gl.MuD > 0 {
-		gl.Temp = AdaptiveTemperature(c.cfg.TempAlpha, c.cfg.Loss.Temp,
-			c.shards.TotalSamples(), df.Len())
-	}
-
-	seedBase := c.rng.Int63()
-	err := c.shards.RetrainAffected(toTrain, func(shardIdx int, m *nn.Network, indices []int) error {
-		if len(indices) == 0 {
-			return nil // shard fully emptied by the deletion
-		}
-		opt, err := optim.NewSGD(c.cfg.Opt)
-		if err != nil {
-			return err
-		}
-		var shardTeacher *nn.Network
-		if teacher != nil {
-			shardTeacher = teacher.Clone() // layer caches are not goroutine-safe
-		}
-		shardDf := dfByShard[shardIdx]
-		rng := rand.New(rand.NewSource(seedBase + int64(shardIdx)*131))
-		_, _, err = TrainLocal(ctx, m, shardTeacher, c.dataset, indices, shardDf,
-			gl, opt, c.cfg.BatchSize, c.cfg.LocalEpochs, nil, rng)
-		return err
-	})
-	if err != nil {
-		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: round %d: %w", c.id, round, err)
-	}
-	c.lastEpochs = c.cfg.LocalEpochs
-
-	return fed.ModelUpdate{
-		ClientID:   c.id,
-		Round:      round,
-		Params:     c.shards.Aggregate(),
-		NumSamples: c.shards.TotalSamples(),
-	}, nil
-}
-
-// Shards exposes the shard manager (nil when sharding is disabled); the
-// sharding experiments inspect it.
-func (c *Client) Shards() *shard.Manager { return c.shards }

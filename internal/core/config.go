@@ -7,7 +7,7 @@
 //   - loss function: the composite objective of internal/loss (hard +
 //     confusion + distillation);
 //   - optimization: early termination guided by excess empirical risk
-//     (Eq. 7) and SISA data sharding (Eqs. 8–10, internal/shard);
+//     (Eq. 7);
 //   - extension: adaptive distillation temperature (Eq. 11) and
 //     adaptive-weight aggregation (Eqs. 12–13, internal/fed).
 //
@@ -47,9 +47,6 @@ type Config struct {
 	AdaptiveTemp bool
 	// TempAlpha is α of Eq. 11 (default 1 when AdaptiveTemp is set).
 	TempAlpha float64
-	// Shards is τ, the number of local data shards; values ≤ 1 disable
-	// sharding.
-	Shards int
 	// Seed drives all client-local randomness.
 	Seed int64
 }
@@ -65,7 +62,6 @@ func DefaultConfig(m model.Config) Config {
 		BatchSize:   100,
 		EarlyDelta:  0,
 		TempAlpha:   1,
-		Shards:      1,
 		Seed:        1,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"goldfish/internal/data"
 	"goldfish/internal/fed"
 	"goldfish/internal/loss"
-	"goldfish/internal/metrics"
 	"goldfish/internal/model"
 	"goldfish/internal/optim"
 )
@@ -100,11 +99,6 @@ func TestNewClientErrors(t *testing.T) {
 	if _, err := NewClient(0, bad, train); err == nil {
 		t.Error("invalid config accepted")
 	}
-	shardCfg := testConfig(10)
-	shardCfg.Shards = 10_000 // more shards than samples
-	if _, err := NewClient(0, shardCfg, train); err == nil {
-		t.Error("impossible shard count accepted")
-	}
 }
 
 func TestRequestDeletionValidation(t *testing.T) {
@@ -148,66 +142,67 @@ func TestRequestDeletionValidation(t *testing.T) {
 	}
 }
 
-func TestShardedClientDeletion(t *testing.T) {
-	train, test := tinyMNIST(t)
+// TestClientUpdateDependsOnGlobal: a client's upload is a function of the
+// global model it was sent, in the plain round and in the deletion round
+// alike. Two identically seeded clients on the same data return different
+// parameters under different globals, and bit-identical ones under equal
+// globals.
+func TestClientUpdateDependsOnGlobal(t *testing.T) {
+	train, _ := tinyMNIST(t)
 	cfg := testConfig(10)
-	cfg.Shards = 6
-	c, err := NewClient(0, cfg, train)
-	if err != nil {
-		t.Fatal(err)
+	globals := make([][]float64, 2)
+	for i := range globals {
+		mcfg := cfg.Model
+		mcfg.Seed += int64(i)
+		net, err := model.Build(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		globals[i] = net.StateVector()
 	}
-	if c.Shards() == nil || c.Shards().NumShards() != 6 {
-		t.Fatal("shard manager not created")
-	}
-
-	ctx := context.Background()
-	initNet, err := model.Build(cfg.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := initNet.StateVector()
-	u, err := c.TrainRound(ctx, 0, global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumSamples != train.Len() {
-		t.Errorf("NumSamples = %d, want %d", u.NumSamples, train.Len())
-	}
-
-	// Delete a handful of rows from one shard's territory.
-	victim := c.Shards().Shard(2).Indices[:3]
-	rows := append([]int(nil), victim...)
-	if err := c.RequestDeletion(rows); err != nil {
-		t.Fatal(err)
-	}
-	affected := c.Shards().AffectedShards(rows)
-	if len(affected) != 1 || affected[0] != 2 {
-		t.Fatalf("AffectedShards = %v, want [2]", affected)
-	}
-	u, err = c.TrainRound(ctx, 1, u.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.NumSamples != train.Len()-3 {
-		t.Errorf("post-deletion NumSamples = %d, want %d", u.NumSamples, train.Len()-3)
-	}
-	// Removed rows must be gone from every shard.
-	for si := 0; si < c.Shards().NumShards(); si++ {
-		for _, idx := range c.Shards().Shard(si).Indices {
-			for _, r := range rows {
-				if idx == r {
-					t.Fatal("removed row still present in a shard")
+	// run returns the client's plain-round and deletion-round uploads when
+	// both rounds are sent global.
+	run := func(global []float64) [2][]float64 {
+		c, err := NewClient(0, cfg, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [2][]float64
+		for round := range out {
+			if round == 1 {
+				if err := c.RequestDeletion([]int{0, 1, 2, 3}); err != nil {
+					t.Fatal(err)
 				}
 			}
+			u, err := c.TrainRound(context.Background(), round, global)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[round] = u.Params
+		}
+		return out
+	}
+	a, again, b := run(globals[0]), run(globals[0]), run(globals[1])
+	for round := range a {
+		if bitsEqual(a[round], b[round]) {
+			t.Errorf("round %d: update identical under two different globals", round)
+		}
+		if !bitsEqual(a[round], again[round]) {
+			t.Errorf("round %d: update differs under equal globals", round)
 		}
 	}
-	// The aggregate must still be a working model.
-	if err := initNet.SetStateVector(u.Params); err != nil {
-		t.Fatal(err)
+}
+
+func bitsEqual(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
 	}
-	if acc := metrics.Accuracy(initNet, test, 0); acc < 0.15 {
-		t.Errorf("sharded aggregate accuracy %g suspiciously low", acc)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
 	}
+	return true
 }
 
 func TestTrainEpochAndEvalHardLoss(t *testing.T) {

@@ -287,44 +287,6 @@ func TestPartitionHeterogeneous(t *testing.T) {
 	}
 }
 
-// Property: every partition method covers all indices exactly once.
-func TestQuickShardIndicesCoverage(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(90)
-		shards := 1 + rng.Intn(9)
-		parts, err := ShardIndices(n, shards, rng)
-		if err != nil {
-			return false
-		}
-		seen := make([]bool, n)
-		count := 0
-		for _, shard := range parts {
-			for _, i := range shard {
-				if i < 0 || i >= n || seen[i] {
-					return false
-				}
-				seen[i] = true
-				count++
-			}
-		}
-		return count == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShardIndicesErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := ShardIndices(5, 0, rng); err == nil {
-		t.Error("0 shards accepted")
-	}
-	if _, err := ShardIndices(2, 5, rng); err == nil {
-		t.Error("more shards than samples accepted")
-	}
-}
-
 func TestBackdoorPoison(t *testing.T) {
 	d := tinySet(t, 50, 4, 11)
 	cfg := BackdoorConfig{TargetLabel: 2, PatchSize: 2, PatchValue: 9}

@@ -261,29 +261,3 @@ func LabelSkew(d *Dataset, parts []*Dataset) float64 {
 	}
 	return total / float64(len(parts))
 }
-
-// ShardIndices partitions [0,n) into `shards` contiguous-free random shards
-// of near-equal size (SISA-style, paper Fig. 2). Every index appears in
-// exactly one shard.
-func ShardIndices(n, shards int, rng *rand.Rand) ([][]int, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("data: need ≥1 shard, got %d", shards)
-	}
-	if n < shards {
-		return nil, fmt.Errorf("data: cannot shard %d samples into %d shards", n, shards)
-	}
-	perm := rng.Perm(n)
-	out := make([][]int, shards)
-	base := n / shards
-	rem := n % shards
-	off := 0
-	for i := 0; i < shards; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = append([]int(nil), perm[off:off+size]...)
-		off += size
-	}
-	return out, nil
-}

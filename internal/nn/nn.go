@@ -5,8 +5,7 @@
 // The design favours the needs of federated unlearning research over raw
 // speed: float64 everywhere, deterministic initialization from caller-owned
 // RNGs, and a flat parameter-vector view of every network so that federated
-// aggregation (FedAvg, adaptive weights, SISA shard arithmetic) is plain
-// vector algebra.
+// aggregation (FedAvg, adaptive weights) is plain vector algebra.
 //
 // Layers are not safe for concurrent use: each layer caches its most recent
 // forward activations for the following Backward call. Clone a network per

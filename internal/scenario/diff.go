@@ -38,7 +38,6 @@ type MetricDelta struct {
 type CellDelta struct {
 	Strategy      string       `json:"strategy"`
 	Seed          int64        `json:"seed"`
-	Shards        int          `json:"shards"`
 	Attack        string       `json:"attack,omitempty"`
 	Accuracy      *MetricDelta `json:"accuracy,omitempty"`
 	ASR           *MetricDelta `json:"attack_success_rate,omitempty"`
@@ -54,13 +53,12 @@ const (
 	MetricMembershipGap = "membership_gap"
 )
 
-// MetricTest is one (strategy, τ, attack, metric) significance test across
+// MetricTest is one (strategy, attack, metric) significance test across
 // the seed axis: the old report's per-seed values against the new report's,
 // compared with Welch's t-test (paper Tables VII–IX machinery from
 // internal/stats).
 type MetricTest struct {
 	Strategy string  `json:"strategy"`
-	Shards   int     `json:"shards"`
 	Attack   string  `json:"attack,omitempty"`
 	Metric   string  `json:"metric"`
 	N        int     `json:"n"` // matched seeds per side
@@ -88,7 +86,7 @@ type DiffReport struct {
 	// Cells are per-cell metric deltas over the matrix intersection, in the
 	// new report's matrix order.
 	Cells []CellDelta `json:"cells"`
-	// Tests are the per-(strategy, τ, attack, metric) significance tests.
+	// Tests are the per-(strategy, attack, metric) significance tests.
 	Tests []MetricTest `json:"tests"`
 	// NewlyFailing lists cells that succeeded in the old report but carry an
 	// error in the new one — always treated as a regression.
@@ -120,9 +118,9 @@ func (d *DiffReport) HasRegressions() bool {
 
 // Diff compares two scenario reports cell-by-cell: per-cell accuracy, attack
 // success rate and membership-gap deltas over the matrix intersection, plus
-// per-(strategy, τ, attack, metric) Welch t-tests across the seed axis so a
+// per-(strategy, attack, metric) Welch t-tests across the seed axis so a
 // committed baseline report can gate CI on unlearning-efficacy regressions.
-// Cells are matched by (strategy, seed, τ, attack); the specs need not be identical
+// Cells are matched by (strategy, seed, attack); the specs need not be identical
 // (axes may have grown since the baseline), but the intersection must be
 // non-empty. Diffing a report against itself yields all-zero deltas and no
 // regressions.
@@ -142,20 +140,20 @@ func Diff(oldR, newR *Report, opts DiffOptions) (*DiffReport, error) {
 	oldRows := make(map[cellKey]*CellResult, len(oldR.Cells))
 	for i := range oldR.Cells {
 		row := &oldR.Cells[i]
-		oldRows[cellKey{row.Strategy, row.Seed, row.Shards, row.Attack}] = row
+		oldRows[cellKey{row.Strategy, row.Seed, row.Attack}] = row
 	}
 	d := &DiffReport{Name: newR.Name, Alpha: opts.Alpha, MinDelta: opts.MinDelta}
 	matched := map[cellKey]bool{}
 	for i := range newR.Cells {
 		nr := &newR.Cells[i]
-		k := cellKey{nr.Strategy, nr.Seed, nr.Shards, nr.Attack}
+		k := cellKey{nr.Strategy, nr.Seed, nr.Attack}
 		or, ok := oldRows[k]
 		if !ok {
 			d.OnlyInNew = append(d.OnlyInNew, k.String())
 			continue
 		}
 		matched[k] = true
-		cd := CellDelta{Strategy: nr.Strategy, Seed: nr.Seed, Shards: nr.Shards, Attack: nr.Attack,
+		cd := CellDelta{Strategy: nr.Strategy, Seed: nr.Seed, Attack: nr.Attack,
 			OldError: or.Error, NewError: nr.Error}
 		if or.Error == "" && nr.Error == "" {
 			cd.Accuracy = delta(or.Accuracy, nr.Accuracy)
@@ -167,7 +165,7 @@ func Diff(oldR, newR *Report, opts DiffOptions) (*DiffReport, error) {
 		d.Cells = append(d.Cells, cd)
 	}
 	for _, c := range oldR.Spec.Cells() {
-		k := cellKey{c.Strategy, c.Seed, c.Shards, c.Attack}
+		k := cellKey{c.Strategy, c.Seed, c.Attack}
 		if _, ok := oldRows[k]; ok && !matched[k] {
 			d.OnlyInOld = append(d.OnlyInOld, k.String())
 		}
@@ -176,12 +174,11 @@ func Diff(oldR, newR *Report, opts DiffOptions) (*DiffReport, error) {
 		return nil, fmt.Errorf("scenario: the reports share no matrix cells")
 	}
 
-	// Group the matched, error-free cells by (strategy, τ, attack) — the
+	// Group the matched, error-free cells by (strategy, attack) — the
 	// seed axis supplies the samples — in the new report's deterministic
 	// axis order.
 	type group struct {
 		strategy string
-		shards   int
 		attack   string
 	}
 	samples := map[group]map[string][2][]float64{}
@@ -189,7 +186,7 @@ func Diff(oldR, newR *Report, opts DiffOptions) (*DiffReport, error) {
 		if cd.Accuracy == nil {
 			continue // errored on a side, or metrics unavailable
 		}
-		g := group{cd.Strategy, cd.Shards, cd.Attack}
+		g := group{cd.Strategy, cd.Attack}
 		if samples[g] == nil {
 			samples[g] = map[string][2][]float64{}
 		}
@@ -210,16 +207,14 @@ func Diff(oldR, newR *Report, opts DiffOptions) (*DiffReport, error) {
 		}
 	}
 	for _, strat := range newR.Spec.Strategies {
-		for _, sh := range newR.Spec.ShardList() {
-			for _, atk := range newR.Spec.AttackList() {
-				g := group{strat, sh, atk}
-				for _, metric := range []string{MetricAccuracy, MetricASR, MetricMembershipGap} {
-					s, ok := samples[g][metric]
-					if !ok || len(s[0]) == 0 {
-						continue
-					}
-					d.Tests = append(d.Tests, newMetricTest(g.strategy, g.shards, g.attack, metric, s[0], s[1], opts))
+		for _, atk := range newR.Spec.AttackList() {
+			g := group{strat, atk}
+			for _, metric := range []string{MetricAccuracy, MetricASR, MetricMembershipGap} {
+				s, ok := samples[g][metric]
+				if !ok || len(s[0]) == 0 {
+					continue
 				}
+				d.Tests = append(d.Tests, newMetricTest(g.strategy, g.attack, metric, s[0], s[1], opts))
 			}
 		}
 	}
@@ -240,9 +235,9 @@ func deltaOpt(o, n *float64) *MetricDelta {
 // newMetricTest runs one group's significance test. With ≥2 seeds per side
 // it is a Welch t-test; with one seed no test is possible and only an
 // explicit MinDelta floor can flag the shift.
-func newMetricTest(strategy string, shards int, attack, metric string, olds, news []float64, opts DiffOptions) MetricTest {
+func newMetricTest(strategy, attack, metric string, olds, news []float64, opts DiffOptions) MetricTest {
 	t := MetricTest{
-		Strategy: strategy, Shards: shards, Attack: attack, Metric: metric,
+		Strategy: strategy, Attack: attack, Metric: metric,
 		N:       len(olds),
 		MeanOld: stats.Mean(olds), MeanNew: stats.Mean(news),
 	}
@@ -295,7 +290,7 @@ func (d *DiffReport) RenderText(w io.Writer) {
 		fmt.Fprintf(w, ", min Δ=%g", d.MinDelta)
 	}
 	fmt.Fprintf(w, ", %d cells compared) ===\n", len(d.Cells))
-	cols := []string{"strategy", "tau", "attack", "metric", "n", "old", "new", "delta", "p", "flag"}
+	cols := []string{"strategy", "attack", "metric", "n", "old", "new", "delta", "p", "flag"}
 	rows := make([][]string, 0, len(d.Tests))
 	for _, t := range d.Tests {
 		p := "-"
@@ -315,7 +310,6 @@ func (d *DiffReport) RenderText(w io.Writer) {
 		}
 		rows = append(rows, []string{
 			t.Strategy,
-			fmt.Sprintf("%d", t.Shards),
 			atk,
 			t.Metric,
 			fmt.Sprintf("%d", t.N),

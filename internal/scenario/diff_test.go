@@ -233,7 +233,7 @@ func TestDiffRecordsFailuresAndAxisChanges(t *testing.T) {
 }
 
 // TestDiffAttackAxisAndNilASR: cells are matched per attack type, the
-// significance tests group by (strategy, τ, attack), ASR resurfacing on one
+// significance tests group by (strategy, attack), ASR resurfacing on one
 // probe style is attributed to that style alone, and a side with a nil ASR
 // (the probe was unavailable) degrades to a nil delta instead of a panic.
 func TestDiffAttackAxisAndNilASR(t *testing.T) {

@@ -32,8 +32,8 @@ func TestExampleSpecsParseAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 9 {
-		t.Fatalf("expected at least 9 example specs, found %d: %v", len(paths), paths)
+	if len(paths) < 8 {
+		t.Fatalf("expected at least 8 example specs, found %d: %v", len(paths), paths)
 	}
 	seen := map[string]bool{}
 	for _, path := range paths {

@@ -16,7 +16,7 @@ func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// Valid specs across the feature surface.
 		`{"dataset":"mnist","strategies":["goldfish"]}`,
-		`{"name":"s","dataset":"mnist","scale":"tiny","strategies":["goldfish","retrain"],"seeds":[1,2],"shards":[1,4]}`,
+		`{"name":"s","dataset":"mnist","scale":"tiny","strategies":["goldfish","retrain"],"seeds":[1,2]}`,
 		`{"dataset":"cifar10","strategies":["goldfish"],"repetitions":3,"partition":{"type":"dirichlet","alpha":0.5}}`,
 		`{"dataset":"mnist","strategies":["goldfish"],"attack":{"type":"backdoor","client":0,"fraction":0.3,"target_label":0}}`,
 		`{"dataset":"mnist","strategies":["goldfish"],"attack":{"types":["backdoor","label-flip","targeted-class"],"fraction":0.3,"target_label":0,"source_class":1,"strength":0.6}}`,
@@ -31,6 +31,7 @@ func FuzzParse(f *testing.F) {
 		`{"dataset":"mnist"`,
 		`{"dataset":"mnist","strategies":["goldfish"]}{"x":1}`,
 		`{"dataset":"mnist","strategies":["goldfish"],"sheds":[1]}`,
+		`{"name":"s","dataset":"mnist","scale":"tiny","strategies":["goldfish","retrain"],"seeds":[1,2],"shards":[1,4]}`,
 		`{"dataset":"mnist","strategies":["goldfish","goldfish"]}`,
 		`{"dataset":"mnist","strategies":["goldfish"],"seeds":[0]}`,
 		`{"dataset":"mnist","strategies":["goldfish"],"attack":{"type":"???"}}`,

@@ -9,9 +9,8 @@ import (
 	"goldfish/internal/obs"
 )
 
-// Cell is one point of the run matrix: a strategy trained at a seed with a
-// local shard count under one attack probe, over the spec's shared
-// dataset/partition/schedule.
+// Cell is one point of the run matrix: a strategy trained at a seed under
+// one attack probe, over the spec's shared dataset/partition/schedule.
 type Cell struct {
 	// Strategy is the unlearner registry name.
 	Strategy string
@@ -20,8 +19,6 @@ type Cell struct {
 	// partitions, which is what makes cross-strategy comparison fair;
 	// poisoning additionally depends on the cell's attack type.
 	Seed int64
-	// Shards is τ, the local SISA shard count.
-	Shards int
 	// Attack is the attack-probe type poisoning the cell's data ("" when
 	// the spec has no attack).
 	Attack string
@@ -30,18 +27,15 @@ type Cell struct {
 }
 
 // Cells expands the spec's run matrix in deterministic order:
-// strategy-major, then seed, then shard count, then attack type.
+// strategy-major, then seed, then attack type.
 func (s Spec) Cells() []Cell {
 	seeds := s.SeedList()
-	shards := s.ShardList()
 	attacks := s.AttackList()
-	out := make([]Cell, 0, len(s.Strategies)*len(seeds)*len(shards)*len(attacks))
+	out := make([]Cell, 0, len(s.Strategies)*len(seeds)*len(attacks))
 	for _, strat := range s.Strategies {
 		for _, seed := range seeds {
-			for _, sh := range shards {
-				for _, atk := range attacks {
-					out = append(out, Cell{Strategy: strat, Seed: seed, Shards: sh, Attack: atk, Index: len(out)})
-				}
+			for _, atk := range attacks {
+				out = append(out, Cell{Strategy: strat, Seed: seed, Attack: atk, Index: len(out)})
 			}
 		}
 	}
@@ -51,7 +45,7 @@ func (s Spec) Cells() []Cell {
 // Outcome is one executed cell: the metrics row for the report plus the
 // final global state vector kept aside for cross-cell model comparison.
 type Outcome struct {
-	// Result is the cell's report row (Strategy/Seed/Shards are filled in
+	// Result is the cell's report row (Strategy/Seed/Attack are filled in
 	// by Execute).
 	Result CellResult
 	// State is the final global model state, nil when the cell failed.
@@ -108,7 +102,7 @@ func ExecuteCells(ctx context.Context, spec Spec, cells []Cell, run Runner) ([]O
 				// only; the outcome rows stay byte-deterministic.
 				sp := ob.StartSpan("scenario/cell",
 					obs.Str("strategy", c.Strategy), obs.I64("seed", c.Seed),
-					obs.Int("shards", c.Shards), obs.Str("attack", c.Attack))
+					obs.Str("attack", c.Attack))
 				t0 := ob.Elapsed()
 				var o Outcome
 				if err := ctx.Err(); err != nil {
@@ -124,7 +118,7 @@ func ExecuteCells(ctx context.Context, spec Spec, cells []Cell, run Runner) ([]O
 				} else {
 					o = res
 				}
-				o.Result.Strategy, o.Result.Seed, o.Result.Shards, o.Result.Attack = c.Strategy, c.Seed, c.Shards, c.Attack
+				o.Result.Strategy, o.Result.Seed, o.Result.Attack = c.Strategy, c.Seed, c.Attack
 				out[i] = o
 				ob.Histogram("scenario.cell_ms", obs.MillisBuckets).Observe(float64((ob.Elapsed() - t0).Microseconds()) / 1e3)
 				ob.Counter("scenario.cells").Inc()

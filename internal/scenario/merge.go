@@ -13,12 +13,11 @@ import (
 type cellKey struct {
 	strategy string
 	seed     int64
-	shards   int
 	attack   string
 }
 
 func (k cellKey) String() string {
-	s := fmt.Sprintf("%s/seed %d/τ=%d", k.strategy, k.seed, k.shards)
+	s := fmt.Sprintf("%s/seed %d", k.strategy, k.seed)
 	if k.attack != "" {
 		s += "/" + k.attack
 	}
@@ -61,7 +60,7 @@ func Merge(reports ...*Report) (*Report, error) {
 	cells := spec.Cells()
 	index := make(map[cellKey]int, len(cells))
 	for _, c := range cells {
-		index[cellKey{c.Strategy, c.Seed, c.Shards, c.Attack}] = c.Index
+		index[cellKey{c.Strategy, c.Seed, c.Attack}] = c.Index
 	}
 	rows := make([]*CellResult, len(cells))
 	source := make([]int, len(cells))
@@ -76,7 +75,7 @@ func Merge(reports ...*Report) (*Report, error) {
 			return nil, fmt.Errorf("scenario: merge input %d was run from a different spec than input 0", ri)
 		}
 		for _, row := range r.Cells {
-			k := cellKey{row.Strategy, row.Seed, row.Shards, row.Attack}
+			k := cellKey{row.Strategy, row.Seed, row.Attack}
 			i, ok := index[k]
 			if !ok {
 				return nil, fmt.Errorf("scenario: merge input %d has cell %s, which is not in the spec's matrix", ri, k)
@@ -102,7 +101,7 @@ func Merge(reports ...*Report) (*Report, error) {
 	var missing []string
 	for i, c := range cells {
 		if rows[i] == nil {
-			missing = append(missing, cellKey{c.Strategy, c.Seed, c.Shards, c.Attack}.String())
+			missing = append(missing, cellKey{c.Strategy, c.Seed, c.Attack}.String())
 		}
 	}
 	if total := len(missing); total > 0 {

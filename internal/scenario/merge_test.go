@@ -13,8 +13,8 @@ import (
 func fakeOutcome(c Cell) Outcome {
 	var o Outcome
 	o.Result.Rounds = 4
-	o.Result.Accuracy = 0.5 + 0.01*float64(c.Seed) + 0.001*float64(c.Shards) + 0.0001*float64(len(c.Attack))
-	o.State = []float64{float64(c.Seed), float64(c.Shards), float64(len(c.Strategy))}
+	o.Result.Accuracy = 0.5 + 0.01*float64(c.Seed) + 0.0001*float64(len(c.Attack))
+	o.State = []float64{float64(c.Seed), float64(len(c.Attack)), float64(len(c.Strategy))}
 	return o
 }
 
@@ -60,7 +60,7 @@ func shardFakeReport(t *testing.T, spec Spec, ref ShardRef) *Report {
 // byte-identical to the single-machine report, with VsRetrain populated
 // inside every partial.
 func TestMergeShardsByteIdentical(t *testing.T) {
-	spec := shardSpec() // 3 strategies × 3 seeds × 2 τ = 18 cells, 6 groups
+	spec := shardSpec() // 3 strategies × 6 seeds = 18 cells, 6 groups
 	want, err := fullFakeReport(t, spec).MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestMergeShardsByteIdentical(t *testing.T) {
 			}
 			for _, row := range p.Cells {
 				if row.Strategy != RetrainReference && row.VsRetrain == nil {
-					t.Errorf("k=%d shard %d: %s/seed %d/τ=%d missing VsRetrain in the partial",
-						k, i, row.Strategy, row.Seed, row.Shards)
+					t.Errorf("k=%d shard %d: %s/seed %d missing VsRetrain in the partial",
+						k, i, row.Strategy, row.Seed)
 				}
 			}
 			parts = append(parts, p)
@@ -213,7 +213,7 @@ func TestMergeRejectsForeignAndNilInputs(t *testing.T) {
 	spec := shardSpec()
 	p1 := shardFakeReport(t, spec, ShardRef{Index: 1, Count: 1})
 	bogus := &Report{Name: spec.Name, Spec: p1.Spec, Cells: []CellResult{
-		{Strategy: "goldfish", Seed: 99, Shards: 1},
+		{Strategy: "goldfish", Seed: 99},
 	}}
 	if _, err := Merge(p1, bogus); err == nil || !strings.Contains(err.Error(), "not in the spec's matrix") {
 		t.Errorf("foreign cell accepted: %v", err)
@@ -378,7 +378,7 @@ func TestParseReportMigratesLegacyAttackRows(t *testing.T) {
     "seeds": [1]
   },
   "cells": [
-    {"strategy": "goldfish", "seed": 1, "shards": 1, "rounds": 2, "removed_rows": 0, "accuracy": 0.5}
+    {"strategy": "goldfish", "seed": 1, "rounds": 2, "removed_rows": 0, "accuracy": 0.5}
   ]
 }`)
 	r, err := ParseReport(legacy)

@@ -44,11 +44,11 @@ func renderTable(w io.Writer, cols []string, rows [][]string) {
 // RetrainReference is the strategy name used as the comparison reference for
 // model-similarity metrics: when a spec's strategy axis includes it, every
 // other strategy's cell is compared against the retrain cell of the same
-// seed, shard count and attack type.
+// seed and attack type.
 const RetrainReference = "retrain"
 
 // Comparison holds model-similarity statistics of a cell's final model
-// against the retrain reference of the same seed and shard count (paper
+// against the retrain reference of the same seed and attack type (paper
 // Tables VII–IX).
 type Comparison struct {
 	// JSD is the mean per-sample Jensen–Shannon divergence.
@@ -65,7 +65,6 @@ type Comparison struct {
 type CellResult struct {
 	Strategy string `json:"strategy"`
 	Seed     int64  `json:"seed"`
-	Shards   int    `json:"shards"`
 	// Attack is the cell's attack-probe type (omitted without an attack).
 	Attack string `json:"attack,omitempty"`
 	// Rounds is the number of federation rounds the cell ran.
@@ -87,7 +86,7 @@ type CellResult struct {
 	// set (nil when nothing was deleted).
 	MembershipGap *float64 `json:"membership_gap,omitempty"`
 	// VsRetrain compares the cell's final model against the retrain
-	// reference cell of the same seed, shard count and attack type.
+	// reference cell of the same seed and attack type.
 	VsRetrain *Comparison `json:"vs_retrain,omitempty"`
 	// Error records a failed cell; all metric fields are zero then.
 	Error string `json:"error,omitempty"`
@@ -113,8 +112,7 @@ type Report struct {
 }
 
 // CompareFunc compares a cell's final state against the retrain reference
-// state of the same seed, shard count and attack type, over the cell's probe
-// data.
+// state of the same seed and attack type, over the cell's probe data.
 type CompareFunc func(cell Cell, state, ref []float64) (*Comparison, error)
 
 // Assemble builds the report from executed outcomes: it fills the VsRetrain
@@ -156,19 +154,18 @@ func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, 
 			hasRef = true
 		}
 	}
-	// Index retrain outcomes by (seed, shards, attack), positions within the
+	// Index retrain outcomes by (seed, attack), positions within the
 	// subset: cells of different attack types train on differently poisoned
 	// data, so each attack plane carries its own retrain reference.
 	type key struct {
 		seed   int64
-		shards int
 		attack string
 	}
 	refs := map[key]int{}
 	if hasRef {
 		for i, c := range cells {
 			if c.Strategy == RetrainReference {
-				refs[key{c.Seed, c.Shards, c.Attack}] = i
+				refs[key{c.Seed, c.Attack}] = i
 			}
 		}
 	}
@@ -182,9 +179,9 @@ func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, 
 		}
 		row := o.Result
 		// Label the row from the matrix itself; outcomes are positional.
-		row.Strategy, row.Seed, row.Shards, row.Attack = c.Strategy, c.Seed, c.Shards, c.Attack
+		row.Strategy, row.Seed, row.Attack = c.Strategy, c.Seed, c.Attack
 		if hasRef && compare != nil && c.Strategy != RetrainReference && row.Error == "" && o.State != nil {
-			if ri, ok := refs[key{c.Seed, c.Shards, c.Attack}]; ok {
+			if ri, ok := refs[key{c.Seed, c.Attack}]; ok {
 				if outcomes[ri].Canceled {
 					// The reference never finished; a completed run would
 					// have compared against it, so this row is unusable.
@@ -235,14 +232,14 @@ func (r *Report) Complete() error {
 	}
 	for i, c := range cells {
 		row := r.Cells[i]
-		if row.Strategy != c.Strategy || row.Seed != c.Seed || row.Shards != c.Shards || row.Attack != c.Attack {
+		if row.Strategy != c.Strategy || row.Seed != c.Seed || row.Attack != c.Attack {
 			return fmt.Errorf("scenario: cell %d is %s, want %s",
-				i, cellKey{row.Strategy, row.Seed, row.Shards, row.Attack},
-				cellKey{c.Strategy, c.Seed, c.Shards, c.Attack})
+				i, cellKey{row.Strategy, row.Seed, row.Attack},
+				cellKey{c.Strategy, c.Seed, c.Attack})
 		}
 		if row.Error != "" {
 			return fmt.Errorf("scenario: cell %s failed: %s",
-				cellKey{row.Strategy, row.Seed, row.Shards, row.Attack}, row.Error)
+				cellKey{row.Strategy, row.Seed, row.Attack}, row.Error)
 		}
 	}
 	return nil
@@ -306,11 +303,11 @@ func ParseReport(b []byte) (*Report, error) {
 	}
 	matrix := map[cellKey]bool{}
 	for _, c := range r.Spec.Cells() {
-		matrix[cellKey{c.Strategy, c.Seed, c.Shards, c.Attack}] = true
+		matrix[cellKey{c.Strategy, c.Seed, c.Attack}] = true
 	}
 	seen := map[cellKey]bool{}
 	for _, row := range r.Cells {
-		k := cellKey{row.Strategy, row.Seed, row.Shards, row.Attack}
+		k := cellKey{row.Strategy, row.Seed, row.Attack}
 		if !matrix[k] {
 			return nil, fmt.Errorf("scenario: report cell %s is not in the spec's matrix", k)
 		}
@@ -345,7 +342,7 @@ func (r *Report) RenderText(w io.Writer) {
 		note += ", INCOMPLETE"
 	}
 	fmt.Fprintf(w, "=== scenario %s — %s (%d cells%s) ===\n", r.Name, r.Spec.Dataset, len(r.Cells), note)
-	cols := []string{"strategy", "seed", "tau", "attack", "rounds", "removed", "pre-acc", "acc", "pre-asr", "asr", "memgap", "jsd-vs-retrain", "error"}
+	cols := []string{"strategy", "seed", "attack", "rounds", "removed", "pre-acc", "acc", "pre-asr", "asr", "memgap", "jsd-vs-retrain", "error"}
 	rows := make([][]string, 0, len(r.Cells))
 	opt := func(v *float64) string {
 		if v == nil {
@@ -369,7 +366,6 @@ func (r *Report) RenderText(w io.Writer) {
 		rows = append(rows, []string{
 			c.Strategy,
 			fmt.Sprintf("%d", c.Seed),
-			fmt.Sprintf("%d", c.Shards),
 			atk,
 			fmt.Sprintf("%d", c.Rounds),
 			removed,

@@ -42,8 +42,6 @@ func TestSpecValidate(t *testing.T) {
 		{"neg reps", func(s *Spec) { s.Seeds = nil; s.Repetitions = -1 }},
 		{"huge reps", func(s *Spec) { s.Seeds = nil; s.Repetitions = 1 << 62 }},
 		{"huge matrix", func(s *Spec) { s.Seeds = nil; s.Repetitions = MaxCells }},
-		{"zero shard", func(s *Spec) { s.Shards = []int{0} }},
-		{"dup shard", func(s *Spec) { s.Shards = []int{2, 2} }},
 		{"neg clients", func(s *Spec) { s.Clients = -1 }},
 		{"neg rounds", func(s *Spec) { s.Rounds = -1 }},
 		{"neg workers", func(s *Spec) { s.Workers = -1 }},
@@ -128,9 +126,6 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if got := s.SeedList(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("default SeedList = %v, want [1]", got)
 	}
-	if got := s.ShardList(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("default ShardList = %v, want [1]", got)
-	}
 }
 
 func TestSeedListRepetitions(t *testing.T) {
@@ -140,16 +135,22 @@ func TestSeedListRepetitions(t *testing.T) {
 	}
 }
 
+// TestCellsOrderAndIndex: every axis keeps the spec's listed order (not a
+// sorted one), strategy-major, then seed, then attack type.
 func TestCellsOrderAndIndex(t *testing.T) {
 	s := validSpec()
-	s.Shards = []int{1, 4}
+	s.Strategies = []string{"retrain", "goldfish"}
+	s.Seeds = []int64{5, 2}
+	s.Attack = &AttackSpec{Types: []string{"label-flip", "backdoor"}, Fraction: 0.2, TargetLabel: 0}
 	cells := s.Cells()
 	if len(cells) != 2*2*2 {
 		t.Fatalf("len(cells) = %d, want 8", len(cells))
 	}
 	want := []Cell{
-		{"goldfish", 1, 1, "", 0}, {"goldfish", 1, 4, "", 1}, {"goldfish", 2, 1, "", 2}, {"goldfish", 2, 4, "", 3},
-		{"retrain", 1, 1, "", 4}, {"retrain", 1, 4, "", 5}, {"retrain", 2, 1, "", 6}, {"retrain", 2, 4, "", 7},
+		{"retrain", 5, "label-flip", 0}, {"retrain", 5, "backdoor", 1},
+		{"retrain", 2, "label-flip", 2}, {"retrain", 2, "backdoor", 3},
+		{"goldfish", 5, "label-flip", 4}, {"goldfish", 5, "backdoor", 5},
+		{"goldfish", 2, "label-flip", 6}, {"goldfish", 2, "backdoor", 7},
 	}
 	for i, c := range cells {
 		if c != want[i] {
@@ -164,14 +165,14 @@ func TestCellsAttackAxis(t *testing.T) {
 	s := validSpec()
 	s.Attack = &AttackSpec{Types: []string{"backdoor", "label-flip"}, Fraction: 0.2, TargetLabel: 0}
 	cells := s.Cells()
-	if len(cells) != 2*2*1*2 {
+	if len(cells) != 2*2*2 {
 		t.Fatalf("len(cells) = %d, want 8", len(cells))
 	}
 	want := []Cell{
-		{"goldfish", 1, 1, "backdoor", 0}, {"goldfish", 1, 1, "label-flip", 1},
-		{"goldfish", 2, 1, "backdoor", 2}, {"goldfish", 2, 1, "label-flip", 3},
-		{"retrain", 1, 1, "backdoor", 4}, {"retrain", 1, 1, "label-flip", 5},
-		{"retrain", 2, 1, "backdoor", 6}, {"retrain", 2, 1, "label-flip", 7},
+		{"goldfish", 1, "backdoor", 0}, {"goldfish", 1, "label-flip", 1},
+		{"goldfish", 2, "backdoor", 2}, {"goldfish", 2, "label-flip", 3},
+		{"retrain", 1, "backdoor", 4}, {"retrain", 1, "label-flip", 5},
+		{"retrain", 2, "backdoor", 6}, {"retrain", 2, "label-flip", 7},
 	}
 	for i, c := range cells {
 		if c != want[i] {
@@ -213,9 +214,9 @@ func TestExecuteRunsAllCellsBounded(t *testing.T) {
 	}
 	for i, c := range s.Cells() {
 		r := outcomes[i].Result
-		if r.Strategy != c.Strategy || r.Seed != c.Seed || r.Shards != c.Shards {
-			t.Errorf("outcome %d labelled %s/%d/%d, want %s/%d/%d",
-				i, r.Strategy, r.Seed, r.Shards, c.Strategy, c.Seed, c.Shards)
+		if r.Strategy != c.Strategy || r.Seed != c.Seed || r.Attack != c.Attack {
+			t.Errorf("outcome %d labelled %s/%d/%q, want %s/%d/%q",
+				i, r.Strategy, r.Seed, r.Attack, c.Strategy, c.Seed, c.Attack)
 		}
 		if r.Accuracy != float64(c.Seed) {
 			t.Errorf("outcome %d accuracy %g, want %g", i, r.Accuracy, float64(c.Seed))

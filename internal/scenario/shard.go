@@ -8,8 +8,7 @@ import (
 
 // ShardRef identifies one machine shard of a distributed matrix run: shard
 // Index of Count, 1-based, written "i/n" on the command line and in partial
-// reports. (This is the distributed-execution shard; the Spec's Shards axis
-// is τ, the per-client SISA shard count — an unrelated knob.)
+// reports.
 type ShardRef struct {
 	Index int
 	Count int
@@ -61,9 +60,9 @@ func (r ShardRef) String() string {
 // ShardCells returns the deterministic subset of the spec's matrix assigned
 // to the given machine shard, in Cells() order with original matrix indices.
 //
-// The unit of assignment is the (seed, τ, attack) group — every strategy's
-// cell for one seed, SISA shard count and attack probe — handed round-robin
-// to shards in seed-major, τ-middle, attack-minor order. Grouping this way
+// The unit of assignment is the (seed, attack) group — every strategy's
+// cell for one seed and attack probe — handed round-robin to shards in
+// seed-major, attack-minor order. Grouping this way
 // co-locates each "retrain" reference cell with all the cells that compare
 // against it, so VsRetrain stays computable inside a single shard and a
 // merged report is byte-identical to an unsharded run. A zero ref selects
@@ -76,15 +75,10 @@ func (s Spec) ShardCells(ref ShardRef) ([]Cell, error) {
 	if err := ref.Validate(); err != nil {
 		return nil, err
 	}
-	shards := s.ShardList()
 	attacks := s.AttackList()
 	seedPos := make(map[int64]int, len(s.SeedList()))
 	for i, seed := range s.SeedList() {
 		seedPos[seed] = i
-	}
-	shardPos := make(map[int]int, len(shards))
-	for i, sh := range shards {
-		shardPos[sh] = i
 	}
 	attackPos := make(map[string]int, len(attacks))
 	for i, a := range attacks {
@@ -92,7 +86,7 @@ func (s Spec) ShardCells(ref ShardRef) ([]Cell, error) {
 	}
 	var out []Cell
 	for _, c := range cells {
-		group := (seedPos[c.Seed]*len(shards)+shardPos[c.Shards])*len(attacks) + attackPos[c.Attack]
+		group := seedPos[c.Seed]*len(attacks) + attackPos[c.Attack]
 		if group%ref.Count == ref.Index-1 {
 			out = append(out, c)
 		}

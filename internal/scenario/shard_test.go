@@ -45,8 +45,7 @@ func shardSpec() Spec {
 		Scale:      "tiny",
 		Rounds:     4,
 		Strategies: []string{"goldfish", "fisher", "retrain"},
-		Seeds:      []int64{1, 2, 5},
-		Shards:     []int{1, 2},
+		Seeds:      []int64{1, 2, 5, 6, 8, 9},
 	}
 }
 
@@ -85,7 +84,7 @@ func TestShardCellsPartition(t *testing.T) {
 
 // TestShardCellsColocatesRetrain checks the constraint that makes VsRetrain
 // computable per shard: every shard containing a non-reference cell also
-// contains the retrain cell of the same (seed, τ).
+// contains the retrain cell of the same seed.
 func TestShardCellsColocatesRetrain(t *testing.T) {
 	spec := shardSpec()
 	for n := 1; n <= 7; n++ {
@@ -94,20 +93,16 @@ func TestShardCellsColocatesRetrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			type key struct {
-				seed   int64
-				shards int
-			}
-			refs := map[key]bool{}
+			refs := map[int64]bool{}
 			for _, c := range cells {
 				if c.Strategy == RetrainReference {
-					refs[key{c.Seed, c.Shards}] = true
+					refs[c.Seed] = true
 				}
 			}
 			for _, c := range cells {
-				if c.Strategy != RetrainReference && !refs[key{c.Seed, c.Shards}] {
-					t.Errorf("shard %d/%d has %s/seed %d/τ=%d without its retrain reference",
-						i, n, c.Strategy, c.Seed, c.Shards)
+				if c.Strategy != RetrainReference && !refs[c.Seed] {
+					t.Errorf("shard %d/%d has %s/seed %d without its retrain reference",
+						i, n, c.Strategy, c.Seed)
 				}
 			}
 		}
@@ -117,7 +112,7 @@ func TestShardCellsColocatesRetrain(t *testing.T) {
 // TestShardCellsAttackAxis extends both sharding properties to the attack
 // dimension: with an attack axis the shards still partition the matrix
 // exactly, and every shard keeps the retrain reference of each
-// (seed, τ, attack) group co-located with its comparands — references of one
+// (seed, attack) group co-located with its comparands — references of one
 // attack plane must not be used for another, since the planes train on
 // differently poisoned data.
 func TestShardCellsAttackAxis(t *testing.T) {
@@ -126,7 +121,7 @@ func TestShardCellsAttackAxis(t *testing.T) {
 		Types: []string{"backdoor", "label-flip", "targeted-class"}, Fraction: 0.3, TargetLabel: 0, SourceClass: 1,
 	}
 	all := spec.Cells()
-	if len(all) != 3*3*2*3 {
+	if len(all) != 3*6*3 {
 		t.Fatalf("matrix has %d cells, want 54", len(all))
 	}
 	for n := 1; n <= 8; n++ {
@@ -138,7 +133,6 @@ func TestShardCellsAttackAxis(t *testing.T) {
 			}
 			type key struct {
 				seed   int64
-				shards int
 				attack string
 			}
 			refs := map[key]bool{}
@@ -148,13 +142,13 @@ func TestShardCellsAttackAxis(t *testing.T) {
 				}
 				seen[c.Index]++
 				if c.Strategy == RetrainReference {
-					refs[key{c.Seed, c.Shards, c.Attack}] = true
+					refs[key{c.Seed, c.Attack}] = true
 				}
 			}
 			for _, c := range cells {
-				if c.Strategy != RetrainReference && !refs[key{c.Seed, c.Shards, c.Attack}] {
-					t.Errorf("shard %d/%d has %s/seed %d/τ=%d/%s without its retrain reference",
-						i, n, c.Strategy, c.Seed, c.Shards, c.Attack)
+				if c.Strategy != RetrainReference && !refs[key{c.Seed, c.Attack}] {
+					t.Errorf("shard %d/%d has %s/seed %d/%s without its retrain reference",
+						i, n, c.Strategy, c.Seed, c.Attack)
 				}
 			}
 		}

@@ -2,7 +2,7 @@
 // JSON Spec describes the dataset, client partitioning, optional attack
 // injection (one or several attack-probe styles from internal/attack), a
 // deletion schedule (sample-, class- or client-level requests at given
-// rounds) and the strategy × seed × shard × attack axes of a run matrix.
+// rounds) and the strategy × seed × attack axes of a run matrix.
 // Expanding a Spec yields Cells; Execute runs them concurrently on a bounded
 // worker pool via a caller-supplied Runner (the public goldfish.RunScenario
 // builds cells on goldfish.New); the assembled Report is deterministic for a
@@ -59,9 +59,9 @@ type PartitionSpec struct {
 type AttackSpec struct {
 	// Type selects a single attack type (attack registry name).
 	Type string `json:"type,omitempty"`
-	// Types is the attack matrix axis: every cell of the strategy × seed ×
-	// shard matrix is repeated once per listed attack type. Mutually
-	// exclusive with Type.
+	// Types is the attack matrix axis: every cell of the strategy × seed
+	// matrix is repeated once per listed attack type. Mutually exclusive
+	// with Type.
 	Types []string `json:"types,omitempty"`
 	// Client is the partition index to poison.
 	Client int `json:"client"`
@@ -153,8 +153,6 @@ type Spec struct {
 	Seeds []int64 `json:"seeds,omitempty"`
 	// Repetitions generates seeds 1..N when Seeds is empty.
 	Repetitions int `json:"repetitions,omitempty"`
-	// Shards is the τ axis of local SISA sharding; empty selects [1].
-	Shards []int `json:"shards,omitempty"`
 	// Workers bounds concurrent cell execution (default GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
@@ -205,14 +203,6 @@ func (s Spec) SeedList() []int64 {
 		out[i] = int64(i + 1)
 	}
 	return out
-}
-
-// ShardList resolves the τ axis (default [1]).
-func (s Spec) ShardList() []int {
-	if len(s.Shards) > 0 {
-		return s.Shards
-	}
-	return []int{1}
 }
 
 // AttackList resolves the attack-type axis: [""] without an attack (the
@@ -269,16 +259,6 @@ func (s Spec) Validate() error {
 	}
 	if len(s.Seeds) > 0 && s.Repetitions > 0 {
 		return fmt.Errorf("scenario: seeds and repetitions are mutually exclusive")
-	}
-	seenShards := map[int]bool{}
-	for _, sh := range s.Shards {
-		if sh <= 0 {
-			return fmt.Errorf("scenario: shard count %d must be positive", sh)
-		}
-		if seenShards[sh] {
-			return fmt.Errorf("scenario: duplicate shard count %d", sh)
-		}
-		seenShards[sh] = true
 	}
 	if s.Clients < 0 {
 		return fmt.Errorf("scenario: negative client count %d", s.Clients)
@@ -339,7 +319,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	cellN := int64(1)
-	for _, axis := range []int{len(s.Strategies), seedN, len(s.ShardList()), len(s.AttackList())} {
+	for _, axis := range []int{len(s.Strategies), seedN, len(s.AttackList())} {
 		// Bounding every factor keeps the running product ≤ MaxCells² and
 		// therefore free of int64 overflow.
 		if int64(axis) > MaxCells {

@@ -23,7 +23,7 @@ import (
 // Env is the federation setup a Strategy builds its trainers from.
 type Env struct {
 	// Client is the configuration shared by all clients (model, loss,
-	// optimizer, epochs, batch size, sharding, seed).
+	// optimizer, epochs, batch size, seed).
 	Client core.Config
 	// Parts are the per-client local datasets.
 	Parts []*data.Dataset
@@ -52,8 +52,7 @@ type Strategy interface {
 }
 
 // ClientAccessor is implemented by strategies whose participants are
-// Goldfish clients and can be inspected (shard managers, active row
-// counts).
+// Goldfish clients and can be inspected (active row counts).
 type ClientAccessor interface {
 	// Client returns participant i, or nil when i is out of range.
 	Client(i int) *core.Client

@@ -1,7 +1,8 @@
 // The paper's evaluation (§IV) at test scale. Artifacts a scenario spec can
 // express are committed specs, run by TestPaperSpecs; the rest vary a setting
 // no spec field holds and are one TestPaper* each, built on goldfish.New
-// alone. README "Examples and experiments" maps all eighteen. Each test logs
+// alone. README "Examples and experiments" maps all eighteen, and says why
+// Figs. 6–7 are not reproduced. Each test logs
 // its table (go test -run '^TestPaper' -v .); at test scale the numbers only
 // show that the pipeline runs: raise paperScale and paperRounds for shapes.
 package goldfish_test
@@ -118,8 +119,8 @@ func curveTable(t *testing.T, title string, want int, cols []string, curves [][]
 }
 
 // TestPaperSpecs runs every paper spec at one seed, paperScale and
-// paperRounds. Tables III–VI, Fig. 5 (origin is the pre-deletion columns)
-// and Figs. 6–7 (accuracy per τ) are the rates; Tables VII–IX, vs_retrain.
+// paperRounds. Tables III–VI and Fig. 5 (origin is the pre-deletion
+// columns) are the rates; Tables VII–IX, vs_retrain.
 func TestPaperSpecs(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "scenarios", "paper", "*.json"))
 	must(t, err)

@@ -15,15 +15,14 @@ import (
 // (internal/scenario): a ScenarioSpec describes a config-driven unlearning
 // experiment matrix — dataset, partitioner, optional attack injection (one
 // or several probe styles from the attack registry), a deletion schedule,
-// and the strategy × seed × shard × attack axes — and a ScenarioReport is
+// and the strategy × seed × attack axes — and a ScenarioReport is
 // its deterministic structured outcome.
 type (
 	// ScenarioSpec is a declarative unlearning experiment matrix.
 	ScenarioSpec = scenario.Spec
 	// ScenarioReport is the structured, deterministic outcome of RunScenario.
 	ScenarioReport = scenario.Report
-	// ScenarioCell identifies one matrix point (strategy × seed × shards ×
-	// attack).
+	// ScenarioCell identifies one matrix point (strategy × seed × attack).
 	ScenarioCell = scenario.Cell
 	// ScenarioDiff is the cell-by-cell comparison of two scenario reports.
 	ScenarioDiff = scenario.DiffReport
@@ -60,7 +59,7 @@ func MergeScenarioReports(reports ...*ScenarioReport) (*ScenarioReport, error) {
 
 // DiffScenarioReports compares two reports cell-by-cell: accuracy, attack
 // success rate and membership-gap deltas over the matrix intersection, plus
-// per-(strategy, τ, attack, metric) Welch t-tests across the seed axis. A committed
+// per-(strategy, attack, metric) Welch t-tests across the seed axis. A committed
 // baseline report can thereby gate CI: ScenarioDiff.HasRegressions reports
 // any statistically significant worsening or newly failing cell, and a
 // report diffed against itself never regresses.
@@ -70,9 +69,9 @@ func DiffScenarioReports(oldR, newR *ScenarioReport, opts ScenarioDiffOptions) (
 
 // ValidateScenario validates a spec beyond ScenarioSpec.Validate: it also
 // resolves the preset, so a deletion schedule reaching past a preset-derived
-// round budget, or an attack or schedule naming a client the federation
-// will not have, is rejected up front instead of silently never executing
-// (or failing every cell at run time).
+// round budget, or an attack or schedule naming a client or class the
+// federation will not have, is rejected up front instead of silently never
+// executing (or failing every cell at run time).
 func ValidateScenario(spec ScenarioSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -90,8 +89,19 @@ func ValidateScenario(spec ScenarioSpec) error {
 	if spec.Clients > 0 {
 		clients = spec.Clients
 	}
-	if a := spec.Attack; a != nil && a.Client >= clients {
-		return fmt.Errorf("goldfish: attack client %d out of range [0,%d)", a.Client, clients)
+	classes := p.Spec.Classes
+	if a := spec.Attack; a != nil {
+		if a.Client >= clients {
+			return fmt.Errorf("goldfish: attack client %d out of range [0,%d)", a.Client, clients)
+		}
+		if a.TargetLabel >= classes {
+			return fmt.Errorf("goldfish: attack target label %d out of range [0,%d)", a.TargetLabel, classes)
+		}
+		for _, typ := range a.TypeList() {
+			if typ == "targeted-class" && a.SourceClass >= classes {
+				return fmt.Errorf("goldfish: attack source class %d out of range [0,%d)", a.SourceClass, classes)
+			}
+		}
 	}
 	for i, d := range spec.Schedule {
 		if d.Round > rounds {
@@ -99,6 +109,9 @@ func ValidateScenario(spec ScenarioSpec) error {
 				i, d.Round, rounds)
 		}
 		if d.Type == scenario.DeleteClass {
+			if d.Class >= classes {
+				return fmt.Errorf("goldfish: schedule[%d]: class %d out of range [0,%d)", i, d.Class, classes)
+			}
 			continue
 		}
 		if d.Client >= clients {
@@ -112,7 +125,7 @@ func ValidateScenario(spec ScenarioSpec) error {
 	return nil
 }
 
-// RunScenario executes the spec's full strategy × seed × shard × attack
+// RunScenario executes the spec's full strategy × seed × attack
 // matrix concurrently on a bounded worker pool. Every cell runs end to end
 // through goldfish.New and the registered unlearner strategies: generate the
 // preset's data at the cell seed, partition it, optionally inject the cell's
@@ -121,7 +134,7 @@ func ValidateScenario(spec ScenarioSpec) error {
 // requests applied at their rounds, and evaluate the final model (accuracy,
 // the attack type's own success-rate probe, membership gap, and model
 // divergence plus confidence t-test against the "retrain" reference cell of
-// the same seed, shard count and attack type when the strategy axis
+// the same seed and attack type when the strategy axis
 // includes it).
 //
 // Cells sharing a seed see identical data and partitions (poisoning
@@ -265,12 +278,9 @@ func runScenarioCell(ctx context.Context, spec ScenarioSpec, cell ScenarioCell) 
 			return out, fmt.Errorf("goldfish: schedule round %d beyond budget %d", d.Round, s.rounds)
 		}
 	}
-	cfg := s.preset.ClientConfig()
-	cfg.Shards = cell.Shards
 	e, err := New(
 		WithPreset(s.preset),
 		WithPartitions(s.parts),
-		WithClientConfig(cfg),
 		WithUnlearner(cell.Strategy),
 		WithSeed(cell.Seed),
 	)

@@ -178,6 +178,44 @@ func TestValidateScenarioChecksClientIndices(t *testing.T) {
 	}
 }
 
+// TestValidateScenarioChecksClasses: a class deletion, attack target label
+// or targeted-class source class outside the preset's classes (mnist: 10)
+// is rejected up front instead of failing every cell at run time, and the
+// last in-range class passes.
+func TestValidateScenarioChecksClasses(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*ScenarioSpec)
+		want   string // "" means valid
+	}{
+		{"last class", func(s *ScenarioSpec) {
+			s.Schedule = append(s.Schedule, scenario.DeletionSpec{Round: 3, Type: scenario.DeleteClass, Class: 9})
+			s.Attack.TargetLabel = 9
+		}, ""},
+		{"class deletion", func(s *ScenarioSpec) {
+			s.Schedule = append(s.Schedule, scenario.DeletionSpec{Round: 3, Type: scenario.DeleteClass, Class: 10})
+		}, "schedule[1]: class 10 out of range [0,10)"},
+		{"target label", func(s *ScenarioSpec) { s.Attack.TargetLabel = 10 }, "attack target label 10 out of range [0,10)"},
+		{"label-flip target label", func(s *ScenarioSpec) {
+			s.Attack = &scenario.AttackSpec{Type: "label-flip", Fraction: 0.3, TargetLabel: 12}
+		}, "attack target label 12 out of range [0,10)"},
+		{"source class", func(s *ScenarioSpec) {
+			s.Attack = &scenario.AttackSpec{Types: []string{"backdoor", "targeted-class"}, Fraction: 0.3, TargetLabel: 0, SourceClass: 10}
+		}, "attack source class 10 out of range [0,10)"},
+	}
+	for _, c := range cases {
+		spec := tinyScenario()
+		c.mutate(&spec)
+		err := ValidateScenario(spec)
+		if c.want == "" && err != nil {
+			t.Errorf("%s: valid spec rejected: %v", c.name, err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: ValidateScenario = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestRunScenarioShardMergePublicSurface is the public acceptance path:
 // -shard 1/2 + -shard 2/2 + merge must be byte-identical to the unsharded
 // run, with VsRetrain populated in every partial.

@@ -106,7 +106,7 @@ func WithPartitions(parts []*Dataset) Option {
 }
 
 // WithClientConfig overrides the full per-client configuration (model,
-// loss, optimizer, epochs, batch size, sharding). Required when no dataset
+// loss, optimizer, epochs, batch size). Required when no dataset
 // preset is given; otherwise it replaces the preset's defaults.
 func WithClientConfig(cfg Config) Option {
 	return func(c *engineConfig) error {
