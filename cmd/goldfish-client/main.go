@@ -102,6 +102,11 @@ func run() int {
 		}
 		fmt.Printf("poisoned %d of %d local samples\n", len(poisonedRows), local.Len())
 	}
+	if *deleteAfter > 0 && len(poisonedRows) == local.Len() {
+		// The client would reject the request at that round and fail.
+		fmt.Fprintf(os.Stderr, "goldfish-client: -delete-after would delete all %d local rows; lower -poison\n", local.Len())
+		return 2
+	}
 
 	client, err := core.NewClient(*id, p.ClientConfig(), local)
 	if err != nil {

@@ -11,7 +11,7 @@
 // federated-unlearning engine from functional options, and the Unlearner
 // registry makes the paper's procedure and its three baselines ("goldfish",
 // "retrain", "fisher", "incompetent-teacher") interchangeable strategies
-// over one shared federated runtime.
+// over one shared federated runtime, each run by the same Client.
 //
 // Quick start:
 //

@@ -6,10 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"goldfish/internal/core"
 	"goldfish/internal/data"
 	"goldfish/internal/fed"
+	"goldfish/internal/loss"
 	"goldfish/internal/metrics"
 	"goldfish/internal/model"
+	"goldfish/internal/nn"
 	"goldfish/internal/optim"
 )
 
@@ -21,6 +24,12 @@ func testScenario() Scenario {
 		BatchSize:   32,
 		Seed:        1,
 	}
+}
+
+// config is the client configuration NewPlainTrainer builds from sc.
+func config(sc Scenario) core.Config {
+	return core.Config{Model: sc.Model, Loss: loss.NewGoldfish(), Opt: sc.Opt,
+		LocalEpochs: sc.LocalEpochs, BatchSize: sc.BatchSize, Seed: sc.Seed}
 }
 
 // poisonedSetup builds partitions with a backdoored client 0 and returns
@@ -53,7 +62,7 @@ func poisonedSetup(t *testing.T) (parts []*data.Dataset, removed map[int][]int,
 	return parts, map[int][]int{0: rows}, testSet, trig, bd
 }
 
-func evalState(t *testing.T, sc Scenario, state []float64, test *data.Dataset) float64 {
+func evalNet(t *testing.T, sc Scenario, state []float64) *nn.Network {
 	t.Helper()
 	net, err := model.Build(sc.Model)
 	if err != nil {
@@ -62,48 +71,55 @@ func evalState(t *testing.T, sc Scenario, state []float64, test *data.Dataset) f
 	if err := net.SetStateVector(state); err != nil {
 		t.Fatal(err)
 	}
-	return metrics.Accuracy(net, test, 0)
+	return net
+}
+
+func evalState(t *testing.T, sc Scenario, state []float64, test *data.Dataset) float64 {
+	t.Helper()
+	return metrics.Accuracy(evalNet(t, sc, state), test, 0)
 }
 
 func evalASR(t *testing.T, sc Scenario, state []float64, triggered *data.Dataset, target int) float64 {
 	t.Helper()
-	net, err := model.Build(sc.Model)
+	return metrics.AttackSuccessRate(evalNet(t, sc, state), triggered, target, 0)
+}
+
+// freshGlobal is the freshly initialized global model a from-scratch
+// retrain starts at.
+func freshGlobal(t *testing.T, sc Scenario) []float64 {
+	t.Helper()
+	mcfg := sc.Model
+	mcfg.Seed = core.Retrain.ReinitSeed(config(sc), 0)
+	net, err := model.Build(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.SetStateVector(state); err != nil {
-		t.Fatal(err)
-	}
-	return metrics.AttackSuccessRate(net, triggered, target, 0)
+	return net.StateVector()
 }
 
-// plainFederation builds one B1 (or, with precond, B2) trainer per partition,
-// applies the per-client removals through Forget, and returns the trainers
-// with the freshly initialized global model a from-scratch retrain starts at.
+// plainFederation builds one B1 (or, with precond, B2) client per
+// partition, applies the per-client removals, and returns the clients with
+// the freshly initialized global model a from-scratch retrain starts at.
 func plainFederation(t *testing.T, sc Scenario, parts []*data.Dataset, removed map[int][]int, precond bool) ([]fed.LocalTrainer, []float64) {
 	t.Helper()
 	trainers := make([]fed.LocalTrainer, len(parts))
 	for i, p := range parts {
-		tr, err := NewPlainTrainer(i, sc, p, precond)
+		c, err := NewPlainTrainer(i, sc, p, precond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rows := removed[i]; len(rows) > 0 {
-			if err := tr.Forget(rows); err != nil {
+			if err := c.RequestDeletion(rows); err != nil {
 				t.Fatal(err)
 			}
 		}
-		trainers[i] = tr
+		trainers[i] = c
 	}
-	initial, err := ReinitVector(sc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return trainers, initial
+	return trainers, freshGlobal(t, sc)
 }
 
-// runRounds drives trainers through the shared round engine — the only way
-// the baselines run — and returns the final global state.
+// runRounds drives trainers through the shared round engine and returns the
+// final global state.
 func runRounds(ctx context.Context, trainers []fed.LocalTrainer, initial []float64, rounds int, onRound func(fed.RoundInfo)) ([]float64, error) {
 	e, err := fed.NewEngine(fed.EngineConfig{OnRound: onRound}, initial, fed.NewLocalTransport(trainers))
 	if err != nil {
@@ -125,23 +141,25 @@ func mustRun(t *testing.T, trainers []fed.LocalTrainer, initial []float64, round
 	return state
 }
 
+// TestScenarioValidate: NewPlainTrainer rejects an invalid scenario.
 func TestScenarioValidate(t *testing.T) {
-	if err := testScenario().Validate(); err != nil {
+	parts, _, _, _, _ := poisonedSetup(t)
+	if _, err := NewPlainTrainer(0, testScenario(), parts[0], false); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
 	}
 	bad := testScenario()
 	bad.LocalEpochs = 0
-	if err := bad.Validate(); err == nil {
+	if _, err := NewPlainTrainer(0, bad, parts[0], false); err == nil {
 		t.Error("0 epochs accepted")
 	}
 	bad = testScenario()
 	bad.BatchSize = 0
-	if err := bad.Validate(); err == nil {
+	if _, err := NewPlainTrainer(0, bad, parts[0], false); err == nil {
 		t.Error("0 batch accepted")
 	}
 	bad = testScenario()
 	bad.Opt.LR = 0
-	if err := bad.Validate(); err == nil {
+	if _, err := NewPlainTrainer(0, bad, parts[0], true); err == nil {
 		t.Error("invalid optimizer accepted")
 	}
 }
@@ -229,16 +247,16 @@ func TestB3UnlearnsFromContaminatedModel(t *testing.T) {
 	// B3 starts from the contaminated model, which is also the deleting
 	// client's competent teacher.
 	for i, p := range parts {
-		tr, err := NewIncompetentTrainer(i, sc, p, 3)
+		c, err := core.IncompetentTeacher.NewClient(i, config(sc), p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rows := removed[i]; len(rows) > 0 {
-			if err := tr.Forget(rows, origin); err != nil {
+			if err := core.ForgetAt(c, rows, origin); err != nil {
 				t.Fatal(err)
 			}
 		}
-		trainers[i] = tr
+		trainers[i] = c
 	}
 	state := mustRun(t, trainers, origin, 8)
 	acc := evalState(t, sc, state, test)
@@ -255,11 +273,6 @@ func TestB3UnlearnsFromContaminatedModel(t *testing.T) {
 
 func TestBaselineErrors(t *testing.T) {
 	parts, removed, _, _, _ := poisonedSetup(t)
-	bad := testScenario()
-	bad.LocalEpochs = 0
-	if _, err := NewPlainTrainer(0, bad, parts[0], false); err == nil {
-		t.Error("invalid scenario accepted")
-	}
 	sc := testScenario()
 	if _, err := NewPlainTrainer(0, sc, nil, false); err == nil {
 		t.Error("client without data accepted")
@@ -273,77 +286,101 @@ func TestBaselineErrors(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if err := plain.Forget(all); err == nil {
+	if err := plain.RequestDeletion(all); err == nil {
 		t.Error("client with no remaining data accepted")
 	}
-	if _, err := NewIncompetentTrainer(0, sc, parts[0], 0); err == nil {
+	cold := config(sc)
+	cold.Loss.MuD, cold.Loss.Temp = 0, 0
+	if _, err := core.IncompetentTeacher.NewClient(0, cold, parts[0]); err == nil {
 		t.Error("B3 with zero temperature accepted")
 	}
-	b3, err := NewIncompetentTrainer(0, sc, parts[0], 3)
+	b3, err := core.IncompetentTeacher.NewClient(0, config(sc), parts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b3.Forget(removed[0], nil); err == nil {
+	if err := b3.RequestDeletion(removed[0]); err == nil {
 		t.Error("B3 without contaminated model accepted")
 	}
 	// A row listed twice would be copied into Df twice and forgotten at
 	// double weight; the request is rejected and nothing is removed.
-	if err := b3.Forget([]int{5, 5}, []float64{1}); err == nil {
+	if err := core.ForgetAt(b3, []int{5, 5}, freshGlobal(t, sc)); err == nil {
 		t.Error("B3 accepted a row listed twice in one request")
 	}
-	if b3.NumSamples() != parts[0].Len() {
-		t.Errorf("rejected request removed rows: %d samples, want %d", b3.NumSamples(), parts[0].Len())
+	if err := core.ForgetAt(b3, removed[0], []float64{1}); err == nil {
+		t.Error("B3 accepted a global model of the wrong size")
+	}
+	if b3.NumActive() != parts[0].Len() {
+		t.Errorf("rejected request removed rows: %d samples, want %d", b3.NumActive(), parts[0].Len())
 	}
 }
 
-// TestForgetByOriginalRow: both trainers take original-row indices
-// on every request, so after {0,1,2} and then {10} the training view is the
+// TestForgetByOriginalRow: B1 and B3 clients take original-row indices on
+// every request, so after {0,1,2} and then {10} the training view is the
 // original dataset minus exactly those four rows, in original order — a
-// trainer indexing its shrunken view would have dropped original row 13
-// on the second request. Rejected requests leave the view alone.
+// client indexing its shrunken view would have dropped original row 13 on
+// the second request — and B3's forget set is those four rows in request
+// order. Each client's next update is bit-identical to that of a client
+// built over the expected view, and rejected requests change nothing.
 func TestForgetByOriginalRow(t *testing.T) {
 	parts, _, _, _, _ := poisonedSetup(t)
 	orig, sc := parts[1], testScenario()
-	plain, err := NewPlainTrainer(1, sc, orig, false)
+	global := freshGlobal(t, sc)
+	gone := []int{0, 1, 2, 10}
+	kept, forgot := orig.Remove(gone), orig.Subset(gone)
+	// B3 reference: the kept rows followed by the forgotten ones, whose
+	// deletion is then one request for the last four rows.
+	b3View, err := kept.Concat(forgot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3, err := NewIncompetentTrainer(1, sc, orig, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global, err := ReinitVector(sc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rows := range [][]int{{0, 1, 2}, {10}} {
-		if err := plain.Forget(rows); err != nil {
+	tail := []int{kept.Len(), kept.Len() + 1, kept.Len() + 2, kept.Len() + 3}
+
+	for _, tc := range []struct {
+		name string
+		proc core.Procedure
+		view *data.Dataset // the reference client's dataset
+		rows []int         // and the rows it deletes
+	}{
+		{"B1", core.Retrain, kept, nil},
+		{"B3", core.IncompetentTeacher, b3View, tail},
+	} {
+		c, err := tc.proc.NewClient(1, config(sc), orig)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b3.Forget(rows, global); err != nil {
+		for _, rows := range [][]int{{0, 1, 2}, {10}} {
+			if err := core.ForgetAt(c, rows, global); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rows := range [][]int{{1}, {11, 10}, {12, orig.Len()}, {12, 12}, {-1}} {
+			if err := core.ForgetAt(c, rows, global); err == nil {
+				t.Errorf("%s accepted rows %v", tc.name, rows)
+			}
+		}
+		if c.NumActive() != orig.Len()-4 {
+			t.Errorf("%s: NumActive = %d, want %d", tc.name, c.NumActive(), orig.Len()-4)
+		}
+		ref, err := tc.proc.NewClient(1, config(sc), tc.view)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, rows := range [][]int{{1}, {11, 10}, {12, orig.Len()}, {12, 12}, {-1}} {
-		if err := plain.Forget(rows); err == nil {
-			t.Errorf("B1 accepted rows %v", rows)
+		if tc.rows != nil {
+			if err := core.ForgetAt(ref, tc.rows, global); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := b3.Forget(rows, global); err == nil {
-			t.Errorf("B3 accepted rows %v", rows)
+		got, err := c.TrainRound(context.Background(), 0, global)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	want := orig.Remove([]int{0, 1, 2, 10})
-	for name, view := range map[string]*data.Dataset{"B1": plain.ds, "B3 retain": b3.dr} {
-		if !reflect.DeepEqual(view.Y, want.Y) || !reflect.DeepEqual(view.X.Data(), want.X.Data()) {
-			t.Errorf("%s view is not the original rows minus {0,1,2,10}", name)
+		want, err := ref.TrainRound(context.Background(), 0, global)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	forgot := orig.Subset([]int{0, 1, 2, 10})
-	if !reflect.DeepEqual(b3.df.Y, forgot.Y) || !reflect.DeepEqual(b3.df.X.Data(), forgot.X.Data()) {
-		t.Error("B3 forget set is not original rows {0,1,2,10}")
-	}
-	if plain.NumSamples() != orig.Len()-4 || b3.NumSamples() != orig.Len()-4 {
-		t.Errorf("NumSamples = %d / %d, want %d", plain.NumSamples(), b3.NumSamples(), orig.Len()-4)
+		if got.NumSamples != want.NumSamples || !reflect.DeepEqual(got.Params, want.Params) {
+			t.Errorf("%s: update differs from a client over the original rows minus {0,1,2,10}", tc.name)
+		}
 	}
 }
 
@@ -356,11 +393,11 @@ func TestBaselineCancellation(t *testing.T) {
 	if _, err := runRounds(ctx, trainers, initial, 5, nil); err == nil {
 		t.Error("cancelled run should fail")
 	}
-	// The trainers themselves stop too, not just the engine between rounds.
+	// The clients themselves stop too, not just the engine between rounds.
 	if _, err := trainers[0].TrainRound(ctx, 0, initial); err == nil {
 		t.Error("cancelled B1 round should fail")
 	}
-	b3, err := NewIncompetentTrainer(0, sc, parts[0], 3)
+	b3, err := core.IncompetentTeacher.NewClient(0, config(sc), parts[0])
 	if err != nil {
 		t.Fatal(err)
 	}

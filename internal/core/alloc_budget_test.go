@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"goldfish/internal/baselines"
 	"goldfish/internal/core"
 	"goldfish/internal/data"
 	"goldfish/internal/fed"
@@ -61,14 +60,15 @@ func TestAllocationBudgets(t *testing.T) {
 		setup  func(t *testing.T) func()
 	}{
 		{"matmul-kernels/lenet5", 0, lenetMatMuls},
-		{"step/lenet5", 33, lenet.step},
-		{"step/resnet", 112, resnet.step},
-		{"accuracy/lenet5", 32, lenet.accuracy},
-		{"accuracy/resnet", 108, resnet.accuracy},
-		{"mse-scorer/resnet", 737, resnet.mseScorer},
-		{"train-round/lenet5", 258, lenet.trainRound},
-		{"train-round/resnet", 2120, resnet.trainRound},
-		{"train-round/incompetent", 542, lenet.incompetentRound},
+		{"step/lenet5", 15, lenet.step},
+		{"step/resnet", 17, resnet.step},
+		{"accuracy/lenet5", 14, lenet.accuracy},
+		{"accuracy/resnet", 22, resnet.accuracy},
+		{"mse-scorer/resnet", 307, resnet.mseScorer},
+		{"train-round/lenet5", 186, lenet.trainRound},
+		{"train-round/resnet", 790, resnet.trainRound},
+		{"train-round/incompetent", 461, lenet.incompetentRound},
+		{"train-round/retrain", 175, lenet.retrainRound},
 		{"aggregate/fedavg", 1, aggregate(fed.FedAvg{})},
 		{"aggregate/adaptive", 2, aggregate(fed.AdaptiveWeight{})},
 		{"engine-round/local", 19, engineRound},
@@ -159,23 +159,14 @@ func (w budgetWorkload) trainRound(t *testing.T) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global := w.net(t).StateVector()
-	round := 0
-	return func() {
-		if _, err := c.TrainRound(context.Background(), round, global); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
+	return roundsOf(t, c, w.net(t).StateVector())
 }
 
-// incompetentRound is one B3 client round after Forget: distillation from
-// the competent teacher on the retain rows, then the forget passes against
-// the incompetent one.
+// incompetentRound is one client round under the B3 procedure after its
+// deletion: distillation from the frozen teacher on the retain rows, then
+// the forget passes against the incompetent one.
 func (w budgetWorkload) incompetentRound(t *testing.T) func() {
-	cfg := w.p.ClientConfig()
-	sc := baselines.Scenario{Model: cfg.Model, Opt: cfg.Opt, LocalEpochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, Seed: cfg.Seed}
-	tr, err := baselines.NewIncompetentTrainer(0, sc, w.train, cfg.Loss.Temp)
+	c, err := core.IncompetentTeacher.NewClient(0, w.p.ClientConfig(), w.train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +175,27 @@ func (w budgetWorkload) incompetentRound(t *testing.T) func() {
 	for i := range forget {
 		forget[i] = i
 	}
-	if err := tr.Forget(forget, global); err != nil {
+	if err := core.ForgetAt(c, forget, global); err != nil {
 		t.Fatal(err)
 	}
+	return roundsOf(t, c, global)
+}
+
+// retrainRound is one client round under the B1 procedure: hard-loss
+// descent with an optimizer kept across rounds.
+func (w budgetWorkload) retrainRound(t *testing.T) func() {
+	c, err := core.Retrain.NewClient(0, w.p.ClientConfig(), w.train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return roundsOf(t, c, w.net(t).StateVector())
+}
+
+// roundsOf returns a call that runs c's next round from global.
+func roundsOf(t *testing.T, c *core.Client, global []float64) func() {
 	round := 0
 	return func() {
-		if _, err := tr.TrainRound(context.Background(), round, global); err != nil {
+		if _, err := c.TrainRound(context.Background(), round, global); err != nil {
 			t.Fatal(err)
 		}
 		round++

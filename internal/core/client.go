@@ -14,64 +14,80 @@ import (
 )
 
 // Client is one federation participant: it owns local data, the local
-// model, and the unlearning state machine of Algorithm 1. Client implements
-// fed.LocalTrainer.
-//
-// A client is in one of three modes for a round:
-//
-//   - normal: plain local training on active data (LocalTraining procedure);
-//   - unlearn: a deletion is pending — run the Goldfish procedure with
-//     teacher = previous global, student = the (reinitialized) incoming
-//     global, forget steps on Df;
-//   - retrain: another client deleted data — rebuild the own model by
-//     distilling from the previous global on own data (Goldfish procedure
-//     with empty Df).
+// model, and the unlearning state of its Procedure. Client implements
+// fed.LocalTrainer. Under Goldfish a round is normal (Algorithm 1's
+// LocalTraining on active data), unlearn (a deletion is pending: the
+// previous global teaches the reinitialized incoming one, with forget steps
+// on Df) or retrain (another client deleted data: the same with empty Df).
 type Client struct {
-	id  int
-	cfg Config
+	id   int
+	cfg  Config
+	proc Procedure
 
-	mu        sync.Mutex
-	dataset   *data.Dataset
-	removed   map[int]bool  // rows logically deleted from dataset
-	pendingDf *data.Dataset // removed data awaiting the unlearning round
-	retrain   bool          // participate in KD retraining next round
+	mu      sync.Mutex
+	dataset *data.Dataset
+	removed map[int]bool  // rows logically deleted from dataset
+	df      *data.Dataset // forget set: pending until the next round, or for good under FrozenGlobal
+	retrain bool          // participate in KD retraining next round
 
-	student    *nn.Network
-	teacher    *nn.Network
-	lastGlobal []float64
-	lastEpochs int
-	rng        *rand.Rand
+	student     *nn.Network
+	teacher     *nn.Network // loaded from teacherVec each round; nil under NoTeacher
+	teacherVec  []float64   // the previous global, or the one frozen at the deletion
+	incompetent *nn.Network // the random teacher of the Incompetent forget step
+	opt         Stepper     // kept between rounds unless the lifetime is PerRound
+	lastEpochs  int
+	rng         *rand.Rand
 }
 
 var _ fed.LocalTrainer = (*Client)(nil)
 
-// NewClient builds a client over its local dataset.
+// NewClient builds a client under the Goldfish procedure over its local
+// dataset.
 func NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
+	return Goldfish.NewClient(id, cfg, ds)
+}
+
+// NewClient builds a client training under p over its local dataset.
+func (p Procedure) NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("core: client %d has no local data", id)
 	}
-	mcfg := cfg.Model
-	mcfg.Seed = cfg.Model.Seed + int64(id)*1009 + 7
-	student, err := model.Build(mcfg)
-	if err != nil {
-		return nil, err
+	if p.KDOnly && cfg.Loss.Temp <= 0 {
+		return nil, fmt.Errorf("core: distillation temperature must be positive, got %g", cfg.Loss.Temp)
 	}
-	teacher, err := model.Build(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
+	c := &Client{
 		id:      id,
 		cfg:     cfg,
+		proc:    p,
 		dataset: ds,
 		removed: make(map[int]bool),
-		student: student,
-		teacher: teacher,
-		rng:     rand.New(rand.NewSource(cfg.Seed*100003 + int64(id))),
-	}, nil
+		rng:     rand.New(rand.NewSource(cfg.Seed*p.SeedMul + int64(id))),
+	}
+	// Every network but the incompetent one is loaded before it is used,
+	// so its seed does not matter.
+	build := func(seed int64) (*nn.Network, error) {
+		mcfg := cfg.Model
+		mcfg.Seed = seed
+		return model.Build(mcfg)
+	}
+	var err error
+	if c.student, err = build(cfg.Model.Seed + int64(id)*1009 + 7); err != nil {
+		return nil, err
+	}
+	if p.Teacher != NoTeacher {
+		if c.teacher, err = build(cfg.Model.Seed + int64(id)*1009 + 7); err != nil {
+			return nil, err
+		}
+	}
+	if p.Forget == Incompetent {
+		if c.incompetent, err = build(cfg.Seed + int64(id)*6151 + 99); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // ID returns the client identifier.
@@ -92,12 +108,22 @@ func (c *Client) LastEpochs() int {
 	return c.lastEpochs
 }
 
-// RequestDeletion marks the given local rows for removal. The data is
+// RequestDeletion marks the given local rows for removal. Rows index the
+// client's ORIGINAL dataset, however many requests came before. The data is
 // excluded from all future training immediately; the next TrainRound runs
-// the Goldfish unlearning procedure against it. Already-removed,
-// out-of-range and repeated rows are rejected: a row listed twice would enter
-// Df twice and be weighted double by the forget steps.
-func (c *Client) RequestDeletion(rows []int) error {
+// the procedure's forget step against it. Already-removed, out-of-range and
+// repeated rows are rejected — a row listed twice would enter Df twice and
+// be weighted double by the forget steps — and so is a request that leaves
+// no row to train on. A rejected request changes nothing. A procedure with a
+// FrozenGlobal teacher needs the global model as well: use ForgetAt.
+func (c *Client) RequestDeletion(rows []int) error { return c.forget(rows, nil) }
+
+// ForgetAt is c.RequestDeletion for a deletion made while global is the
+// federation's global model: a procedure with a FrozenGlobal teacher keeps
+// it as that teacher, and the others ignore it.
+func ForgetAt(c *Client, rows []int, global []float64) error { return c.forget(rows, global) }
+
+func (c *Client) forget(rows []int, global []float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(rows) == 0 {
@@ -116,28 +142,51 @@ func (c *Client) RequestDeletion(rows []int) error {
 		}
 		seen[r] = true
 	}
-	df := c.dataset.Subset(rows)
-	if c.pendingDf != nil {
-		merged, err := c.pendingDf.Concat(df)
-		if err != nil {
-			return fmt.Errorf("core: client %d: merging deletion requests: %w", c.id, err)
-		}
-		c.pendingDf = merged
-	} else {
-		c.pendingDf = df
+	if len(c.removed)+len(rows) == c.dataset.Len() {
+		// Every later round would fail with no data left to train on.
+		return fmt.Errorf("core: client %d: request removes all %d remaining rows", c.id, len(rows))
 	}
+	if c.proc.Teacher == FrozenGlobal {
+		// The teacher is reloaded every round; loading here only validates.
+		if err := c.teacher.SetStateVector(global); err != nil {
+			return fmt.Errorf("core: client %d: loading the global model to freeze as teacher: %w", c.id, err)
+		}
+	}
+	df := c.df
+	if c.proc.Forget != NoForget {
+		df = c.dataset.Subset(rows)
+		if c.df != nil {
+			var err error
+			if df, err = c.df.Concat(df); err != nil {
+				return fmt.Errorf("core: client %d: merging deletion requests: %w", c.id, err)
+			}
+		}
+	}
+
 	for _, r := range rows {
 		c.removed[r] = true
+	}
+	c.df = df
+	if c.proc.Teacher == FrozenGlobal {
+		c.teacherVec = append([]float64(nil), global...)
+	}
+	if c.proc.Optimizer == UntilDeletion {
+		c.opt = nil
 	}
 	return nil
 }
 
-// MarkRetrain asks the client to participate in the distillation-based
-// retraining triggered by another client's deletion (Algorithm 1 line 15).
+// MarkRetrain tells the client that another participant is deleting data
+// (Algorithm 1 line 15). Under a PreviousGlobal teacher the client rebuilds
+// by distillation next round; an UntilDeletion optimizer is dropped; other
+// procedures carry on unchanged.
 func (c *Client) MarkRetrain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.retrain = true
+	if c.proc.Optimizer == UntilDeletion {
+		c.opt = nil
+	}
 }
 
 // activeRowsLocked returns indices of rows not logically removed.
@@ -152,74 +201,93 @@ func (c *Client) activeRowsLocked() []int {
 }
 
 // TrainRound implements fed.LocalTrainer: one round of the client side of
-// Algorithm 1.
+// the procedure.
 func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (fed.ModelUpdate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// The client is idle until the next round: drop every batch-sized
 	// activation cache and scratch buffer so waiting clients pin no memory.
-	defer c.teacher.ReleaseActivations()
-	defer c.student.ReleaseActivations()
+	defer c.releaseActivations()
 
-	teacherVec := c.lastGlobal
-	c.lastGlobal = append([]float64(nil), global...)
 	if err := c.student.SetStateVector(global); err != nil {
 		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading global model: %w", c.id, err)
 	}
+	teacherVec := c.teacherVec
+	if c.proc.Teacher == PreviousGlobal {
+		// Only a global the student loaded may teach the next round.
+		c.teacherVec = append([]float64(nil), global...)
+	}
 
 	gl := c.cfg.Loss
-	df := c.pendingDf
-	unlearning := df != nil && df.Len() > 0
-	distill := unlearning || c.retrain
-
-	var teacher *nn.Network
+	if c.proc.Hard != nil {
+		gl.Hard = c.proc.Hard
+	}
+	drIdx := c.activeRowsLocked() // never empty: forget keeps a row
+	e := epoch{student: c.student, ds: c.dataset, drIdx: drIdx, df: c.df, kdOnly: c.proc.KDOnly,
+		incompetent: c.incompetent, batchSize: c.cfg.BatchSize, rng: c.rng}
 	if teacherVec != nil {
 		if err := c.teacher.SetStateVector(teacherVec); err != nil {
 			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading teacher model: %w", c.id, err)
 		}
-		teacher = c.teacher
-	}
-	if !distill || teacher == nil {
-		// Algorithm 1's LocalTraining: plain hard-loss descent. Distillation
-		// only runs in the Goldfish procedure (deletion rounds).
-		gl.MuD = 0
-	}
-
-	drIdx := c.activeRowsLocked()
-	if len(drIdx) == 0 {
-		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: no remaining data", c.id)
-	}
-
-	if unlearning && c.cfg.AdaptiveTemp && gl.MuD > 0 {
-		gl.Temp = AdaptiveTemperature(c.cfg.TempAlpha, c.cfg.Loss.Temp, len(drIdx), df.Len())
+		e.teacher = c.teacher
 	}
 
 	var stopper *optim.EarlyStopper
-	if c.cfg.EarlyDelta > 0 && teacher != nil {
-		ref := EvalHardLoss(teacher, c.dataset, drIdx, gl.Hard, c.cfg.BatchSize)
-		es, err := optim.NewEarlyStopper(c.cfg.EarlyDelta, ref)
+	if c.proc.Teacher == PreviousGlobal {
+		unlearning := e.df != nil && e.df.Len() > 0
+		if !(unlearning || c.retrain) || e.teacher == nil {
+			// Algorithm 1's LocalTraining: plain hard-loss descent.
+			// Distillation only runs in the Goldfish procedure (deletion
+			// rounds).
+			gl.MuD = 0
+		}
+		if unlearning && c.cfg.AdaptiveTemp && gl.MuD > 0 {
+			gl.Temp = AdaptiveTemperature(c.cfg.TempAlpha, c.cfg.Loss.Temp, len(drIdx), e.df.Len())
+		}
+		if c.cfg.EarlyDelta > 0 && e.teacher != nil {
+			ref := EvalHardLoss(e.teacher, c.dataset, drIdx, gl.Hard, c.cfg.BatchSize)
+			es, err := optim.NewEarlyStopper(c.cfg.EarlyDelta, ref)
+			if err != nil {
+				return fed.ModelUpdate{}, fmt.Errorf("core: client %d: %w", c.id, err)
+			}
+			stopper = es
+		}
+	}
+	e.gl = gl
+
+	e.opt = c.opt
+	if e.opt == nil {
+		opt, err := c.proc.newStepper(c.cfg.Opt, c.student)
 		if err != nil {
 			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: %w", c.id, err)
 		}
-		stopper = es
+		e.opt = opt
+		if c.proc.Optimizer != PerRound {
+			c.opt = opt
+		}
 	}
 
-	opt, err := optim.NewSGD(c.cfg.Opt)
-	if err != nil {
-		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: %w", c.id, err)
-	}
-	var dfTrain *data.Dataset
-	if unlearning {
-		dfTrain = df
-	}
-	last, epochs, err := TrainLocal(ctx, c.student, teacher, c.dataset, drIdx, dfTrain,
-		gl, opt, c.cfg.BatchSize, c.cfg.LocalEpochs, stopper, c.rng)
-	if err != nil {
-		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: round %d: %w", c.id, round, err)
+	var last EpochResult
+	epochs := 0
+	for epochs < c.cfg.LocalEpochs {
+		res, err := e.run(ctx)
+		if err != nil {
+			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: round %d: %w", c.id, round, err)
+		}
+		last = res
+		epochs++
+		if stopper != nil {
+			stopper.Observe(res.HardLoss)
+			if stopper.ShouldStop() {
+				break
+			}
+		}
 	}
 	c.lastEpochs = epochs
-	c.pendingDf = nil
 	c.retrain = false
+	if c.proc.Teacher != FrozenGlobal {
+		c.df = nil
+	}
 
 	return fed.ModelUpdate{
 		ClientID:   c.id,
@@ -228,4 +296,14 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 		NumSamples: len(drIdx),
 		TrainLoss:  last.TotalLoss,
 	}, nil
+}
+
+// releaseActivations drops the batch-sized buffers of every network the
+// client holds.
+func (c *Client) releaseActivations() {
+	for _, n := range [...]*nn.Network{c.student, c.teacher, c.incompetent} {
+		if n != nil {
+			n.ReleaseActivations()
+		}
+	}
 }

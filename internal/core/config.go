@@ -12,10 +12,13 @@
 //     adaptive-weight aggregation (Eqs. 12–13, internal/fed).
 //
 // Each Client owns one participant's local data, models and unlearning
-// state. Client implements fed.LocalTrainer, so clients run unchanged over
-// the in-process transport, the TCP transport, and the strategy-driven
-// Federation of internal/unlearn (which owns the server side: round loop,
-// aggregation, deletion broadcasts).
+// state, and trains under a Procedure: Goldfish, or one of the paper's
+// baselines (Retrain, Fisher, IncompetentTeacher), which are the same
+// client loop with a different teacher, retain loss, forget step, stepper
+// and optimizer lifetime. Client implements fed.LocalTrainer, so clients
+// run unchanged over the in-process transport, the TCP transport, and the
+// strategy-driven Federation of internal/unlearn (which owns the server
+// side: round loop, aggregation, deletion broadcasts).
 package core
 
 import (

@@ -101,95 +101,168 @@ func TestNewClientErrors(t *testing.T) {
 	}
 }
 
-func TestRequestDeletionValidation(t *testing.T) {
-	train, _ := tinyMNIST(t)
-	c, err := NewClient(0, testConfig(10), train)
+// procedures are the four built-in procedures by strategy name.
+var procedures = []struct {
+	name string
+	proc Procedure
+}{
+	{"goldfish", Goldfish},
+	{"retrain", Retrain},
+	{"fisher", Fisher},
+	{"incompetent-teacher", IncompetentTeacher},
+}
+
+// freshGlobal is the state vector of a model built with the config's
+// architecture at the given seed.
+func freshGlobal(t *testing.T, cfg Config, seed int64) []float64 {
+	t.Helper()
+	mcfg := cfg.Model
+	mcfg.Seed = seed
+	net, err := model.Build(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RequestDeletion(nil); err == nil {
-		t.Error("empty request accepted")
-	}
-	if err := c.RequestDeletion([]int{-1}); err == nil {
-		t.Error("negative row accepted")
-	}
-	if err := c.RequestDeletion([]int{train.Len()}); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	if err := c.RequestDeletion([]int{0, 1, 2}); err != nil {
-		t.Fatalf("valid request rejected: %v", err)
-	}
-	if c.NumActive() != train.Len()-3 {
-		t.Errorf("NumActive = %d, want %d", c.NumActive(), train.Len()-3)
-	}
-	if err := c.RequestDeletion([]int{1}); err == nil {
-		t.Error("double removal accepted")
-	}
-	// A row listed twice would enter Df twice and be forgotten at double
-	// weight; the request is rejected whole, leaving the row in place.
-	if err := c.RequestDeletion([]int{5, 5}); err == nil {
-		t.Error("row listed twice in one request accepted")
-	}
-	if c.NumActive() != train.Len()-3 {
-		t.Errorf("NumActive = %d after rejected duplicate, want %d", c.NumActive(), train.Len()-3)
-	}
-	// A second, distinct request merges.
-	if err := c.RequestDeletion([]int{5}); err != nil {
-		t.Fatalf("second request rejected: %v", err)
-	}
-	if c.NumActive() != train.Len()-4 {
-		t.Errorf("NumActive = %d after merge, want %d", c.NumActive(), train.Len()-4)
-	}
+	return net.StateVector()
 }
 
-// TestClientUpdateDependsOnGlobal: a client's upload is a function of the
-// global model it was sent, in the plain round and in the deletion round
-// alike. Two identically seeded clients on the same data return different
-// parameters under different globals, and bit-identical ones under equal
-// globals.
-func TestClientUpdateDependsOnGlobal(t *testing.T) {
+// TestRequestDeletionValidation: every procedure takes the same deletion
+// requests — original rows, in range, not removed before, listed once, and
+// at least one row left — and a rejected request changes nothing.
+func TestRequestDeletionValidation(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	cfg := testConfig(10)
-	globals := make([][]float64, 2)
-	for i := range globals {
-		mcfg := cfg.Model
-		mcfg.Seed += int64(i)
-		net, err := model.Build(mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		globals[i] = net.StateVector()
+	global := freshGlobal(t, cfg, 1)
+	all := make([]int, train.Len())
+	for i := range all {
+		all[i] = i
 	}
-	// run returns the client's plain-round and deletion-round uploads when
-	// both rounds are sent global.
-	run := func(global []float64) [2][]float64 {
-		c, err := NewClient(0, cfg, train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out [2][]float64
-		for round := range out {
-			if round == 1 {
-				if err := c.RequestDeletion([]int{0, 1, 2, 3}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			u, err := c.TrainRound(context.Background(), round, global)
+	for _, p := range procedures {
+		t.Run(p.name, func(t *testing.T) {
+			c, err := p.proc.NewClient(0, cfg, train)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[round] = u.Params
-		}
-		return out
+			active := train.Len()
+			for _, tc := range []struct {
+				name string
+				rows []int
+				ok   bool
+			}{
+				{"empty request", nil, false},
+				{"negative row", []int{-1}, false},
+				{"out-of-range row", []int{train.Len()}, false},
+				// Every later round would fail with no remaining data.
+				{"every row", all, false},
+				{"valid request", []int{0, 1, 2}, true},
+				{"double removal", []int{1}, false},
+				// A row listed twice would enter Df twice and be forgotten
+				// at double weight.
+				{"row listed twice", []int{5, 5}, false},
+				{"every remaining row", all[3:], false},
+				{"second request merges", []int{5}, true},
+			} {
+				err := ForgetAt(c, tc.rows, global)
+				if tc.ok && err != nil {
+					t.Fatalf("%s rejected: %v", tc.name, err)
+				}
+				if !tc.ok && err == nil {
+					t.Errorf("%s accepted", tc.name)
+				}
+				if tc.ok {
+					active -= len(tc.rows)
+				}
+				if c.NumActive() != active {
+					t.Errorf("after %s: NumActive = %d, want %d", tc.name, c.NumActive(), active)
+				}
+			}
+			if _, err := c.TrainRound(context.Background(), 0, global); err != nil {
+				t.Errorf("round after deletions: %v", err)
+			}
+		})
 	}
-	a, again, b := run(globals[0]), run(globals[0]), run(globals[1])
-	for round := range a {
-		if bitsEqual(a[round], b[round]) {
-			t.Errorf("round %d: update identical under two different globals", round)
-		}
-		if !bitsEqual(a[round], again[round]) {
-			t.Errorf("round %d: update differs under equal globals", round)
-		}
+}
+
+// TestClientUpdateDependsOnGlobal: under every procedure a client's upload
+// is a function of the global model it was sent, in the plain round and in
+// the deletion round alike. Two identically seeded clients on the same data
+// return different parameters under different globals, and bit-identical
+// ones under equal globals.
+func TestClientUpdateDependsOnGlobal(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	cfg := testConfig(10)
+	globals := [][]float64{freshGlobal(t, cfg, cfg.Model.Seed), freshGlobal(t, cfg, cfg.Model.Seed+1)}
+	for _, p := range procedures {
+		t.Run(p.name, func(t *testing.T) {
+			// run returns the client's plain-round and deletion-round
+			// uploads when both rounds are sent global.
+			run := func(global []float64) [2][]float64 {
+				c, err := p.proc.NewClient(0, cfg, train)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out [2][]float64
+				for round := range out {
+					if round == 1 {
+						if err := ForgetAt(c, []int{0, 1, 2, 3}, global); err != nil {
+							t.Fatal(err)
+						}
+					}
+					u, err := c.TrainRound(context.Background(), round, global)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[round] = u.Params
+				}
+				return out
+			}
+			a, again, b := run(globals[0]), run(globals[0]), run(globals[1])
+			for round := range a {
+				if bitsEqual(a[round], b[round]) {
+					t.Errorf("round %d: update identical under two different globals", round)
+				}
+				if !bitsEqual(a[round], again[round]) {
+					t.Errorf("round %d: update differs under equal globals", round)
+				}
+			}
+		})
+	}
+}
+
+// TestRejectedGlobalChangesNothing: a global model the client cannot load
+// is rejected without touching the client, so its next round, sent a valid
+// global, uploads bit for bit what a client that never saw the bad call
+// uploads. Under the Goldfish procedure the rejected vector once became the
+// next round's teacher, and that round failed loading it.
+func TestRejectedGlobalChangesNothing(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	cfg := testConfig(10)
+	g0, g1 := freshGlobal(t, cfg, 1), freshGlobal(t, cfg, 2)
+	for _, p := range procedures {
+		t.Run(p.name, func(t *testing.T) {
+			run := func(bad bool) []float64 {
+				c, err := p.proc.NewClient(0, cfg, train)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				if _, err := c.TrainRound(ctx, 0, g0); err != nil {
+					t.Fatal(err)
+				}
+				if bad {
+					if _, err := c.TrainRound(ctx, 1, g1[:len(g1)-1]); err == nil {
+						t.Fatal("a global one value short was accepted")
+					}
+				}
+				u, err := c.TrainRound(ctx, 1, g1)
+				if err != nil {
+					t.Fatalf("round after a rejected global: %v", err)
+				}
+				return u.Params
+			}
+			if !bitsEqual(run(true), run(false)) {
+				t.Error("a rejected global changed the next round's update")
+			}
+		})
 	}
 }
 

@@ -7,13 +7,12 @@ import (
 	"goldfish/internal/data"
 	"goldfish/internal/loss"
 	"goldfish/internal/nn"
-	"goldfish/internal/optim"
 	"goldfish/internal/tensor"
 )
 
 // Stepper applies one optimizer update to params from their accumulated
-// gradients. *optim.SGD is the stepper of Goldfish and B1; B2 wraps it in a
-// Fisher preconditioner that rescales the gradients first.
+// gradients. *optim.SGD is the stepper of every procedure but B2, which
+// wraps it in a Fisher preconditioner that rescales the gradients first.
 type Stepper interface {
 	Step(params []*nn.Param)
 }
@@ -34,42 +33,71 @@ type EpochResult struct {
 //
 // This is the inner loop of both the Goldfish procedure and the
 // LocalTraining procedure of Algorithm 1 (the latter is the special case
-// teacher == nil, df == nil). Baselines reuse it with their own settings.
+// teacher == nil, df == nil). Client runs every Procedure through the same
+// loop, which also holds B3's distillation-only retain loss and its
+// incompetent forget step.
 func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
 	df *data.Dataset, gl loss.Goldfish, opt Stepper, batchSize int, rng *rand.Rand) (EpochResult, error) {
+	return (&epoch{student: student, teacher: teacher, ds: ds, drIdx: drIdx, df: df, gl: gl,
+		opt: opt, batchSize: batchSize, rng: rng}).run(ctx)
+}
 
+// epoch is one local epoch's setup: TrainEpoch's arguments plus B3's two
+// branches. kdOnly makes the retain loss distillation from teacher alone,
+// when one is set; incompetent, when set, replaces Goldfish's forget step
+// with incompetentPasses passes of T = 1 distillation from it.
+type epoch struct {
+	student, teacher, incompetent *nn.Network
+	ds, df                        *data.Dataset
+	drIdx                         []int
+	gl                            loss.Goldfish
+	kdOnly                        bool
+	opt                           Stepper
+	batchSize                     int
+	rng                           *rand.Rand
+}
+
+// run is the one epoch loop.
+func (e *epoch) run(ctx context.Context) (EpochResult, error) {
 	var res EpochResult
-	params := student.Params()
+	params := e.student.Params()
+	step := func(grad *tensor.Tensor) {
+		e.student.ZeroGrads()
+		e.student.BackwardParams(grad)
+		e.opt.Step(params)
+	}
 
 	// One batch tensor and one row list for the whole epoch: a batch is
 	// overwritten only after the Backward that reads it has returned (the
-	// Layer input-lifetime rule), and the teacher only reads it.
+	// Layer input-lifetime rule), and the teachers only read it.
 	var x *tensor.Tensor
-	batches := data.BatchIndices(len(drIdx), batchSize, rng)
-	rows := make([]int, min(max(batchSize, 0), len(drIdx)))
+	batches := data.BatchIndices(len(e.drIdx), e.batchSize, e.rng)
+	rows := make([]int, min(max(e.batchSize, 0), len(e.drIdx)))
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		rows = rows[:len(b)]
 		for i, j := range b {
-			rows[i] = drIdx[j]
+			rows[i] = e.drIdx[j]
 		}
-		x = tensor.SliceRowsInto(x, ds.X, rows)
-		labels := ds.LabelsFor(rows)
+		x = tensor.SliceRowsInto(x, e.ds.X, rows)
 
-		logits := student.Forward(x, true)
-		hardLoss, grad := gl.Hard.Compute(logits, labels)
-		total := hardLoss
-		if teacher != nil && gl.MuD > 0 {
-			tLogits := teacher.Forward(x, false)
-			ld, gd := loss.Distillation(logits, tLogits, gl.Temp)
-			total += gl.MuD * ld
-			grad.AXPY(gl.MuD, gd)
+		logits := e.student.Forward(x, true)
+		var hardLoss, total float64
+		var grad *tensor.Tensor
+		if e.kdOnly && e.teacher != nil {
+			total, grad = loss.Distillation(logits, e.teacher.Forward(x, false), e.gl.Temp)
+		} else {
+			hardLoss, grad = e.gl.Hard.Compute(logits, e.ds.LabelsFor(rows))
+			total = hardLoss
+			if e.teacher != nil && e.gl.MuD > 0 {
+				ld, gd := loss.Distillation(logits, e.teacher.Forward(x, false), e.gl.Temp)
+				total += e.gl.MuD * ld
+				grad.AXPY(e.gl.MuD, gd)
+			}
 		}
-		student.ZeroGrads()
-		student.BackwardParams(grad)
-		opt.Step(params)
+		step(grad)
 
 		res.HardLoss += hardLoss
 		res.TotalLoss += total
@@ -79,19 +107,27 @@ func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Data
 		res.TotalLoss /= float64(len(batches))
 	}
 
-	if df != nil && df.Len() > 0 {
-		fBatches := data.BatchIndices(df.Len(), batchSize, rng)
-		for _, b := range fBatches {
+	if e.df == nil || e.df.Len() == 0 {
+		return res, nil
+	}
+	passes := 1
+	if e.incompetent != nil {
+		passes = incompetentPasses
+	}
+	for range passes {
+		for _, b := range data.BatchIndices(e.df.Len(), e.batchSize, e.rng) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			x = tensor.SliceRowsInto(x, df.X, b)
-			labels := df.LabelsFor(b)
-			logits := student.Forward(x, true)
-			_, grad := gl.ForgetStep(logits, labels)
-			student.ZeroGrads()
-			student.BackwardParams(grad)
-			opt.Step(params)
+			x = tensor.SliceRowsInto(x, e.df.X, b)
+			logits := e.student.Forward(x, true)
+			var grad *tensor.Tensor
+			if e.incompetent != nil {
+				_, grad = loss.Distillation(logits, e.incompetent.Forward(x, false), 1)
+			} else {
+				_, grad = e.gl.ForgetStep(logits, e.df.LabelsFor(b))
+			}
+			step(grad)
 		}
 	}
 	return res, nil
@@ -119,30 +155,4 @@ func EvalHardLoss(net *nn.Network, ds *data.Dataset, idx []int, h loss.Hard, bat
 		total += l * float64(len(b))
 	}
 	return total / float64(len(idx))
-}
-
-// TrainLocal runs up to maxEpochs epochs of TrainEpoch with optional early
-// termination (stopper may be nil). It returns the last epoch's result and
-// the number of epochs actually run.
-func TrainLocal(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
-	df *data.Dataset, gl loss.Goldfish, opt Stepper, batchSize, maxEpochs int,
-	stopper *optim.EarlyStopper, rng *rand.Rand) (EpochResult, int, error) {
-
-	var last EpochResult
-	epochs := 0
-	for e := 0; e < maxEpochs; e++ {
-		res, err := TrainEpoch(ctx, student, teacher, ds, drIdx, df, gl, opt, batchSize, rng)
-		if err != nil {
-			return last, epochs, err
-		}
-		last = res
-		epochs++
-		if stopper != nil {
-			stopper.Observe(res.HardLoss)
-			if stopper.ShouldStop() {
-				break
-			}
-		}
-	}
-	return last, epochs, nil
 }

@@ -67,7 +67,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.inShape = x.Shape()
 	b.m = m
 
-	b.out = tensor.EnsureShape(b.out, x.Shape()...)
+	b.out = tensor.EnsureLike(b.out, x)
 	out := b.out
 	xd, od := x.Data(), out.Data()
 	gd, bd := b.gamma.W.Data(), b.beta.W.Data()
@@ -87,8 +87,8 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return out
 	}
 
-	b.xhat = tensor.EnsureShape(b.xhat, x.Shape()...)
-	b.xmu = tensor.EnsureShape(b.xmu, x.Shape()...)
+	b.xhat = tensor.EnsureLike(b.xhat, x)
+	b.xmu = tensor.EnsureLike(b.xmu, x)
 	if cap(b.invStd) < c {
 		b.invStd = make([]float64, c)
 	}

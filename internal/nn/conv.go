@@ -45,6 +45,10 @@ type Conv2D struct {
 	// ReleaseActivations together with x. cols, prod, dprod and dcols hold
 	// one tile of samples; out, dw and dx are the layer's results.
 	cols, prod, out, dprod, dw, dcols, dx *tensor.Tensor
+
+	// wmat views the weights as the (OutC, patch) matrix the products
+	// take; it shares w's storage, which the layer never replaces.
+	wmat *tensor.Tensor
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -100,7 +104,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 	patch := c.InC * c.Kernel * c.Kernel
 	spatial := oh * ow
-	wmat := c.w.W.Reshape(c.OutC, patch)
+	wmat := c.weightMatrix()
 	c.out = tensor.EnsureShape(c.out, n, c.OutC, oh, ow)
 	od := c.out.Data()
 	bd := c.b.W.Data()
@@ -160,7 +164,7 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDx bool) *tensor.Tensor {
 		bg[oc] += s
 	}
 
-	wmat := c.w.W.Reshape(c.OutC, patch)
+	wmat := c.weightMatrix()
 	c.dw = tensor.EnsureShape(c.dw, c.OutC, patch).Zero()
 	if needDx {
 		c.dx = tensor.EnsureShape(c.dx, n, c.InC, c.inH, c.inW).Zero()
@@ -209,6 +213,14 @@ func (c *Conv2D) backward(dout *tensor.Tensor, needDx bool) *tensor.Tensor {
 		return nil
 	}
 	return c.dx
+}
+
+// weightMatrix returns wmat, building it on first use.
+func (c *Conv2D) weightMatrix() *tensor.Tensor {
+	if c.wmat == nil {
+		c.wmat = c.w.W.Reshape(c.OutC, c.InC*c.Kernel*c.Kernel)
+	}
+	return c.wmat
 }
 
 // ReleaseActivations implements ActivationReleaser.

@@ -114,7 +114,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	r.out = tensor.EnsureShape(r.out, x.Shape()...)
+	r.out = tensor.EnsureLike(r.out, x)
 	if cap(r.mask) < x.Size() {
 		r.mask = make([]bool, x.Size())
 	}
@@ -137,7 +137,7 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if len(r.mask) != dout.Size() {
 		panic("nn: ReLU.Backward size mismatch with cached Forward")
 	}
-	r.dx = tensor.EnsureShape(r.dx, dout.Shape()...)
+	r.dx = tensor.EnsureLike(r.dx, dout)
 	dd, dxd := dout.Data(), r.dx.Data()
 	for i, keep := range r.mask {
 		if keep {

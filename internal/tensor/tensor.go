@@ -73,6 +73,10 @@ func EnsureShape(t *Tensor, shape ...int) *Tensor {
 	return t
 }
 
+// EnsureLike is EnsureShape to like's shape, without copying that shape
+// first.
+func EnsureLike(t, like *Tensor) *Tensor { return EnsureShape(t, like.shape...) }
+
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 

@@ -107,7 +107,7 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 		return nil, fmt.Errorf("unlearn: MinClients %d exceeds client count %d", cfg.MinClients, len(parts))
 	}
 	if cfg.Unlearner == nil {
-		cfg.Unlearner = &Goldfish{}
+		cfg.Unlearner = &procStrategy{name: "goldfish", proc: core.Goldfish}
 	}
 	trainers, err := cfg.Unlearner.Setup(Env{Client: cfg.Client, Parts: parts})
 	if err != nil {
@@ -188,10 +188,10 @@ func (f *Federation) NumClients() int {
 }
 
 // Client returns participant i, or nil when i is out of range or the
-// strategy's participants are not Goldfish clients.
+// strategy is not a built-in one.
 func (f *Federation) Client(i int) *core.Client {
-	if ca, ok := f.strategy.(ClientAccessor); ok {
-		return ca.Client(i)
+	if s, ok := f.strategy.(*procStrategy); ok && i >= 0 && i < len(s.clients) {
+		return s.clients[i]
 	}
 	return nil
 }

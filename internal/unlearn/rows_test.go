@@ -42,16 +42,11 @@ func federationOver(t *testing.T, name string, parts []*data.Dataset) *Federatio
 // trainerSamples is the size of the view participant i's trainer trains on.
 func trainerSamples(t *testing.T, f *Federation, i int) int {
 	t.Helper()
-	switch s := f.strategy.(type) {
-	case *Goldfish:
-		return s.clients[i].NumActive()
-	case *retrainStrategy:
-		return s.trainers[i].NumSamples()
-	case *teacherStrategy:
-		return s.trainers[i].NumSamples()
+	c := f.Client(i)
+	if c == nil {
+		t.Fatalf("no client %d under strategy %s", i, f.strategy.Name())
 	}
-	t.Fatalf("no trainer accessor for strategy %T", f.strategy)
-	return 0
+	return c.NumActive()
 }
 
 // TestTrainerViewTracksRemainingRows: across two requests the federation's

@@ -425,9 +425,9 @@ func TestBaselineStrategiesRoundTrip(t *testing.T) {
 			if acc < 0.3 {
 				t.Errorf("%s: accuracy %g did not recover after unlearning", name, acc)
 			}
-			// Baselines have no Goldfish clients to inspect.
-			if f.Client(0) != nil {
-				t.Errorf("%s: Client(0) should be nil for non-goldfish strategies", name)
+			// Every built-in strategy's participants are core.Clients.
+			if f.Client(0) == nil {
+				t.Errorf("%s: Client(0) is nil", name)
 			}
 			// Retrain-family baselines support dynamic membership (client-
 			// level unlearning retrains without the departed client); the
@@ -588,7 +588,7 @@ func mustPanic(t *testing.T, what, wantMsg string, fn func()) {
 // names, empty names and nil factories all panic instead of silently
 // replacing or registering broken entries.
 func TestRegisterMisusePanics(t *testing.T) {
-	factory := func() Strategy { return &Goldfish{} }
+	factory := func() Strategy { return &procStrategy{name: "goldfish", proc: core.Goldfish} }
 	mustPanic(t, "duplicate name", "Register called twice", func() { Register("goldfish", factory) })
 	mustPanic(t, "empty name", "empty name", func() { Register("", factory) })
 	mustPanic(t, "nil factory", "nil factory", func() { Register("nil-factory-strategy", nil) })

@@ -458,8 +458,8 @@ func (e *Engine) Strategy() string { return e.strategyName }
 // NumClients returns the number of participants.
 func (e *Engine) NumClients() int { return e.fed.NumClients() }
 
-// Client returns participant i, or nil when i is out of range or the
-// strategy's participants are not Goldfish clients.
+// Client returns participant i under every built-in strategy, or nil when
+// i is out of range or the strategy is a custom one.
 func (e *Engine) Client(i int) *Client { return e.fed.Client(i) }
 
 // Round returns the number of completed rounds.
