@@ -95,10 +95,6 @@ func TestNewOptionValidation(t *testing.T) {
 			goldfish.WithDataset("mnist", goldfish.ScaleTiny),
 			goldfish.WithAggregator(nil),
 		}, "nil aggregator"},
-		{"nil transport", []goldfish.Option{
-			goldfish.WithDataset("mnist", goldfish.ScaleTiny),
-			goldfish.WithTransport(nil),
-		}, "nil transport"},
 		{"partitions without config", []goldfish.Option{
 			goldfish.WithPartitions(make([]*goldfish.Dataset, 2)),
 		}, "WithClientConfig"},
@@ -116,24 +112,22 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 }
 
-func TestUnlearnerRegistry(t *testing.T) {
-	names := goldfish.Unlearners()
-	for _, want := range []string{"goldfish", "retrain", "fisher", "incompetent-teacher"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("registry %v missing %q", names, want)
+// TestUnknownStrategyErrorListsNames asserts that New's error for a
+// misspelled strategy names every strategy, so the typo is self-diagnosing.
+func TestUnknownStrategyErrorListsNames(t *testing.T) {
+	_, err := goldfish.New(goldfish.WithDataset("mnist", goldfish.ScaleTiny), goldfish.WithUnlearner("retrian"))
+	if err == nil {
+		t.Fatal("New accepted an unknown strategy")
+	}
+	for _, name := range []string{"goldfish", "retrain", "fisher", "incompetent-teacher"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-strategy error %q does not list strategy name %q", err, name)
 		}
 	}
 }
 
 // TestAllStrategiesDeletionRoundTrip is the acceptance gate of the engine +
-// strategy redesign: every registered unlearning method runs the same
+// strategy redesign: every unlearning method runs the same
 // train → RequestDeletion → unlearn flow through goldfish.New, and the
 // model's accuracy recovers.
 func TestAllStrategiesDeletionRoundTrip(t *testing.T) {
@@ -209,7 +203,7 @@ func TestAllStrategiesDeletionRoundTrip(t *testing.T) {
 }
 
 // TestDeletionByOriginalRow is the wrong-row regression: under every
-// registered strategy and through every public deletion entry point, a row
+// strategy and through every public deletion entry point, a row
 // index means the same original row before and after earlier deletions. At
 // the parent of this change RequestDeletion did not record what it removed,
 // so a later request by original row was shifted onto a different row of the
@@ -224,7 +218,7 @@ func TestDeletionByOriginalRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, name := range goldfish.Unlearners() {
+	for _, name := range []string{"fisher", "goldfish", "incompetent-teacher", "retrain"} {
 		t.Run(name, func(t *testing.T) {
 			parts, err := goldfish.PartitionIID(train, 3, rand.New(rand.NewSource(11)))
 			if err != nil {

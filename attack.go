@@ -23,9 +23,8 @@ type (
 )
 
 // RegisterAttack adds an attack factory to the attack-probe registry under
-// name — the attack-axis counterpart of RegisterUnlearner. Registering a
-// name twice panics — pick a unique name per probe. Scenario specs then
-// select it via attack.type or attack.types.
+// name. Registering a name twice panics — pick a unique name per probe.
+// Scenario specs then select it via attack.type or attack.types.
 func RegisterAttack(name string, factory func() Attack) {
 	attack.Register(name, factory)
 }

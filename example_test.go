@@ -62,8 +62,7 @@ func ExampleEngine_RequestDeletion() {
 	// Output: true true
 }
 
-// ExampleWithUnlearner selects a baseline strategy from the Unlearner
-// registry.
+// ExampleWithUnlearner selects a baseline strategy by name.
 func ExampleWithUnlearner() {
 	e, err := goldfish.New(
 		goldfish.WithDataset("mnist", goldfish.ScaleTiny),

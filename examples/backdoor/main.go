@@ -77,9 +77,8 @@ func run() error {
 		return err
 	}
 
-	// B1 reference: the "retrain" strategy from the Unlearner registry runs
-	// the same train → delete → recover flow, dropping the poisoned rows
-	// and retraining from scratch.
+	// B1 reference: the "retrain" strategy runs the same train → delete →
+	// recover flow, dropping the poisoned rows and retraining from scratch.
 	ref, err := goldfish.New(
 		goldfish.WithPreset(p),
 		goldfish.WithPartitions(parts),

@@ -7,11 +7,11 @@
 // (early termination) and extension (adaptive distillation temperature,
 // adaptive-weight aggregation).
 //
-// The public surface is an engine + strategy design: goldfish.New builds a
-// federated-unlearning engine from functional options, and the Unlearner
-// registry makes the paper's procedure and its three baselines ("goldfish",
-// "retrain", "fisher", "incompetent-teacher") interchangeable strategies
-// over one shared federated runtime, each run by the same Client.
+// The public surface is one engine: goldfish.New builds a
+// federated-unlearning engine from functional options, and WithUnlearner
+// names the procedure its clients run — the paper's ("goldfish") or one of
+// its three baselines ("retrain", "fisher", "incompetent-teacher"), each
+// run by the same Client over one shared federated runtime.
 //
 // Quick start:
 //
@@ -55,14 +55,6 @@ type (
 	Client = core.Client
 	// RoundStats summarizes a completed round for callbacks.
 	RoundStats = unlearn.RoundStats
-	// Unlearner is a pluggable federated-unlearning strategy. The built-in
-	// registry names are "goldfish" (the paper's procedure), "retrain"
-	// (B1), "fisher" (B2) and "incompetent-teacher" (B3); select one with
-	// WithUnlearner and add custom strategies with RegisterUnlearner.
-	Unlearner = unlearn.Strategy
-	// UnlearnerEnv is the federation setup an Unlearner builds its
-	// trainers from.
-	UnlearnerEnv = unlearn.Env
 )
 
 // Data types.
@@ -106,12 +98,6 @@ type (
 	AdaptiveWeight = fed.AdaptiveWeight
 	// ModelUpdate is one client's upload.
 	ModelUpdate = fed.ModelUpdate
-	// LocalTrainer is the client-side training logic an Unlearner builds
-	// for each participant.
-	LocalTrainer = fed.LocalTrainer
-	// Transport dispatches one round of local training (in-process by
-	// default; see WithTransport).
-	Transport = fed.Transport
 )
 
 // SGDConfig configures local stochastic gradient descent.
@@ -154,16 +140,6 @@ func DefaultConfig(m ModelConfig) Config { return core.DefaultConfig(m) }
 // DefaultLoss returns the paper's composite loss defaults (µc=0.25, µd=1.0,
 // T=3, cross-entropy hard loss).
 func DefaultLoss() GoldfishLoss { return loss.NewGoldfish() }
-
-// RegisterUnlearner adds a strategy factory to the Unlearner registry under
-// name; WithUnlearner(name) then selects it. Registering a name twice
-// panics — pick a unique name per strategy.
-func RegisterUnlearner(name string, factory func() Unlearner) {
-	unlearn.Register(name, factory)
-}
-
-// Unlearners lists the registered unlearning-strategy names, sorted.
-func Unlearners() []string { return unlearn.Names() }
 
 // BuildModel constructs a network from the model zoo.
 func BuildModel(cfg ModelConfig) (*Network, error) { return model.Build(cfg) }

@@ -1,12 +1,11 @@
 // Package attack turns unlearning-verification probes into interchangeable
-// attack implementations over one registry, mirroring the unlearner-strategy
-// registry in internal/unlearn. An Attack deterministically poisons one
-// client's partition before training and builds a Prober measuring the
-// attack's success rate on the trained global model; the scenario engine
-// sweeps registered attack types as a first-class matrix axis, so unlearning
-// efficacy is verified against several poisoning styles — the paper's
-// backdoor trigger patch plus label flipping and targeted-class feature
-// poisoning — rather than a single trigger style.
+// attack implementations over one registry. An Attack deterministically
+// poisons one client's partition before training and builds a Prober
+// measuring the attack's success rate on the trained global model; the
+// scenario engine sweeps registered attack types as a first-class matrix
+// axis, so unlearning efficacy is verified against several poisoning
+// styles — the paper's backdoor trigger patch plus label flipping and
+// targeted-class feature poisoning — rather than a single trigger style.
 package attack
 
 import (

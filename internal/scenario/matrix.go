@@ -12,7 +12,7 @@ import (
 // Cell is one point of the run matrix: a strategy trained at a seed under
 // one attack probe, over the spec's shared dataset/partition/schedule.
 type Cell struct {
-	// Strategy is the unlearner registry name.
+	// Strategy is the unlearning strategy's name.
 	Strategy string
 	// Seed drives the cell's data generation, partitioning and model
 	// initialization. Cells sharing a seed see identical data and

@@ -146,7 +146,7 @@ type Spec struct {
 	Attack *AttackSpec `json:"attack,omitempty"`
 	// Schedule lists deletion requests by round.
 	Schedule []DeletionSpec `json:"schedule,omitempty"`
-	// Strategies is the unlearner axis (registry names).
+	// Strategies is the unlearner axis (strategy names).
 	Strategies []string `json:"strategies"`
 	// Seeds is the repetition axis; empty with Repetitions=N selects seeds
 	// 1..N, and both empty selects seed 1.

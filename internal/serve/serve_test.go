@@ -50,14 +50,7 @@ func newTestFederation(t *testing.T, strategy string, clients int) *unlearn.Fede
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := unlearn.Config{Client: testConfig(10)}
-	if strategy != "" {
-		cfg.Unlearner, err = unlearn.New(strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	f, err := unlearn.NewFederation(cfg, parts)
+	f, err := unlearn.NewFederation(unlearn.Config{Client: testConfig(10), Strategy: strategy}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

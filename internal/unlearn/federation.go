@@ -20,9 +20,9 @@ import (
 type Config struct {
 	// Client is the configuration shared by all clients.
 	Client core.Config
-	// Unlearner is the unlearning strategy; nil selects the paper's
-	// Goldfish procedure.
-	Unlearner Strategy
+	// Strategy names the unlearning strategy (see Procedure); "" selects
+	// the paper's Goldfish procedure.
+	Strategy string
 	// Aggregator combines uploads; nil selects FedAvg. Use
 	// fed.AdaptiveWeight together with ServerTest for the paper's
 	// extension-module aggregation.
@@ -41,10 +41,6 @@ type Config struct {
 	RoundTimeout time.Duration
 	// SampleSeed drives the client-sampling randomness.
 	SampleSeed int64
-	// Transport, when set, replaces the default in-process transport over
-	// the strategy's trainers (advanced: e.g. a custom distribution
-	// layer). Dynamic membership requires the default transport.
-	Transport fed.Transport
 }
 
 // RoundStats summarizes one completed federation round for callbacks.
@@ -64,14 +60,24 @@ type RoundStats struct {
 	UnlearningRound bool
 }
 
-// Federation orchestrates a federated-unlearning run: one pluggable
-// Strategy over the shared round engine, plus the deletion lifecycle and
-// dynamic membership. It is not safe for concurrent use; drive it from one
-// goroutine.
+// Federation orchestrates a federated-unlearning run: core.Client
+// participants training under one core.Procedure over the shared round
+// engine, plus the deletion lifecycle and dynamic membership. It is not safe
+// for concurrent use; drive it from one goroutine.
 type Federation struct {
-	cfg            Config
-	strategy       Strategy
-	local          *fed.LocalTransport // nil when cfg.Transport is custom
+	cfg  Config
+	name string // the strategy name proc is known under
+	proc core.Procedure
+
+	// clients are the participants by current position, the trainers the
+	// in-process transport local runs. nextID is the next lifetime-unique
+	// client ID; reinits counts the fresh global models deletions and
+	// unlearning departures have started from.
+	clients []*core.Client
+	nextID  int
+	reinits int64
+
+	local          *fed.LocalTransport
 	engine         *fed.Engine
 	evalNet        *nn.Network
 	onRound        func(RoundStats)
@@ -97,6 +103,14 @@ type Federation struct {
 // NewFederation creates a federation with one participant per dataset
 // partition, running the configured unlearning strategy.
 func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
+	name := cfg.Strategy
+	if name == "" {
+		name = "goldfish"
+	}
+	proc, err := Procedure(name)
+	if err != nil {
+		return nil, err
+	}
 	if err := cfg.Client.Validate(); err != nil {
 		return nil, err
 	}
@@ -106,16 +120,13 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 	if cfg.MinClients > len(parts) {
 		return nil, fmt.Errorf("unlearn: MinClients %d exceeds client count %d", cfg.MinClients, len(parts))
 	}
-	if cfg.Unlearner == nil {
-		cfg.Unlearner = &procStrategy{name: "goldfish", proc: core.Goldfish}
-	}
-	trainers, err := cfg.Unlearner.Setup(Env{Client: cfg.Client, Parts: parts})
-	if err != nil {
-		return nil, err
-	}
-	if len(trainers) != len(parts) {
-		return nil, fmt.Errorf("unlearn: strategy %s built %d trainers for %d partitions",
-			cfg.Unlearner.Name(), len(trainers), len(parts))
+	clients := make([]*core.Client, len(parts))
+	trainers := make([]fed.LocalTrainer, len(parts))
+	for i, p := range parts {
+		if clients[i], err = proc.NewClient(i, cfg.Client, p); err != nil {
+			return nil, err
+		}
+		trainers[i] = clients[i]
 	}
 	initNet, err := model.Build(cfg.Client.Model)
 	if err != nil {
@@ -127,11 +138,15 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 	}
 
 	f := &Federation{
-		cfg:      cfg,
-		strategy: cfg.Unlearner,
-		evalNet:  evalNet,
-		parts:    append([]*data.Dataset(nil), parts...),
-		removed:  make([]map[int]bool, len(parts)),
+		cfg:     cfg,
+		name:    name,
+		proc:    proc,
+		clients: clients,
+		nextID:  len(clients),
+		local:   fed.NewLocalTransport(trainers),
+		evalNet: evalNet,
+		parts:   append([]*data.Dataset(nil), parts...),
+		removed: make([]map[int]bool, len(parts)),
 	}
 	for i := range f.removed {
 		f.removed[i] = map[int]bool{}
@@ -143,11 +158,6 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 		scorer = fed.ScorerFunc(metrics.NewMSEScorer(evalNet, cfg.ServerTest, cfg.Client.BatchSize))
 	}
 
-	transport := cfg.Transport
-	if transport == nil {
-		f.local = fed.NewLocalTransport(trainers)
-		transport = f.local
-	}
 	engine, err := fed.NewEngine(fed.EngineConfig{
 		Aggregator:     cfg.Aggregator,
 		Scorer:         scorer,
@@ -168,7 +178,7 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 				})
 			}
 		},
-	}, initNet.StateVector(), transport)
+	}, initNet.StateVector(), f.local)
 	if err != nil {
 		return nil, err
 	}
@@ -176,24 +186,18 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 	return f, nil
 }
 
-// Strategy returns the active unlearning strategy.
-func (f *Federation) Strategy() Strategy { return f.strategy }
+// StrategyName returns the name of the strategy the federation runs.
+func (f *Federation) StrategyName() string { return f.name }
 
 // NumClients returns the number of participants.
-func (f *Federation) NumClients() int {
-	if f.local != nil {
-		return f.local.NumClients()
-	}
-	return f.cfg.Transport.NumClients()
-}
+func (f *Federation) NumClients() int { return len(f.clients) }
 
-// Client returns participant i, or nil when i is out of range or the
-// strategy is not a built-in one.
+// Client returns participant i, or nil when i is out of range.
 func (f *Federation) Client(i int) *core.Client {
-	if s, ok := f.strategy.(*procStrategy); ok && i >= 0 && i < len(s.clients) {
-		return s.clients[i]
+	if i < 0 || i >= len(f.clients) {
+		return nil
 	}
-	return nil
+	return f.clients[i]
 }
 
 // Round returns the number of completed rounds.
@@ -227,7 +231,7 @@ func (f *Federation) GlobalNet() (*nn.Network, error) {
 // dataset. Rows index the client's ORIGINAL dataset whatever the strategy;
 // out-of-range, already-removed and repeated rows, and a request that would
 // leave the client with no rows, are rejected before anything is mutated,
-// and the strategy receives the rows in ascending order. The strategy
+// and the client forgets the rows in ascending order. The procedure
 // decides how the request is honoured: Goldfish runs Algorithm 1 lines
 // 8–17, the retrain baselines drop the rows and restart from scratch, the
 // incompetent teacher distills the data away.
@@ -274,13 +278,26 @@ func (f *Federation) checkDeletion(clientID int, rows []int) ([]int, error) {
 	return rows, nil
 }
 
-// forget applies a request checkDeletion accepted.
+// forget applies a request checkDeletion accepted: the owning client
+// forgets the rows with the current global model at hand (B3 freezes it as
+// its teacher), every other client reacts as its procedure says, and the
+// global model is reinitialized when the procedure asks for it. A client
+// that refuses the rows leaves the federation unchanged.
 func (f *Federation) forget(clientID int, rows []int) error {
 	f.obs.Event("unlearn/request",
-		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID), obs.Int("rows", len(rows)))
+		obs.Str("strategy", f.name), obs.Int("client", clientID), obs.Int("rows", len(rows)))
 	sp := f.obs.StartSpan("unlearn/forget",
-		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID))
-	next, err := f.strategy.Forget(clientID, rows, f.engine.Global())
+		obs.Str("strategy", f.name), obs.Int("client", clientID))
+	err := core.ForgetAt(f.clients[clientID], rows, f.engine.Global())
+	var next []float64
+	if err == nil {
+		for i, c := range f.clients {
+			if i != clientID {
+				c.MarkRetrain()
+			}
+		}
+		next, err = f.reinit()
+	}
 	sp.End()
 	if err != nil {
 		return err
@@ -295,6 +312,22 @@ func (f *Federation) forget(clientID int, rows []int) error {
 	f.obs.Counter("unlearn.requests").Inc()
 	f.markForget()
 	return nil
+}
+
+// reinit builds the next freshly initialized global model, or returns nil
+// when the procedure keeps the current one.
+func (f *Federation) reinit() ([]float64, error) {
+	if f.proc.ReinitSeed == nil {
+		return nil, nil
+	}
+	f.reinits++
+	mcfg := f.cfg.Client.Model
+	mcfg.Seed = f.proc.ReinitSeed(f.cfg.Client, f.reinits)
+	fresh, err := model.Build(mcfg)
+	if err != nil {
+		return nil, fmt.Errorf("unlearn: reinitializing global model: %w", err)
+	}
+	return fresh.StateVector(), nil
 }
 
 // forgetMark is one pending deletion request awaiting its recovery rounds:
@@ -324,7 +357,7 @@ func (f *Federation) settleForgetMarks() {
 	if f.obs == nil || len(f.forgetMarks) == 0 {
 		return
 	}
-	name := f.strategy.Name()
+	name := f.name
 	for _, m := range f.forgetMarks {
 		rounds := f.engine.Round() - m.round
 		ms := float64((f.obs.Elapsed() - m.at).Microseconds()) / 1e3
@@ -402,7 +435,7 @@ func (f *Federation) RequestClassDeletion(class int) (map[int][]int, error) {
 	}
 	for n, i := range affected {
 		if err := f.forget(i, out[i]); err != nil {
-			// The strategy refused a validated request: report what was applied.
+			// A client refused a validated request: report what was applied.
 			for _, j := range affected[n:] {
 				delete(out, j)
 			}
@@ -421,60 +454,73 @@ func (f *Federation) Partition(i int) *data.Dataset {
 	return f.parts[i]
 }
 
+// checkMembership rejects membership changes under a procedure that keeps
+// the global model on a deletion (B3): a departed client's rows leave with
+// it, so only a fresh global model forgets them.
+func (f *Federation) checkMembership() error {
+	if f.proc.ReinitSeed == nil {
+		return fmt.Errorf("unlearn: strategy %s does not support dynamic membership", f.name)
+	}
+	return nil
+}
+
 // AddClient registers a new participant holding the given local dataset and
 // returns its client ID (unique across the federation's lifetime, even
 // after removals). The client joins from the next round onward.
 func (f *Federation) AddClient(ds *data.Dataset) (int, error) {
-	m, ok := f.strategy.(Membership)
-	if !ok {
-		return 0, fmt.Errorf("unlearn: strategy %s does not support dynamic membership", f.strategy.Name())
+	if err := f.checkMembership(); err != nil {
+		return 0, err
 	}
-	if f.local == nil {
-		return 0, fmt.Errorf("unlearn: dynamic membership requires the in-process transport")
-	}
-	tr, id, err := m.AddTrainer(ds)
+	c, err := f.proc.NewClient(f.nextID, f.cfg.Client, ds)
 	if err != nil {
 		return 0, err
 	}
-	f.local.Append(tr)
+	f.nextID++
+	f.clients = append(f.clients, c)
+	f.local.Append(c)
 	f.parts = append(f.parts, ds)
 	f.removed = append(f.removed, map[int]bool{})
-	return id, nil
+	return c.ID(), nil
 }
 
 // RemoveClient removes a participant from the federation. When unlearn is
 // true the removal is treated as a deletion request for the client's entire
-// remaining dataset, so its contribution is actively forgotten rather than
-// merely no longer aggregated.
+// remaining dataset: every remaining client reacts as to any other deletion
+// and training restarts from a fresh global model, so the departed client's
+// contribution is actively forgotten rather than merely no longer
+// aggregated.
 func (f *Federation) RemoveClient(clientID int, unlearn bool) error {
-	m, ok := f.strategy.(Membership)
-	if !ok {
-		return fmt.Errorf("unlearn: strategy %s does not support dynamic membership", f.strategy.Name())
+	if err := f.checkMembership(); err != nil {
+		return err
 	}
-	if f.local == nil {
-		return fmt.Errorf("unlearn: dynamic membership requires the in-process transport")
+	if clientID < 0 || clientID >= len(f.clients) {
+		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.clients))
 	}
-	next, err := m.RemoveTrainer(clientID, unlearn)
+	if len(f.clients) == 1 {
+		return fmt.Errorf("unlearn: cannot remove the last client")
+	}
+	if err := f.local.Remove(clientID); err != nil {
+		return err
+	}
+	f.clients = append(f.clients[:clientID], f.clients[clientID+1:]...)
+	f.parts = append(f.parts[:clientID], f.parts[clientID+1:]...)
+	f.removed = append(f.removed[:clientID], f.removed[clientID+1:]...)
+	f.obs.Event("unlearn/client_removed",
+		obs.Str("strategy", f.name), obs.Int("client", clientID), obs.Int("unlearn", boolInt(unlearn)))
+	if !unlearn {
+		return nil
+	}
+	for _, c := range f.clients {
+		c.MarkRetrain()
+	}
+	next, err := f.reinit()
 	if err != nil {
 		return err
 	}
-	if rerr := f.local.Remove(clientID); rerr != nil {
-		return rerr
-	}
-	if clientID >= 0 && clientID < len(f.parts) {
-		f.parts = append(f.parts[:clientID], f.parts[clientID+1:]...)
-		f.removed = append(f.removed[:clientID], f.removed[clientID+1:]...)
-	}
-	if next != nil {
-		f.engine.SetGlobal(next)
-	}
-	f.obs.Event("unlearn/client_removed",
-		obs.Str("strategy", f.strategy.Name()), obs.Int("client", clientID), obs.Int("unlearn", boolInt(unlearn)))
-	if unlearn {
-		f.pendingUnlearn = true
-		f.obs.Counter("unlearn.requests").Inc()
-		f.markForget()
-	}
+	f.engine.SetGlobal(next)
+	f.pendingUnlearn = true
+	f.obs.Counter("unlearn.requests").Inc()
+	f.markForget()
 	return nil
 }
 

@@ -28,11 +28,7 @@ func federationOver(t *testing.T, name string, parts []*data.Dataset) *Federatio
 	if name == "fisher" {
 		cfg.Opt.LR = 0.01 // preconditioned steps are larger; lower LR
 	}
-	s, err := New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFederation(Config{Client: cfg, Unlearner: s}, parts)
+	f, err := NewFederation(Config{Client: cfg, Strategy: name}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +40,7 @@ func trainerSamples(t *testing.T, f *Federation, i int) int {
 	t.Helper()
 	c := f.Client(i)
 	if c == nil {
-		t.Fatalf("no client %d under strategy %s", i, f.strategy.Name())
+		t.Fatalf("no client %d under strategy %s", i, f.name)
 	}
 	return c.NumActive()
 }
@@ -55,7 +51,7 @@ func trainerSamples(t *testing.T, f *Federation, i int) int {
 // (internal/baselines asserts the view row by row.)
 func TestTrainerViewTracksRemainingRows(t *testing.T) {
 	train, _ := tinyMNIST(t)
-	for _, name := range Names() {
+	for _, name := range strategyNames() {
 		t.Run(name, func(t *testing.T) {
 			f, parts := strategyFederation(t, name, train)
 			ctx := context.Background()
@@ -97,7 +93,7 @@ func TestTrainerViewTracksRemainingRows(t *testing.T) {
 func TestRowOrderWithinARequestIsIrrelevant(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	ctx := context.Background()
-	for _, name := range Names() {
+	for _, name := range strategyNames() {
 		t.Run(name, func(t *testing.T) {
 			var finals [][]float64
 			for _, rows := range [][]int{{1, 3, 7, 12, 20}, {12, 1, 20, 7, 3}} {
@@ -129,7 +125,7 @@ func TestRowOrderWithinARequestIsIrrelevant(t *testing.T) {
 func TestFailedRequestChangesNothing(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	ctx := context.Background()
-	for _, name := range Names() {
+	for _, name := range strategyNames() {
 		t.Run(name, func(t *testing.T) {
 			f, parts := strategyFederation(t, name, train)
 			twin, _ := strategyFederation(t, name, train)
@@ -195,7 +191,7 @@ func TestRejectedClassDeletionChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := []*data.Dataset{mixed[0], train.Subset(ofClass[:10]), mixed[1]}
-	for _, name := range Names() {
+	for _, name := range strategyNames() {
 		t.Run(name, func(t *testing.T) {
 			f := federationOver(t, name, parts)
 			if err := f.Run(context.Background(), 1, nil); err != nil {

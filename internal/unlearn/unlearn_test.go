@@ -41,23 +41,13 @@ func tinyMNIST(t *testing.T) (train, test *data.Dataset) {
 	return train, test
 }
 
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{"goldfish", "retrain", "fisher", "incompetent-teacher"} {
-		s, err := New(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, s.Name())
-		}
+// strategyNames lists every strategy name, in table order.
+func strategyNames() []string {
+	out := make([]string, len(strategies))
+	for i, s := range strategies {
+		out[i] = s.name
 	}
-	if _, err := New("bogus"); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	names := Names()
-	if len(names) < 4 {
-		t.Errorf("Names() = %v, want at least the four built-ins", names)
-	}
+	return out
 }
 
 func TestFederationTrainsToUsefulAccuracy(t *testing.T) {
@@ -380,7 +370,7 @@ func TestFederationRemoveClient(t *testing.T) {
 	}
 }
 
-// TestBaselineStrategiesRoundTrip drives every registered baseline through
+// TestBaselineStrategiesRoundTrip drives every baseline through
 // the same federation API as the Goldfish procedure: train, delete, keep
 // training, and end with a usable model over the remaining data.
 func TestBaselineStrategiesRoundTrip(t *testing.T) {
@@ -396,11 +386,7 @@ func TestBaselineStrategiesRoundTrip(t *testing.T) {
 			if name == "fisher" {
 				cfg.Opt.LR = 0.01 // preconditioned steps are larger; lower LR
 			}
-			s, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewFederation(Config{Client: cfg, Unlearner: s}, parts)
+			f, err := NewFederation(Config{Client: cfg, Strategy: name}, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -473,11 +459,7 @@ func TestRequestDeletionByOriginalRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewFederation(Config{Client: testConfig(10), Unlearner: s}, parts)
+			f, err := NewFederation(Config{Client: testConfig(10), Strategy: name}, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -567,46 +549,17 @@ func TestRequestClassDeletion(t *testing.T) {
 	}
 }
 
-// mustPanic runs fn and fails the test unless it panics with a message
-// containing wantMsg.
-func mustPanic(t *testing.T, what, wantMsg string, fn func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Errorf("%s: Register did not panic", what)
-			return
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, wantMsg) {
-			t.Errorf("%s: panic = %v, want message containing %q", what, r, wantMsg)
-		}
-	}()
-	fn()
-}
-
-// TestRegisterMisusePanics pins the registry's wiring-bug contract: duplicate
-// names, empty names and nil factories all panic instead of silently
-// replacing or registering broken entries.
-func TestRegisterMisusePanics(t *testing.T) {
-	factory := func() Strategy { return &procStrategy{name: "goldfish", proc: core.Goldfish} }
-	mustPanic(t, "duplicate name", "Register called twice", func() { Register("goldfish", factory) })
-	mustPanic(t, "empty name", "empty name", func() { Register("", factory) })
-	mustPanic(t, "nil factory", "nil factory", func() { Register("nil-factory-strategy", nil) })
-	if _, err := New("nil-factory-strategy"); err == nil {
-		t.Error("rejected registration still reachable via New")
-	}
-}
-
 // TestUnknownStrategyErrorListsNames asserts the lookup-failure error names
-// every registered strategy, so a typo in a spec is self-diagnosing.
+// every strategy, so a typo in a spec is self-diagnosing.
 func TestUnknownStrategyErrorListsNames(t *testing.T) {
-	_, err := New("no-such-strategy")
+	parts := []*data.Dataset{{}}
+	_, err := NewFederation(Config{Client: testConfig(10), Strategy: "no-such-strategy"}, parts)
 	if err == nil {
-		t.Fatal("New(unknown) succeeded")
+		t.Fatal("NewFederation(unknown strategy) succeeded")
 	}
-	for _, name := range Names() {
+	for _, name := range strategyNames() {
 		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-strategy error %q does not list registered name %q", err, name)
+			t.Errorf("unknown-strategy error %q does not list strategy name %q", err, name)
 		}
 	}
 }

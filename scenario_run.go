@@ -9,6 +9,7 @@ import (
 	"goldfish/internal/attack"
 	"goldfish/internal/data"
 	"goldfish/internal/scenario"
+	"goldfish/internal/unlearn"
 )
 
 // Scenario types re-exported from the declarative experiment engine
@@ -68,13 +69,19 @@ func DiffScenarioReports(oldR, newR *ScenarioReport, opts ScenarioDiffOptions) (
 }
 
 // ValidateScenario validates a spec beyond ScenarioSpec.Validate: it also
-// resolves the preset, so a deletion schedule reaching past a preset-derived
+// looks up every strategy name, so a misspelled one fails before any cell
+// trains, and resolves the preset, so a deletion schedule reaching past a preset-derived
 // round budget, or an attack or schedule naming a client or class the
 // federation will not have, is rejected up front instead of silently never
 // executing (or failing every cell at run time).
 func ValidateScenario(spec ScenarioSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
+	}
+	for _, name := range spec.Strategies {
+		if _, err := unlearn.Procedure(name); err != nil {
+			return err
+		}
 	}
 	p, err := NewPresetWithArch(spec.Dataset, Arch(spec.Arch), Scale(spec.Scale), spec.SeedList()[0])
 	if err != nil {
@@ -127,7 +134,7 @@ func ValidateScenario(spec ScenarioSpec) error {
 
 // RunScenario executes the spec's full strategy × seed × attack
 // matrix concurrently on a bounded worker pool. Every cell runs end to end
-// through goldfish.New and the registered unlearner strategies: generate the
+// through goldfish.New and the named unlearning strategies: generate the
 // preset's data at the cell seed, partition it, optionally inject the cell's
 // attack probe (backdoor, label-flip, targeted-class, or any registered
 // type), train with the scheduled sample-/class-/client-level deletion

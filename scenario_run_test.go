@@ -95,9 +95,11 @@ func TestRunScenarioMatrixDeterministic(t *testing.T) {
 }
 
 func TestRunScenarioRecordsCellFailures(t *testing.T) {
+	// B3 keeps the global model on a deletion, so it refuses a client's
+	// departure: its cell fails at run time while the goldfish cell runs on.
 	spec := tinyScenario()
-	spec.Strategies = []string{"goldfish", "no-such-strategy"}
-	spec.Schedule = nil
+	spec.Strategies = []string{"goldfish", "incompetent-teacher"}
+	spec.Schedule = []scenario.DeletionSpec{{Round: 1, Type: scenario.DeleteClient, Client: 1}}
 	spec.Attack = nil
 	spec.Rounds = 1
 	spec.Seeds = []int64{1}
@@ -106,19 +108,42 @@ func TestRunScenarioRecordsCellFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rep.Complete(); err == nil {
-		t.Fatal("matrix with an unknown strategy reported complete")
+		t.Fatal("matrix with a failing cell reported complete")
 	}
 	var failed bool
 	for _, c := range rep.Cells {
-		if c.Strategy == "no-such-strategy" {
+		switch c.Strategy {
+		case "incompetent-teacher":
 			failed = c.Error != ""
-			if !strings.Contains(c.Error, "unknown strategy") {
-				t.Errorf("error %q does not name the unknown strategy", c.Error)
+			if !strings.Contains(c.Error, "dynamic membership") {
+				t.Errorf("error %q does not say why the cell failed", c.Error)
+			}
+		case "goldfish":
+			if c.Error != "" {
+				t.Errorf("goldfish cell failed: %s", c.Error)
 			}
 		}
 	}
 	if !failed {
 		t.Error("failing cell not recorded")
+	}
+}
+
+// TestValidateScenarioChecksStrategyNames: a misspelled strategy fails
+// validation, even when the preset does not resolve, so RunScenario trains
+// no cell before it reports the typo.
+func TestValidateScenarioChecksStrategyNames(t *testing.T) {
+	spec := tinyScenario()
+	spec.Strategies = []string{"goldfish", "retrian"}
+	for _, dataset := range []string{"mnist", "no-such-dataset"} {
+		spec.Dataset = dataset
+		if err := ValidateScenario(spec); err == nil || !strings.Contains(err.Error(), `unknown strategy "retrian"`) {
+			t.Errorf("%s: ValidateScenario = %v, want an unknown-strategy error", dataset, err)
+		}
+	}
+	spec.Dataset = "mnist"
+	if rep, err := RunScenario(context.Background(), spec); err == nil || rep != nil {
+		t.Errorf("RunScenario = (%v, %v), want no report and an unknown-strategy error", rep, err)
 	}
 }
 

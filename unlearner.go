@@ -21,14 +21,12 @@ type engineConfig struct {
 	parts      []*Dataset
 	clientCfg  *Config
 	unlearner  string
-	strategy   Unlearner
 	agg        Aggregator
 	serverTest *Dataset
 	minClients int
 	fraction   float64
 	timeout    time.Duration
 	sampleSeed int64
-	transport  Transport
 	hook       func(RoundStats)
 }
 
@@ -115,28 +113,15 @@ func WithClientConfig(cfg Config) Option {
 	}
 }
 
-// WithUnlearner selects the unlearning strategy by registry name:
-// "goldfish" (the paper's procedure, default), "retrain" (B1), "fisher"
-// (B2), "incompetent-teacher" (B3), or any name added via
-// RegisterUnlearner.
+// WithUnlearner selects the unlearning strategy by name: "goldfish" (the
+// paper's procedure, default), "retrain" (B1), "fisher" (B2) or
+// "incompetent-teacher" (B3). New rejects any other name.
 func WithUnlearner(name string) Option {
 	return func(c *engineConfig) error {
 		if name == "" {
 			return fmt.Errorf("goldfish: WithUnlearner: empty strategy name")
 		}
 		c.unlearner = name
-		return nil
-	}
-}
-
-// WithUnlearnerStrategy plugs in an Unlearner instance directly, bypassing
-// the registry.
-func WithUnlearnerStrategy(u Unlearner) Option {
-	return func(c *engineConfig) error {
-		if u == nil {
-			return fmt.Errorf("goldfish: WithUnlearnerStrategy: nil strategy")
-		}
-		c.strategy = u
 		return nil
 	}
 }
@@ -225,31 +210,15 @@ func WithRoundHook(h func(RoundStats)) Option {
 	}
 }
 
-// WithTransport replaces the default in-process transport that fans rounds
-// out to the strategy's trainers — an advanced escape hatch for custom
-// distribution layers. Dynamic membership (AddClient/RemoveClient) requires
-// the default transport.
-func WithTransport(t Transport) Option {
-	return func(c *engineConfig) error {
-		if t == nil {
-			return fmt.Errorf("goldfish: WithTransport: nil transport")
-		}
-		c.transport = t
-		return nil
-	}
-}
-
-// Engine is a federated-unlearning run: a pluggable Unlearner strategy over
-// the shared round engine, plus data bookkeeping from the dataset preset.
-// Build one with New. An Engine is not safe for concurrent use; drive it
-// from one goroutine.
+// Engine is a federated-unlearning run: one unlearning strategy's clients
+// over the shared round engine, plus data bookkeeping from the dataset
+// preset. Build one with New. An Engine is not safe for concurrent use;
+// drive it from one goroutine.
 type Engine struct {
 	fed           *unlearn.Federation
-	strategyName  string
 	preset        Preset
 	hasPreset     bool
 	train, test   *Dataset
-	parts         []*Dataset
 	hook          func(RoundStats)
 	defaultRounds int
 }
@@ -277,7 +246,7 @@ func New(opts ...Option) (*Engine, error) {
 		cfg.seed = 1
 	}
 
-	e := &Engine{strategyName: cfg.unlearner, hook: cfg.hook}
+	e := &Engine{hook: cfg.hook}
 
 	// Resolve the preset, if any.
 	switch {
@@ -313,40 +282,20 @@ func New(opts ...Option) (*Engine, error) {
 		e.train, e.test = train, test
 		e.defaultRounds = e.preset.Rounds
 	}
-	// Keep a private copy of the partition list: dynamic membership edits
-	// it, and that must not alias a slice the caller still holds.
-	if cfg.parts != nil {
-		e.parts = append([]*Dataset(nil), cfg.parts...)
-	}
-	if e.parts == nil {
+	parts := cfg.parts
+	if parts == nil {
 		clients := cfg.clients
 		if clients <= 0 {
 			clients = e.preset.Clients
 		}
-		parts, err := data.PartitionIID(e.train, clients, rand.New(rand.NewSource(cfg.seed*7717)))
-		if err != nil {
+		var err error
+		if parts, err = data.PartitionIID(e.train, clients, rand.New(rand.NewSource(cfg.seed*7717))); err != nil {
 			return nil, err
 		}
-		e.parts = parts
-	} else if cfg.clients > 0 && cfg.clients != len(e.parts) {
+	} else if cfg.clients > 0 && cfg.clients != len(parts) {
 		return nil, fmt.Errorf("goldfish: WithClients(%d) conflicts with %d explicit partitions",
-			cfg.clients, len(e.parts))
+			cfg.clients, len(parts))
 	}
-
-	// Resolve the unlearning strategy.
-	strategy := cfg.strategy
-	if strategy == nil {
-		name := cfg.unlearner
-		if name == "" {
-			name = "goldfish"
-		}
-		s, err := unlearn.New(name)
-		if err != nil {
-			return nil, err
-		}
-		strategy = s
-	}
-	e.strategyName = strategy.Name()
 
 	// The paper's adaptive aggregation needs a server-side test set; fall
 	// back to the preset's test split when none was given.
@@ -359,15 +308,14 @@ func New(opts ...Option) (*Engine, error) {
 
 	fedr, err := unlearn.NewFederation(unlearn.Config{
 		Client:         clientCfg,
-		Unlearner:      strategy,
+		Strategy:       cfg.unlearner,
 		Aggregator:     cfg.agg,
 		ServerTest:     serverTest,
 		MinClients:     cfg.minClients,
 		ClientFraction: cfg.fraction,
 		RoundTimeout:   cfg.timeout,
 		SampleSeed:     cfg.sampleSeed,
-		Transport:      cfg.transport,
-	}, e.parts)
+	}, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +337,7 @@ func (e *Engine) Run(ctx context.Context, n int) error {
 }
 
 // RequestDeletion submits a deletion request for rows of a client's local
-// dataset; the configured Unlearner decides how it is honoured on the next
+// dataset; the configured strategy decides how it is honoured on the next
 // Run. clientID is the client's current position (as in Partitions()),
 // which shifts down when an earlier participant is removed. rows index the
 // client's ORIGINAL dataset under every strategy, in any order; a row that
@@ -429,37 +377,25 @@ func (e *Engine) RemainingRowsOfClass(clientID, class int) []int {
 }
 
 // AddClient registers a new participant holding the given local dataset and
-// returns its lifetime-unique client ID. Only strategies with
-// dynamic-membership support ("goldfish", "retrain", "fisher") accept it.
-func (e *Engine) AddClient(ds *Dataset) (int, error) {
-	id, err := e.fed.AddClient(ds)
-	if err != nil {
-		return 0, err
-	}
-	e.parts = append(e.parts, ds)
-	return id, nil
-}
+// returns its lifetime-unique client ID. Every strategy but
+// "incompetent-teacher" accepts it.
+func (e *Engine) AddClient(ds *Dataset) (int, error) { return e.fed.AddClient(ds) }
 
 // RemoveClient removes the participant at the given current position (the
 // positions of later participants shift down by one). When unlearn is true
 // the departure is treated as a deletion request for the client's entire
-// remaining dataset.
+// remaining dataset. Every strategy but "incompetent-teacher" accepts it.
 func (e *Engine) RemoveClient(clientID int, unlearn bool) error {
-	if err := e.fed.RemoveClient(clientID, unlearn); err != nil {
-		return err
-	}
-	e.parts = append(e.parts[:clientID], e.parts[clientID+1:]...)
-	return nil
+	return e.fed.RemoveClient(clientID, unlearn)
 }
 
-// Strategy returns the active unlearning strategy's registry name.
-func (e *Engine) Strategy() string { return e.strategyName }
+// Strategy returns the name of the active unlearning strategy.
+func (e *Engine) Strategy() string { return e.fed.StrategyName() }
 
 // NumClients returns the number of participants.
 func (e *Engine) NumClients() int { return e.fed.NumClients() }
 
-// Client returns participant i under every built-in strategy, or nil when
-// i is out of range or the strategy is a custom one.
+// Client returns participant i, or nil when i is out of range.
 func (e *Engine) Client(i int) *Client { return e.fed.Client(i) }
 
 // Round returns the number of completed rounds.
@@ -478,8 +414,15 @@ func (e *Engine) TrainData() *Dataset { return e.train }
 // TestData returns the preset's generated test set (nil without a preset).
 func (e *Engine) TestData() *Dataset { return e.test }
 
-// Partitions returns the per-client datasets the engine trains on.
-func (e *Engine) Partitions() []*Dataset { return e.parts }
+// Partitions returns the per-client ORIGINAL datasets the engine trains on,
+// by current position, in a slice the caller owns.
+func (e *Engine) Partitions() []*Dataset {
+	out := make([]*Dataset, e.fed.NumClients())
+	for i := range out {
+		out[i] = e.fed.Partition(i)
+	}
+	return out
+}
 
 // DefaultRounds returns the preset's round budget (0 without a preset).
 func (e *Engine) DefaultRounds() int { return e.defaultRounds }
