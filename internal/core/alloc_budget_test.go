@@ -65,10 +65,11 @@ func TestAllocationBudgets(t *testing.T) {
 		{"accuracy/lenet5", 14, lenet.accuracy},
 		{"accuracy/resnet", 22, resnet.accuracy},
 		{"mse-scorer/resnet", 307, resnet.mseScorer},
-		{"train-round/lenet5", 186, lenet.trainRound},
-		{"train-round/resnet", 790, resnet.trainRound},
-		{"train-round/incompetent", 461, lenet.incompetentRound},
-		{"train-round/retrain", 175, lenet.retrainRound},
+		{"train-round/lenet5", 178, lenet.trainRound},
+		{"train-round/resnet", 772, resnet.trainRound},
+		{"train-round/distill", 244, lenet.distillRound},
+		{"train-round/incompetent", 424, lenet.incompetentRound},
+		{"train-round/retrain", 168, lenet.retrainRound},
 		{"aggregate/fedavg", 1, aggregate(fed.FedAvg{})},
 		{"aggregate/adaptive", 2, aggregate(fed.AdaptiveWeight{})},
 		{"engine-round/local", 19, engineRound},
@@ -160,6 +161,24 @@ func (w budgetWorkload) trainRound(t *testing.T) func() {
 		t.Fatal(err)
 	}
 	return roundsOf(t, c, w.net(t).StateVector())
+}
+
+// distillRound is one Goldfish client round while another client deletes
+// data: MarkRetrain before each call makes the round distil from the
+// previous global, which with EarlyDelta > 0 also gives the Eq. 7
+// reference.
+func (w budgetWorkload) distillRound(t *testing.T) func() {
+	cfg := w.p.ClientConfig()
+	cfg.EarlyDelta = 0.05
+	c, err := core.NewClient(0, cfg, w.train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := roundsOf(t, c, w.net(t).StateVector())
+	return func() {
+		c.MarkRetrain()
+		round()
+	}
 }
 
 // incompetentRound is one client round under the B3 procedure after its

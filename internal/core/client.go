@@ -8,6 +8,7 @@ import (
 
 	"goldfish/internal/data"
 	"goldfish/internal/fed"
+	"goldfish/internal/loss"
 	"goldfish/internal/model"
 	"goldfish/internal/nn"
 	"goldfish/internal/optim"
@@ -19,6 +20,13 @@ import (
 // LocalTraining on active data), unlearn (a deletion is pending: the
 // previous global teaches the reinitialized incoming one, with forget steps
 // on Df) or retrain (another client deleted data: the same with empty Df).
+//
+// A teacher is frozen for the whole round, so a round forwards it once, at
+// its start, over the rows the round reads: the retain teacher over the
+// remaining rows and B3's incompetent network over Df. Every epoch then
+// reads the teachers' logits from that pass, and the Eq. 7 reference is
+// that pass's mean hard loss. A round that fails leaves the teacher of the
+// next round as it was.
 type Client struct {
 	id   int
 	cfg  Config
@@ -212,11 +220,6 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 	if err := c.student.SetStateVector(global); err != nil {
 		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading global model: %w", c.id, err)
 	}
-	teacherVec := c.teacherVec
-	if c.proc.Teacher == PreviousGlobal {
-		// Only a global the student loaded may teach the next round.
-		c.teacherVec = append([]float64(nil), global...)
-	}
 
 	gl := c.cfg.Loss
 	if c.proc.Hard != nil {
@@ -225,16 +228,16 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 	drIdx := c.activeRowsLocked() // never empty: forget keeps a row
 	e := epoch{student: c.student, ds: c.dataset, drIdx: drIdx, df: c.df, kdOnly: c.proc.KDOnly,
 		incompetent: c.incompetent, batchSize: c.cfg.BatchSize, rng: c.rng}
-	if teacherVec != nil {
-		if err := c.teacher.SetStateVector(teacherVec); err != nil {
+	if c.teacherVec != nil {
+		if err := c.teacher.SetStateVector(c.teacherVec); err != nil {
 			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading teacher model: %w", c.id, err)
 		}
 		e.teacher = c.teacher
 	}
 
-	var stopper *optim.EarlyStopper
+	var ref loss.Hard // set when the round may stop early (Eq. 7)
 	if c.proc.Teacher == PreviousGlobal {
-		unlearning := e.df != nil && e.df.Len() > 0
+		unlearning := e.forgets()
 		if !(unlearning || c.retrain) || e.teacher == nil {
 			// Algorithm 1's LocalTraining: plain hard-loss descent.
 			// Distillation only runs in the Goldfish procedure (deletion
@@ -245,15 +248,23 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 			gl.Temp = AdaptiveTemperature(c.cfg.TempAlpha, c.cfg.Loss.Temp, len(drIdx), e.df.Len())
 		}
 		if c.cfg.EarlyDelta > 0 && e.teacher != nil {
-			ref := EvalHardLoss(e.teacher, c.dataset, drIdx, gl.Hard, c.cfg.BatchSize)
-			es, err := optim.NewEarlyStopper(c.cfg.EarlyDelta, ref)
-			if err != nil {
-				return fed.ModelUpdate{}, fmt.Errorf("core: client %d: %w", c.id, err)
-			}
-			stopper = es
+			ref = gl.Hard
 		}
 	}
 	e.gl = gl
+
+	// The round's one forward of its frozen teachers: the distillation
+	// targets and the Eq. 7 reference come from the same pass.
+	refLoss, err := e.forwardTeachers(ctx, ref)
+	if err != nil {
+		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: round %d: %w", c.id, round, err)
+	}
+	var stopper *optim.EarlyStopper
+	if ref != nil {
+		if stopper, err = optim.NewEarlyStopper(c.cfg.EarlyDelta, refLoss); err != nil {
+			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: %w", c.id, err)
+		}
+	}
 
 	e.opt = c.opt
 	if e.opt == nil {
@@ -285,6 +296,13 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 	}
 	c.lastEpochs = epochs
 	c.retrain = false
+	if c.proc.Teacher == PreviousGlobal {
+		// Only the global of a round that succeeded teaches the next one: a
+		// failed round may have been sent the fresh model of a deletion,
+		// which must not replace the teacher its retry distils from. The
+		// previous teacher's vector is loaded, so its storage is reused.
+		c.teacherVec = append(c.teacherVec[:0], global...)
+	}
 	if c.proc.Teacher != FrozenGlobal {
 		c.df = nil
 	}

@@ -17,8 +17,8 @@
 // client loop with a different teacher, retain loss, forget step, stepper
 // and optimizer lifetime. Client implements fed.LocalTrainer, so clients
 // run unchanged over the in-process transport, the TCP transport, and the
-// strategy-driven Federation of internal/unlearn (which owns the server
-// side: round loop, aggregation, deletion broadcasts).
+// Federation of internal/unlearn, which runs one Procedure by name and owns
+// the server side: round loop, aggregation, deletion broadcasts.
 package core
 
 import (

@@ -266,6 +266,49 @@ func TestRejectedGlobalChangesNothing(t *testing.T) {
 	}
 }
 
+// TestFailedRoundKeepsTeacher: the global of a round that fails after
+// loading it (cancelled, or a straggler cut off by the round timeout) does
+// not become the next round's teacher. Two clients run round 0, delete
+// rows, fail round 1 in the same way under different globals and retry it
+// under the same one: their uploads must be bit-identical. A deletion
+// round's global is a fresh model, and the Goldfish client once kept the
+// failed round's global as its teacher, so its retry distilled from a
+// random network.
+func TestFailedRoundKeepsTeacher(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	cfg := testConfig(10)
+	g0, fresh, g2 := freshGlobal(t, cfg, 1), freshGlobal(t, cfg, 2), freshGlobal(t, cfg, 3)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range procedures {
+		t.Run(p.name, func(t *testing.T) {
+			retry := func(failed []float64) []float64 {
+				c, err := p.proc.NewClient(0, cfg, train)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.TrainRound(context.Background(), 0, g0); err != nil {
+					t.Fatal(err)
+				}
+				if err := ForgetAt(c, []int{0, 1, 2}, g0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.TrainRound(cancelled, 1, failed); err == nil {
+					t.Fatal("a round under a cancelled context succeeded")
+				}
+				u, err := c.TrainRound(context.Background(), 1, g2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return u.Params
+			}
+			if !bitsEqual(retry(fresh), retry(g0)) {
+				t.Error("the global of a failed round changed its retry's update")
+			}
+		})
+	}
+}
+
 func bitsEqual(x, y []float64) bool {
 	if len(x) != len(y) {
 		return false
@@ -278,7 +321,10 @@ func bitsEqual(x, y []float64) bool {
 	return true
 }
 
-func TestTrainEpochAndEvalHardLoss(t *testing.T) {
+// TestTrainEpochLowersReferenceLoss: three epochs of plain training lower
+// the mean hard loss the round-start teacher pass reports as the Eq. 7
+// reference, and that reference is 0 over no rows.
+func TestTrainEpochLowersReferenceLoss(t *testing.T) {
 	train, _ := tinyMNIST(t)
 	cfg := testConfig(10)
 	net, err := model.Build(cfg.Model)
@@ -289,7 +335,15 @@ func TestTrainEpochAndEvalHardLoss(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	before := EvalHardLoss(net, train, idx, cfg.Loss.Hard, cfg.BatchSize)
+	reference := func(idx []int) float64 {
+		e := &epoch{teacher: net, ds: train, drIdx: idx, batchSize: cfg.BatchSize}
+		l, err := e.forwardTeachers(context.Background(), cfg.Loss.Hard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	before := reference(idx)
 	opt, err := optim.NewSGD(cfg.Opt)
 	if err != nil {
 		t.Fatal(err)
@@ -302,12 +356,12 @@ func TestTrainEpochAndEvalHardLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := EvalHardLoss(net, train, idx, cfg.Loss.Hard, cfg.BatchSize)
+	after := reference(idx)
 	if after >= before {
 		t.Errorf("training did not reduce loss: %g → %g", before, after)
 	}
-	if got := EvalHardLoss(net, train, nil, cfg.Loss.Hard, cfg.BatchSize); got != 0 {
-		t.Errorf("EvalHardLoss on no rows = %g, want 0", got)
+	if got := reference(nil); got != 0 {
+		t.Errorf("reference over no rows = %g, want 0", got)
 	}
 }
 

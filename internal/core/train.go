@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"goldfish/internal/data"
 	"goldfish/internal/loss"
@@ -35,17 +36,28 @@ type EpochResult struct {
 // LocalTraining procedure of Algorithm 1 (the latter is the special case
 // teacher == nil, df == nil). Client runs every Procedure through the same
 // loop, which also holds B3's distillation-only retain loss and its
-// incompetent forget step.
+// incompetent forget step. TrainEpoch forwards teacher over the remaining
+// rows once, before the first step, as Client does once per round.
 func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
 	df *data.Dataset, gl loss.Goldfish, opt Stepper, batchSize int, rng *rand.Rand) (EpochResult, error) {
-	return (&epoch{student: student, teacher: teacher, ds: ds, drIdx: drIdx, df: df, gl: gl,
-		opt: opt, batchSize: batchSize, rng: rng}).run(ctx)
+	e := &epoch{student: student, teacher: teacher, ds: ds, drIdx: drIdx, df: df, gl: gl,
+		opt: opt, batchSize: batchSize, rng: rng}
+	if _, err := e.forwardTeachers(ctx, nil); err != nil {
+		return EpochResult{}, err
+	}
+	return e.run(ctx)
 }
 
-// epoch is one local epoch's setup: TrainEpoch's arguments plus B3's two
+// epoch is one round's local epochs: TrainEpoch's arguments plus B3's two
 // branches. kdOnly makes the retain loss distillation from teacher alone,
 // when one is set; incompetent, when set, replaces Goldfish's forget step
 // with incompetentPasses passes of T = 1 distillation from it.
+//
+// Both teachers are frozen for the round, so run never forwards them:
+// forwardTeachers computes their logits once, and each batch gathers its
+// rows from those. An evaluation-mode forward of a row does not depend on
+// the other rows in its batch, so the gathered logits are the bits a
+// per-batch forward gives.
 type epoch struct {
 	student, teacher, incompetent *nn.Network
 	ds, df                        *data.Dataset
@@ -55,6 +67,102 @@ type epoch struct {
 	opt                           Stepper
 	batchSize                     int
 	rng                           *rand.Rand
+
+	// teacherLogits holds teacher's logits of ds row drIdx[i] in row i, and
+	// incompetentLogits incompetent's of df row i. Each is nil while run
+	// does not read that teacher.
+	teacherLogits, incompetentLogits *tensor.Tensor
+	// One batch tensor, one gathered-logits tensor, one row list and one
+	// label list for every pass of the round: a batch is overwritten only
+	// after the Backward that reads it has returned (the Layer
+	// input-lifetime rule).
+	x, tx  *tensor.Tensor
+	rows   []int
+	labels []int
+}
+
+// distils reports whether run reads the retain teacher.
+func (e *epoch) distils() bool {
+	return e.teacher != nil && (e.kdOnly || e.gl.MuD > 0)
+}
+
+// forgets reports whether run takes forget steps over df.
+func (e *epoch) forgets() bool { return e.df != nil && e.df.Len() > 0 }
+
+// forwardTeachers fills the logits caches of every teacher run reads. With
+// ref set, it forwards the retain teacher even where run does not read it
+// and returns the Eq. 7 reference L(ω^{t−1}): the teacher's mean ref loss
+// over the remaining rows (0 when there are none).
+func (e *epoch) forwardTeachers(ctx context.Context, ref loss.Hard) (float64, error) {
+	var refLoss float64
+	if e.teacher != nil && len(e.drIdx) > 0 && (ref != nil || e.distils()) {
+		var keep **tensor.Tensor
+		if e.distils() {
+			keep = &e.teacherLogits
+		}
+		var err error
+		if refLoss, err = e.forward(ctx, keep, e.teacher, e.ds, e.drIdx, ref); err != nil {
+			return 0, err
+		}
+	}
+	if e.incompetent != nil && e.forgets() {
+		if _, err := e.forward(ctx, &e.incompetentLogits, e.incompetent, e.df, nil, nil); err != nil {
+			return 0, err
+		}
+	}
+	return refLoss, nil
+}
+
+// forward forwards net in evaluation mode over the rows idx of ds (every
+// row when idx is nil; there must be at least one), batchSize rows at a
+// time, in order. With keep set it stores the logits in *keep (resized; nil
+// allocates), row i for idx[i]. With h set it returns the rows' mean h loss,
+// summed batch by batch as each batch's mean times its size.
+func (e *epoch) forward(ctx context.Context, keep **tensor.Tensor, net *nn.Network, ds *data.Dataset,
+	idx []int, h loss.Hard) (float64, error) {
+	n := len(idx)
+	if idx == nil {
+		n = ds.Len()
+	}
+	var total float64
+	e.rows = slices.Grow(e.rows[:0], min(e.batchSize, n))
+	for start := 0; start < n; start += e.batchSize {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		end := min(start+e.batchSize, n)
+		e.rows = e.rows[:0]
+		for i := start; i < end; i++ {
+			if idx != nil {
+				e.rows = append(e.rows, idx[i])
+			} else {
+				e.rows = append(e.rows, i)
+			}
+		}
+		e.x = tensor.SliceRowsInto(e.x, ds.X, e.rows)
+		logits := net.Forward(e.x, false)
+		if keep != nil {
+			classes := logits.Dim(1)
+			if start == 0 {
+				*keep = tensor.EnsureShape(*keep, n, classes)
+			}
+			copy((*keep).Data()[start*classes:end*classes], logits.Data())
+		}
+		if h != nil {
+			l, _ := h.Compute(logits, e.labelsFor(ds, e.rows))
+			total += l * float64(end-start)
+		}
+	}
+	return total / float64(n), nil
+}
+
+// labelsFor is ds.LabelsFor(rows) in e's label buffer.
+func (e *epoch) labelsFor(ds *data.Dataset, rows []int) []int {
+	e.labels = slices.Grow(e.labels[:0], len(rows))
+	for _, r := range rows {
+		e.labels = append(e.labels, ds.Y[r])
+	}
+	return e.labels
 }
 
 // run is the one epoch loop.
@@ -67,32 +175,33 @@ func (e *epoch) run(ctx context.Context) (EpochResult, error) {
 		e.opt.Step(params)
 	}
 
-	// One batch tensor and one row list for the whole epoch: a batch is
-	// overwritten only after the Backward that reads it has returned (the
-	// Layer input-lifetime rule), and the teachers only read it.
-	var x *tensor.Tensor
+	distils := e.distils()
 	batches := data.BatchIndices(len(e.drIdx), e.batchSize, e.rng)
-	rows := make([]int, min(max(e.batchSize, 0), len(e.drIdx)))
+	e.rows = slices.Grow(e.rows[:0], min(e.batchSize, len(e.drIdx)))
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		rows = rows[:len(b)]
-		for i, j := range b {
-			rows[i] = e.drIdx[j]
+		e.rows = e.rows[:0]
+		for _, j := range b {
+			e.rows = append(e.rows, e.drIdx[j])
 		}
-		x = tensor.SliceRowsInto(x, e.ds.X, rows)
+		e.x = tensor.SliceRowsInto(e.x, e.ds.X, e.rows)
 
-		logits := e.student.Forward(x, true)
+		logits := e.student.Forward(e.x, true)
 		var hardLoss, total float64
 		var grad *tensor.Tensor
+		if distils {
+			// Row j of the cache is ds row drIdx[j], so b gathers the batch.
+			e.tx = tensor.SliceRowsInto(e.tx, e.teacherLogits, b)
+		}
 		if e.kdOnly && e.teacher != nil {
-			total, grad = loss.Distillation(logits, e.teacher.Forward(x, false), e.gl.Temp)
+			total, grad = loss.Distillation(logits, e.tx, e.gl.Temp)
 		} else {
-			hardLoss, grad = e.gl.Hard.Compute(logits, e.ds.LabelsFor(rows))
+			hardLoss, grad = e.gl.Hard.Compute(logits, e.labelsFor(e.ds, e.rows))
 			total = hardLoss
-			if e.teacher != nil && e.gl.MuD > 0 {
-				ld, gd := loss.Distillation(logits, e.teacher.Forward(x, false), e.gl.Temp)
+			if distils {
+				ld, gd := loss.Distillation(logits, e.tx, e.gl.Temp)
 				total += e.gl.MuD * ld
 				grad.AXPY(e.gl.MuD, gd)
 			}
@@ -107,7 +216,7 @@ func (e *epoch) run(ctx context.Context) (EpochResult, error) {
 		res.TotalLoss /= float64(len(batches))
 	}
 
-	if e.df == nil || e.df.Len() == 0 {
+	if !e.forgets() {
 		return res, nil
 	}
 	passes := 1
@@ -119,40 +228,17 @@ func (e *epoch) run(ctx context.Context) (EpochResult, error) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			x = tensor.SliceRowsInto(x, e.df.X, b)
-			logits := e.student.Forward(x, true)
+			e.x = tensor.SliceRowsInto(e.x, e.df.X, b)
+			logits := e.student.Forward(e.x, true)
 			var grad *tensor.Tensor
 			if e.incompetent != nil {
-				_, grad = loss.Distillation(logits, e.incompetent.Forward(x, false), 1)
+				e.tx = tensor.SliceRowsInto(e.tx, e.incompetentLogits, b)
+				_, grad = loss.Distillation(logits, e.tx, 1)
 			} else {
-				_, grad = e.gl.ForgetStep(logits, e.df.LabelsFor(b))
+				_, grad = e.gl.ForgetStep(logits, e.labelsFor(e.df, b))
 			}
 			step(grad)
 		}
 	}
 	return res, nil
-}
-
-// EvalHardLoss evaluates the mean hard loss of net over the given dataset
-// rows in evaluation mode — L(ω) as used by the early-termination reference
-// of Eq. 7.
-func EvalHardLoss(net *nn.Network, ds *data.Dataset, idx []int, h loss.Hard, batchSize int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	batches := data.BatchIndices(len(idx), batchSize, nil)
-	var total float64
-	var x *tensor.Tensor
-	rows := make([]int, min(max(batchSize, 0), len(idx)))
-	for _, b := range batches {
-		rows = rows[:len(b)]
-		for i, j := range b {
-			rows[i] = idx[j]
-		}
-		x = tensor.SliceRowsInto(x, ds.X, rows)
-		logits := net.Forward(x, false)
-		l, _ := h.Compute(logits, ds.LabelsFor(rows))
-		total += l * float64(len(b))
-	}
-	return total / float64(len(idx))
 }

@@ -6,7 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"testing"
+
+	"goldfish/internal/data"
+	"goldfish/internal/preset"
 )
 
 // TestBaselineStateDigestPin pins the bits of the B1 ("retrain"), B2
@@ -24,24 +28,86 @@ func TestBaselineStateDigestPin(t *testing.T) {
 	}
 	for _, name := range []string{"retrain", "fisher", "incompetent-teacher"} {
 		f, _ := strategyFederation(t, name, train)
-		ctx := context.Background()
-		if err := f.Run(ctx, 3, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.RequestDeletion(0, []int{0, 1, 2, 3, 4}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Run(ctx, 3, nil); err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		var buf [8]byte
-		for _, v := range f.Global() {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+		if got := pinnedScheduleDigest(t, f, nil); got != want[name] {
 			t.Errorf("%s: final state sha256 = %s, want %s", name, got, want[name])
 		}
 	}
+}
+
+// TestConvStateDigestPin pins, on a conv net (tiny CIFAR-10, modified
+// LeNet-5, 3 clients), the two frozen-teacher paths no golden covers:
+// goldfish with early termination (Eq. 7) and the adaptive temperature
+// (Eq. 11), and incompetent-teacher. The schedule is
+// TestBaselineStateDigestPin's. Goldfish runs 8 local epochs so that Eq. 7
+// stops some rounds early, in a deletion round too, and the test fails if
+// none stops. Both digests were recorded before the teachers' logits were
+// computed once per round instead of once per batch.
+func TestConvStateDigestPin(t *testing.T) {
+	p, err := preset.For("cifar10", "", data.ScaleTiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := data.PartitionIID(train, 3, rand.New(rand.NewSource(30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		strategy   string
+		earlyDelta float64
+		want       string
+	}{
+		{"goldfish", 0.05, "7f7eecd5b5a8cb0ab4db8df683224e83c25ffbe0b27ba4ec2745e8368a16063f"},
+		{"incompetent-teacher", 0, "dbbeca55c7da844e435cca9a2a3f36eb60b9185e34eacb51d79ede352bc35051"},
+	} {
+		cfg := p.ClientConfig()
+		if c.earlyDelta > 0 {
+			cfg.EarlyDelta, cfg.AdaptiveTemp, cfg.LocalEpochs = c.earlyDelta, true, 8
+		}
+		f, err := NewFederation(Config{Client: cfg, Strategy: c.strategy}, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped := 0
+		countStops := func(RoundStats) {
+			for i := range f.NumClients() {
+				if f.Client(i).LastEpochs() < cfg.LocalEpochs {
+					stopped++
+				}
+			}
+		}
+		if got := pinnedScheduleDigest(t, f, countStops); got != c.want {
+			t.Errorf("%s: final state sha256 = %s, want %s", c.strategy, got, c.want)
+		}
+		if c.earlyDelta > 0 && stopped == 0 {
+			t.Errorf("%s: no client round stopped early, so the pin does not cover Eq. 7", c.strategy)
+		}
+	}
+}
+
+// pinnedScheduleDigest runs f for 3 rounds, deletes rows 0–4 of client 0,
+// runs 3 more rounds and returns the sha256 of the final global model's bits.
+// onRound, if set, is called after every round.
+func pinnedScheduleDigest(t *testing.T, f *Federation, onRound func(RoundStats)) string {
+	t.Helper()
+	ctx := context.Background()
+	if err := f.Run(ctx, 3, onRound); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RequestDeletion(0, []int{0, 1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(ctx, 3, onRound); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range f.Global() {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
