@@ -3,6 +3,7 @@ package goldfish_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -329,4 +330,115 @@ func TestEngineClientFraction(t *testing.T) {
 			t.Errorf("round %d aggregated %d updates, want 2 (fraction 0.5 of 4)", r, n)
 		}
 	}
+}
+
+// TestEveryDeletionRouteRunsApply: every public route to a client's rows —
+// Engine.RequestDeletion, RequestClassDeletion, RemoveClient(_, true) and
+// DeletionService.Enqueue — is one unlearning event through
+// Federation.Apply. Each re-initializes the global model and leaves
+// RemainingRows and the client's own count current at once.
+func TestEveryDeletionRouteRunsApply(t *testing.T) {
+	p, err := goldfish.NewPreset("mnist", goldfish.ScaleTiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := goldfish.PartitionIID(train, 3, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	engine := func(t *testing.T) *goldfish.Engine {
+		t.Helper()
+		e, err := goldfish.New(goldfish.WithPreset(p), goldfish.WithPartitions(parts),
+			goldfish.WithClientConfig(fastConfig(p)), goldfish.WithUnlearner("goldfish"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	current := func(t *testing.T, e *goldfish.Engine) {
+		t.Helper()
+		for i := range e.NumClients() {
+			if got, want := e.Client(i).NumActive(), len(e.RemainingRows(i)); got != want {
+				t.Errorf("client %d trains on %d rows, RemainingRows lists %d", i, got, want)
+			}
+		}
+	}
+	sampleGone := func(t *testing.T, e *goldfish.Engine) {
+		t.Helper()
+		if got := len(e.RemainingRows(0)); got != parts[0].Len()-3 {
+			t.Errorf("RemainingRows(0) has %d rows, want %d", got, parts[0].Len()-3)
+		}
+	}
+	class := parts[0].Y[0]
+
+	for _, route := range []struct {
+		name   string
+		delete func(*goldfish.Engine) error
+		gone   func(*testing.T, *goldfish.Engine)
+	}{
+		{"Engine.RequestDeletion", func(e *goldfish.Engine) error { return e.RequestDeletion(0, []int{0, 1, 2}) }, sampleGone},
+		{"Engine.RequestClassDeletion", func(e *goldfish.Engine) error {
+			_, err := e.RequestClassDeletion(class)
+			return err
+		}, func(t *testing.T, e *goldfish.Engine) {
+			for i := range e.NumClients() {
+				if rows := e.RemainingRowsOfClass(i, class); len(rows) > 0 {
+					t.Errorf("client %d still holds %d rows of class %d", i, len(rows), class)
+				}
+			}
+		}},
+		{"Engine.RemoveClient", func(e *goldfish.Engine) error { return e.RemoveClient(1, true) }, func(t *testing.T, e *goldfish.Engine) {
+			if e.NumClients() != 2 || len(e.RemainingRows(1)) != parts[2].Len() {
+				t.Errorf("after removing client 1: %d clients, client 1 holds %d rows, want 2 and %d",
+					e.NumClients(), len(e.RemainingRows(1)), parts[2].Len())
+			}
+		}},
+	} {
+		t.Run(route.name, func(t *testing.T) {
+			e := engine(t)
+			before := e.Global()
+			if err := route.delete(e); err != nil {
+				t.Fatal(err)
+			}
+			if slices.Equal(e.Global(), before) {
+				t.Error("the global model was not re-initialized")
+			}
+			route.gone(t, e)
+			current(t, e)
+		})
+	}
+
+	// The service applies its batch at the next round boundary, through the
+	// same Apply: one round later it matches the direct request bit for bit.
+	t.Run("DeletionService.Enqueue", func(t *testing.T) {
+		served, direct := engine(t), engine(t)
+		svc, err := served.NewDeletionService(goldfish.DeletionServiceConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Enqueue(goldfish.DeletionRequest{Kind: goldfish.DeleteSample, Client: 0, Rows: []int{0, 1, 2}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := direct.RequestDeletion(0, []int{0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []*goldfish.Engine{served, direct} {
+			if err := e.Run(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(served.Global(), direct.Global()) {
+			t.Error("the served deletion's round differs from the direct request's")
+		}
+		sampleGone(t, served)
+		current(t, served)
+	})
 }

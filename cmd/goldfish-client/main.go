@@ -1,12 +1,13 @@
 // Command goldfish-client joins a federation served by goldfish-server. It
-// builds a Goldfish client over one partition of the dataset preset, trains
-// locally every round, and optionally submits a deletion request for a
-// fraction of its (backdoor-poisoned) data after a chosen round.
+// builds a Goldfish client over one partition of the dataset preset,
+// optionally backdoor-poisons a fraction of it, and trains locally every
+// round. The wire carries no deletions: a TCP client cannot tell the server
+// to unlearn, so deletion runs in-process (goldfish-server -serve).
 //
 // Usage:
 //
 //	goldfish-client -addr localhost:7070 -id 0 -of 3 -dataset mnist -scale tiny
-//	goldfish-client -addr localhost:7070 -id 1 -of 3 -poison 0.2 -delete-after 4
+//	goldfish-client -addr localhost:7070 -id 1 -of 3 -poison 0.2
 //
 // The dataset/scale/seed flags must match the server's.
 package main
@@ -30,37 +31,16 @@ func main() {
 	os.Exit(run())
 }
 
-// deletingTrainer wraps a Goldfish client and injects a deletion request
-// after a configured round, demonstrating unlearning over the wire.
-type deletingTrainer struct {
-	client      *core.Client
-	rows        []int
-	deleteAfter int
-	requested   bool
-}
-
-func (d *deletingTrainer) TrainRound(ctx context.Context, round int, global []float64) (fed.ModelUpdate, error) {
-	if !d.requested && d.deleteAfter > 0 && round >= d.deleteAfter && len(d.rows) > 0 {
-		if err := d.client.RequestDeletion(d.rows); err != nil {
-			return fed.ModelUpdate{}, err
-		}
-		d.requested = true
-		fmt.Printf("round %d: submitted deletion request for %d rows\n", round, len(d.rows))
-	}
-	return d.client.TrainRound(ctx, round, global)
-}
-
 func run() int {
 	var (
-		addr        = flag.String("addr", "localhost:7070", "server address")
-		id          = flag.Int("id", 0, "this client's index (0-based)")
-		of          = flag.Int("of", 2, "total number of clients in the federation")
-		dataset     = flag.String("dataset", "mnist", "dataset preset: mnist|fmnist|cifar10|cifar100")
-		scale       = flag.String("scale", "tiny", "experiment scale: tiny|small|medium|paper")
-		seed        = flag.Int64("seed", 1, "random seed (must match server)")
-		poison      = flag.Float64("poison", 0, "fraction of local data to backdoor-poison (0 disables)")
-		deleteAfter = flag.Int("delete-after", 0, "submit a deletion request for poisoned rows after this round (0 disables)")
-		ver         = flag.Bool("version", false, "print the version and exit")
+		addr    = flag.String("addr", "localhost:7070", "server address")
+		id      = flag.Int("id", 0, "this client's index (0-based)")
+		of      = flag.Int("of", 2, "total number of clients in the federation")
+		dataset = flag.String("dataset", "mnist", "dataset preset: mnist|fmnist|cifar10|cifar100")
+		scale   = flag.String("scale", "tiny", "experiment scale: tiny|small|medium|paper")
+		seed    = flag.Int64("seed", 1, "random seed (must match server)")
+		poison  = flag.Float64("poison", 0, "fraction of local data to backdoor-poison (0 disables)")
+		ver     = flag.Bool("version", false, "print the version and exit")
 	)
 	flag.Parse()
 
@@ -92,20 +72,14 @@ func run() int {
 	}
 	local := parts[*id]
 
-	var poisonedRows []int
 	if *poison > 0 {
 		bd := goldfish.DefaultBackdoor()
-		poisonedRows, err = bd.Poison(local, *poison, rand.New(rand.NewSource(*seed*13+int64(*id))))
+		poisoned, err := bd.Poison(local, *poison, rand.New(rand.NewSource(*seed*13+int64(*id))))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "goldfish-client: %v\n", err)
 			return 1
 		}
-		fmt.Printf("poisoned %d of %d local samples\n", len(poisonedRows), local.Len())
-	}
-	if *deleteAfter > 0 && len(poisonedRows) == local.Len() {
-		// The client would reject the request at that round and fail.
-		fmt.Fprintf(os.Stderr, "goldfish-client: -delete-after would delete all %d local rows; lower -poison\n", local.Len())
-		return 2
+		fmt.Printf("poisoned %d of %d local samples\n", len(poisoned), local.Len())
 	}
 
 	client, err := core.NewClient(*id, p.ClientConfig(), local)
@@ -113,12 +87,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "goldfish-client: %v\n", err)
 		return 1
 	}
-	trainer := &deletingTrainer{client: client, rows: poisonedRows, deleteAfter: *deleteAfter}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("goldfish-client %d/%d: connecting to %s (%d local samples)\n", *id, *of, *addr, local.Len())
-	final, err := fed.RunClient(ctx, *addr, trainer)
+	final, err := fed.RunClient(ctx, *addr, client)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "goldfish-client: %v\n", err)
 		return 1

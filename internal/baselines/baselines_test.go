@@ -14,6 +14,7 @@ import (
 	"goldfish/internal/model"
 	"goldfish/internal/nn"
 	"goldfish/internal/optim"
+	"goldfish/internal/unlearn"
 )
 
 func testScenario() Scenario {
@@ -109,9 +110,7 @@ func plainFederation(t *testing.T, sc Scenario, parts []*data.Dataset, removed m
 			t.Fatal(err)
 		}
 		if rows := removed[i]; len(rows) > 0 {
-			if err := c.RequestDeletion(rows); err != nil {
-				t.Fatal(err)
-			}
+			core.ForgetAt(c, rows, nil) // B1 and B2 have no teacher to freeze
 		}
 		trainers[i] = c
 	}
@@ -252,9 +251,7 @@ func TestB3UnlearnsFromContaminatedModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rows := removed[i]; len(rows) > 0 {
-			if err := core.ForgetAt(c, rows, origin); err != nil {
-				t.Fatal(err)
-			}
+			core.ForgetAt(c, rows, origin)
 		}
 		trainers[i] = c
 	}
@@ -277,40 +274,47 @@ func TestBaselineErrors(t *testing.T) {
 	if _, err := NewPlainTrainer(0, sc, nil, false); err == nil {
 		t.Error("client without data accepted")
 	}
-	plain, err := NewPlainTrainer(1, sc, parts[1], false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Removing everything from a client must fail.
-	all := make([]int, parts[1].Len())
-	for i := range all {
-		all[i] = i
-	}
-	if err := plain.RequestDeletion(all); err == nil {
-		t.Error("client with no remaining data accepted")
-	}
 	cold := config(sc)
 	cold.Loss.MuD, cold.Loss.Temp = 0, 0
 	if _, err := core.IncompetentTeacher.NewClient(0, cold, parts[0]); err == nil {
 		t.Error("B3 with zero temperature accepted")
 	}
+	// Deletions are checked where they enter, in the federation's Apply:
+	// removing everything from a B1 client fails, and so does a B3 row
+	// listed twice, which would be copied into Df twice and forgotten at
+	// double weight. Neither removes anything.
+	all := make([]int, parts[1].Len())
+	for i := range all {
+		all[i] = i
+	}
+	for _, tc := range []struct {
+		strategy string
+		client   int
+		rows     []int
+	}{
+		{"retrain", 1, all},
+		{"incompetent-teacher", 0, []int{5, 5}},
+	} {
+		f, err := unlearn.NewFederation(unlearn.Config{Client: config(sc), Strategy: tc.strategy}, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RequestDeletion(tc.client, tc.rows); err == nil {
+			t.Errorf("%s accepted rows %v", tc.strategy, tc.rows)
+		}
+		if got, want := f.Client(tc.client).NumActive(), parts[tc.client].Len(); got != want {
+			t.Errorf("%s: rejected request removed rows: %d samples, want %d", tc.strategy, got, want)
+		}
+	}
+	// B3 freezes the global model it is handed as its teacher, so one of the
+	// wrong size fails its next round.
 	b3, err := core.IncompetentTeacher.NewClient(0, config(sc), parts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b3.RequestDeletion(removed[0]); err == nil {
-		t.Error("B3 without contaminated model accepted")
-	}
-	// A row listed twice would be copied into Df twice and forgotten at
-	// double weight; the request is rejected and nothing is removed.
-	if err := core.ForgetAt(b3, []int{5, 5}, freshGlobal(t, sc)); err == nil {
-		t.Error("B3 accepted a row listed twice in one request")
-	}
-	if err := core.ForgetAt(b3, removed[0], []float64{1}); err == nil {
-		t.Error("B3 accepted a global model of the wrong size")
-	}
-	if b3.NumActive() != parts[0].Len() {
-		t.Errorf("rejected request removed rows: %d samples, want %d", b3.NumActive(), parts[0].Len())
+	core.ForgetAt(b3, removed[0], []float64{1})
+	if _, err := b3.TrainRound(context.Background(), 0, freshGlobal(t, sc)); err == nil {
+		t.Error("B3 trained with a frozen teacher of the wrong size")
 	}
 }
 
@@ -320,7 +324,9 @@ func TestBaselineErrors(t *testing.T) {
 // client indexing its shrunken view would have dropped original row 13 on
 // the second request — and B3's forget set is those four rows in request
 // order. Each client's next update is bit-identical to that of a client
-// built over the expected view, and rejected requests change nothing.
+// built over the expected view. (The federation's Apply rejects bad rows
+// before they reach a client: internal/unlearn's
+// TestRequestDeletionByOriginalRow.)
 func TestForgetByOriginalRow(t *testing.T) {
 	parts, _, _, _, _ := poisonedSetup(t)
 	orig, sc := parts[1], testScenario()
@@ -349,14 +355,7 @@ func TestForgetByOriginalRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rows := range [][]int{{0, 1, 2}, {10}} {
-			if err := core.ForgetAt(c, rows, global); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, rows := range [][]int{{1}, {11, 10}, {12, orig.Len()}, {12, 12}, {-1}} {
-			if err := core.ForgetAt(c, rows, global); err == nil {
-				t.Errorf("%s accepted rows %v", tc.name, rows)
-			}
+			core.ForgetAt(c, rows, global)
 		}
 		if c.NumActive() != orig.Len()-4 {
 			t.Errorf("%s: NumActive = %d, want %d", tc.name, c.NumActive(), orig.Len()-4)
@@ -366,9 +365,7 @@ func TestForgetByOriginalRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tc.rows != nil {
-			if err := core.ForgetAt(ref, tc.rows, global); err != nil {
-				t.Fatal(err)
-			}
+			core.ForgetAt(ref, tc.rows, global)
 		}
 		got, err := c.TrainRound(context.Background(), 0, global)
 		if err != nil {

@@ -20,6 +20,7 @@ import (
 // LocalTraining on active data), unlearn (a deletion is pending: the
 // previous global teaches the reinitialized incoming one, with forget steps
 // on Df) or retrain (another client deleted data: the same with empty Df).
+// Deletions reach a client only through ForgetAt.
 //
 // A teacher is frozen for the whole round, so a round forwards it once, at
 // its start, over the rows the round reads: the retain teacher over the
@@ -36,6 +37,7 @@ type Client struct {
 	dataset *data.Dataset
 	removed map[int]bool  // rows logically deleted from dataset
 	df      *data.Dataset // forget set: pending until the next round, or for good under FrozenGlobal
+	dfRows  []int         // the rows of df, in the order they were forgotten
 	retrain bool          // participate in KD retraining next round
 
 	student     *nn.Network
@@ -116,85 +118,45 @@ func (c *Client) LastEpochs() int {
 	return c.lastEpochs
 }
 
-// RequestDeletion marks the given local rows for removal. Rows index the
-// client's ORIGINAL dataset, however many requests came before. The data is
-// excluded from all future training immediately; the next TrainRound runs
-// the procedure's forget step against it. Already-removed, out-of-range and
-// repeated rows are rejected — a row listed twice would enter Df twice and
-// be weighted double by the forget steps — and so is a request that leaves
-// no row to train on. A rejected request changes nothing. A procedure with a
-// FrozenGlobal teacher needs the global model as well: use ForgetAt.
-func (c *Client) RequestDeletion(rows []int) error { return c.forget(rows, nil) }
-
-// ForgetAt is c.RequestDeletion for a deletion made while global is the
-// federation's global model: a procedure with a FrozenGlobal teacher keeps
-// it as that teacher, and the others ignore it.
-func ForgetAt(c *Client, rows []int, global []float64) error { return c.forget(rows, global) }
-
-func (c *Client) forget(rows []int, global []float64) error {
+// ForgetAt is how a deletion its federation accepted reaches c, made while
+// global was the federation's global model (Algorithm 1 lines 8–17). With
+// rows set, c is the owner: the rows, which index c's ORIGINAL dataset, are
+// excluded from all future training at once, the next round runs the
+// procedure's forget step against them, and a procedure with a FrozenGlobal
+// teacher keeps global as that teacher. With rows empty another participant
+// deleted data: under a PreviousGlobal teacher c rebuilds by distillation
+// next round (line 15). Either way an UntilDeletion optimizer is dropped.
+//
+// The federation's Apply is the one caller and the one check: rows must be
+// in range, not removed before, listed once, and leave c at least one row.
+func ForgetAt(c *Client, rows []int, global []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.proc.Optimizer == UntilDeletion {
+		c.opt = nil
+	}
 	if len(rows) == 0 {
-		return fmt.Errorf("core: client %d: empty deletion request", c.id)
+		c.retrain = true
+		return
 	}
-	seen := make(map[int]bool, len(rows))
-	for _, r := range rows {
-		if r < 0 || r >= c.dataset.Len() {
-			return fmt.Errorf("core: client %d: row %d out of range [0,%d)", c.id, r, c.dataset.Len())
-		}
-		if c.removed[r] {
-			return fmt.Errorf("core: client %d: row %d already removed", c.id, r)
-		}
-		if seen[r] {
-			return fmt.Errorf("core: client %d: row %d listed twice in one request", c.id, r)
-		}
-		seen[r] = true
-	}
-	if len(c.removed)+len(rows) == c.dataset.Len() {
-		// Every later round would fail with no data left to train on.
-		return fmt.Errorf("core: client %d: request removes all %d remaining rows", c.id, len(rows))
-	}
-	if c.proc.Teacher == FrozenGlobal {
-		// The teacher is reloaded every round; loading here only validates.
-		if err := c.teacher.SetStateVector(global); err != nil {
-			return fmt.Errorf("core: client %d: loading the global model to freeze as teacher: %w", c.id, err)
-		}
-	}
-	df := c.df
-	if c.proc.Forget != NoForget {
-		df = c.dataset.Subset(rows)
-		if c.df != nil {
-			var err error
-			if df, err = c.df.Concat(df); err != nil {
-				return fmt.Errorf("core: client %d: merging deletion requests: %w", c.id, err)
-			}
-		}
-	}
-
 	for _, r := range rows {
 		c.removed[r] = true
 	}
-	c.df = df
+	if c.proc.Forget != NoForget {
+		c.dfRows = append(c.dfRows, rows...)
+		c.df = c.dataset.Subset(c.dfRows)
+	}
 	if c.proc.Teacher == FrozenGlobal {
 		c.teacherVec = append([]float64(nil), global...)
 	}
-	if c.proc.Optimizer == UntilDeletion {
-		c.opt = nil
-	}
-	return nil
 }
 
-// MarkRetrain tells the client that another participant is deleting data
-// (Algorithm 1 line 15). Under a PreviousGlobal teacher the client rebuilds
-// by distillation next round; an UntilDeletion optimizer is dropped; other
-// procedures carry on unchanged.
-func (c *Client) MarkRetrain() {
+// RemainingRows returns the not-yet-removed original row indices of c's
+// dataset, in ascending order: the one record of what c has forgotten.
+func RemainingRows(c *Client) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retrain = true
-	if c.proc.Optimizer == UntilDeletion {
-		c.opt = nil
-	}
+	return c.activeRowsLocked()
 }
 
 // activeRowsLocked returns indices of rows not logically removed.
@@ -225,7 +187,7 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 	if c.proc.Hard != nil {
 		gl.Hard = c.proc.Hard
 	}
-	drIdx := c.activeRowsLocked() // never empty: forget keeps a row
+	drIdx := c.activeRowsLocked() // never empty: Apply leaves every client a row
 	e := epoch{student: c.student, ds: c.dataset, drIdx: drIdx, df: c.df, kdOnly: c.proc.KDOnly,
 		incompetent: c.incompetent, batchSize: c.cfg.BatchSize, rng: c.rng}
 	if c.teacherVec != nil {
@@ -304,7 +266,7 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 		c.teacherVec = append(c.teacherVec[:0], global...)
 	}
 	if c.proc.Teacher != FrozenGlobal {
-		c.df = nil
+		c.df, c.dfRows = nil, nil
 	}
 
 	return fed.ModelUpdate{

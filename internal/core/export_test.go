@@ -20,3 +20,9 @@ func TeacherCaches(teacher, incompetent *nn.Network, ds *data.Dataset, drIdx []i
 	refLoss, err = e.forwardTeachers(context.Background(), ref)
 	return e.teacherLogits, e.incompetentLogits, refLoss, err
 }
+
+// The fixtures of the internal tests, for the external ones.
+var (
+	TinyMNIST  = tinyMNIST
+	TestConfig = testConfig
+)

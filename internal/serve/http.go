@@ -3,9 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+
+	"goldfish/internal/unlearn"
 )
 
 // HTTP surface of the service, mounted on the observability mux
@@ -47,10 +50,16 @@ func (s *Service) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	limit := s.view.maxBody
 	s.mu.Unlock()
-	var req Request
+	var req unlearn.Deletion
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if _, next := dec.Token(); err == nil && next != io.EOF {
+		// One request per body: a second value or trailing bytes would
+		// otherwise be dropped without a word.
+		err = errors.New("data after the request")
+	}
+	if err != nil {
 		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, httpError{Error: "request body over " + strconv.FormatInt(limit, 10) + " bytes"})
 			return

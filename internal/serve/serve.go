@@ -1,10 +1,11 @@
 // Package serve turns a federated-unlearning run into a long-lived service:
 // a bounded ingest queue of deletion requests (sample rows, whole classes,
 // whole clients) that fold into the federation at round boundaries. All
-// requests pending when a round starts coalesce into one batched unlearning
-// step — duplicates and subsumed requests merged — applied through the
-// unlearn.Federation deletion plumbing; a full queue pushes back explicitly
-// (ErrQueueFull / HTTP 429) instead of growing without bound.
+// requests pending when a round starts coalesce into one batch —
+// duplicates and subsumed requests merged — applied as one
+// unlearn.Federation.Apply with one restart of the global model; a full
+// queue pushes back explicitly (ErrQueueFull / HTTP 429) instead of growing
+// without bound.
 //
 // Every accepted request becomes a Ticket tracking its lifecycle
 // (queued → applied → recovered, or failed) with per-request rounds-to-forget
@@ -17,7 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -25,35 +26,6 @@ import (
 	"goldfish/internal/obs"
 	"goldfish/internal/unlearn"
 )
-
-// Kind classifies a deletion request.
-type Kind string
-
-// The three deletion-request kinds.
-const (
-	// KindSample deletes specific rows of one client's ORIGINAL dataset.
-	KindSample Kind = "sample"
-	// KindClass deletes every remaining sample of one label class, across
-	// all clients.
-	KindClass Kind = "class"
-	// KindClient removes one participant entirely, unlearning its remaining
-	// data.
-	KindClient Kind = "client"
-)
-
-// Request is one deletion request as submitted (the HTTP body of
-// POST /unlearn, or the in-process Enqueue argument).
-type Request struct {
-	// Kind selects what is deleted: "sample", "class" or "client".
-	Kind Kind `json:"kind"`
-	// Client is the target participant's current position (sample and
-	// client kinds).
-	Client int `json:"client,omitempty"`
-	// Rows are original-dataset row indices to delete (sample kind).
-	Rows []int `json:"rows,omitempty"`
-	// Class is the label class to delete (class kind).
-	Class int `json:"class,omitempty"`
-}
 
 // Status is a ticket's lifecycle state.
 type Status string
@@ -75,8 +47,8 @@ const (
 type Ticket struct {
 	// ID is the service-unique request id, in acceptance order.
 	ID int64 `json:"id"`
-	// Request is the request as submitted.
-	Request
+	// Deletion is the request as submitted.
+	unlearn.Deletion
 	// Status is the current lifecycle state.
 	Status Status `json:"status"`
 	// Coalesced marks a request whose effect was merged into another
@@ -228,10 +200,11 @@ func (s *Service) refreshViewLocked() {
 }
 
 // Enqueue validates and queues a deletion request, returning its ticket (a
-// copy; the service keeps the canonical record — follow it with Lookup).
-// A full queue returns ErrQueueFull. Safe for concurrent use, including
-// while the federation is running.
-func (s *Service) Enqueue(req Request) (Ticket, error) {
+// copy; the service keeps the canonical record, which shares no slice with
+// req or the returned ticket — follow it with Lookup). A full queue returns
+// ErrQueueFull. Safe for concurrent use, including while the federation is
+// running.
+func (s *Service) Enqueue(req unlearn.Deletion) (Ticket, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.validateLocked(req); err != nil {
@@ -243,9 +216,10 @@ func (s *Service) Enqueue(req Request) (Ticket, error) {
 		return Ticket{}, ErrQueueFull
 	}
 	s.nextID++
+	req.Rows = slices.Clone(req.Rows)
 	t := &Ticket{
 		ID:            s.nextID,
-		Request:       req,
+		Deletion:      req,
 		Status:        StatusQueued,
 		EnqueuedRound: s.round,
 		enqueuedAt:    s.obs.Elapsed(),
@@ -254,17 +228,23 @@ func (s *Service) Enqueue(req Request) (Ticket, error) {
 	s.counts.Accepted++
 	s.obs.Counter("serve.requests.accepted").Inc()
 	s.obs.Gauge("serve.queue_depth").Set(float64(len(s.queue)))
-	return *t, nil
+	return t.copy(), nil
+}
+
+// copy returns the ticket as callers see it: its Rows are their own.
+func (t *Ticket) copy() Ticket {
+	c := *t
+	c.Rows = slices.Clone(t.Rows)
+	return c
 }
 
 // validateLocked checks a request against the round-boundary view of the
 // federation. The view can be one batch stale (membership may change before
-// this request applies), so this is a fast sanity filter; the batched
-// application is the authoritative check and failures there mark the ticket
-// failed.
-func (s *Service) validateLocked(req Request) error {
+// this request applies), so this is a fast sanity filter; Federation.Apply
+// is the authoritative check and its rejections mark the ticket failed.
+func (s *Service) validateLocked(req unlearn.Deletion) error {
 	switch req.Kind {
-	case KindSample:
+	case unlearn.KindSample:
 		if req.Client < 0 || req.Client >= s.view.clients {
 			return fmt.Errorf("serve: client %d out of range [0,%d)", req.Client, s.view.clients)
 		}
@@ -277,11 +257,11 @@ func (s *Service) validateLocked(req Request) error {
 					req.Client, r, s.view.partLen[req.Client])
 			}
 		}
-	case KindClass:
+	case unlearn.KindClass:
 		if req.Class < 0 || req.Class >= s.view.classes {
 			return fmt.Errorf("serve: class %d out of range [0,%d)", req.Class, s.view.classes)
 		}
-	case KindClient:
+	case unlearn.KindClient:
 		if req.Client < 0 || req.Client >= s.view.clients {
 			return fmt.Errorf("serve: client %d out of range [0,%d)", req.Client, s.view.clients)
 		}
@@ -352,46 +332,45 @@ func (s *Service) settleLocked(round int) {
 	s.inflight = remaining
 }
 
-// group is one coalesced application: the tickets riding on it share its
-// fate (applied together, failed together).
+// group is one deletion of a batch with the tickets riding on it: they
+// share its fate (applied together, failed together).
 type group struct {
-	tickets []*Ticket
-	rows    []int // sample groups: the merged row set
+	deletion unlearn.Deletion
+	tickets  []*Ticket
 }
 
-// applyBatchLocked coalesces the drained tickets and applies the batch in a
-// deterministic order: per-client sample deletions (ascending client),
-// class deletions (ascending class), client removals (descending position,
-// so earlier removals cannot shift later targets). Sample deletions go
-// first because class deletions re-query the remaining rows — overlap
-// resolves naturally instead of double-removing. A failed application marks
+// applyBatchLocked coalesces the drained tickets into one batch and applies
+// it with one Federation.Apply, which orders and checks it and restarts the
+// global model once. A repeated client removal or class deletion rides on
+// the first; a sample deletion rides on a removal of its client, or on the
+// client's row union when it adds no row to it. A rejected deletion marks
 // only its own group's tickets failed; the round proceeds.
 func (s *Service) applyBatchLocked(drained []*Ticket, round int) {
+	var groups []*group
 	samples := map[int]*group{}
 	classes := map[int]*group{}
 	removals := map[int]*group{}
 
 	// Pass 1: client removals and class deletions, deduplicated.
 	for _, t := range drained {
-		switch t.Kind {
-		case KindClient:
-			if g, ok := removals[t.Client]; ok {
-				s.coalesceLocked(t, g)
-				continue
-			}
-			removals[t.Client] = &group{tickets: []*Ticket{t}}
-		case KindClass:
-			if g, ok := classes[t.Class]; ok {
-				s.coalesceLocked(t, g)
-				continue
-			}
-			classes[t.Class] = &group{tickets: []*Ticket{t}}
+		if t.Kind == unlearn.KindSample {
+			continue
 		}
+		byKey, key := removals, t.Client
+		if t.Kind == unlearn.KindClass {
+			byKey, key = classes, t.Class
+		}
+		if g, ok := byKey[key]; ok {
+			s.coalesceLocked(t, g)
+			continue
+		}
+		byKey[key] = &group{deletion: t.Deletion, tickets: []*Ticket{t}}
+		groups = append(groups, byKey[key])
 	}
 	// Pass 2: sample deletions — subsumed by a pending removal of the same
 	// client, otherwise merged into that client's row union.
 	for _, t := range drained {
-		if t.Kind != KindSample {
+		if t.Kind != unlearn.KindSample {
 			continue
 		}
 		if g, ok := removals[t.Client]; ok {
@@ -400,13 +379,14 @@ func (s *Service) applyBatchLocked(drained []*Ticket, round int) {
 		}
 		g, ok := samples[t.Client]
 		if !ok {
-			g = &group{}
+			g = &group{deletion: unlearn.Deletion{Kind: unlearn.KindSample, Client: t.Client}}
 			samples[t.Client] = g
+			groups = append(groups, g)
 		}
 		fresh := false
 		for _, r := range t.Rows {
-			if !contains(g.rows, r) {
-				g.rows = append(g.rows, r)
+			if !slices.Contains(g.deletion.Rows, r) {
+				g.deletion.Rows = append(g.deletion.Rows, r)
 				fresh = true
 			}
 		}
@@ -417,18 +397,12 @@ func (s *Service) applyBatchLocked(drained []*Ticket, round int) {
 		g.tickets = append(g.tickets, t)
 	}
 
-	for _, client := range sortedKeys(samples) {
-		g := samples[client]
-		s.finishGroupLocked(g, s.fed.RequestDeletion(client, g.rows), round)
+	batch := make([]unlearn.Deletion, len(groups))
+	for i, g := range groups {
+		batch[i] = g.deletion
 	}
-	for _, class := range sortedKeys(classes) {
-		_, err := s.fed.RequestClassDeletion(class)
-		s.finishGroupLocked(classes[class], err, round)
-	}
-	removalOrder := sortedKeys(removals)
-	for i := len(removalOrder) - 1; i >= 0; i-- {
-		client := removalOrder[i]
-		s.finishGroupLocked(removals[client], s.fed.RemoveClient(client, true), round)
+	for i, o := range s.fed.Apply(batch) {
+		s.finishGroupLocked(groups[i], o.Err, round)
 	}
 }
 
@@ -481,7 +455,7 @@ func (s *Service) Lookup(id int64) (Ticket, bool) {
 	for _, set := range [][]*Ticket{s.queue, s.inflight, s.history} {
 		for _, t := range set {
 			if t.ID == id {
-				return *t, true
+				return t.copy(), true
 			}
 		}
 	}
@@ -573,26 +547,4 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// contains reports whether sorted-or-not slice xs holds x (row unions stay
-// small — queue-capacity bounded — so linear scans beat allocating maps).
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// sortedKeys returns m's keys in ascending order: batch application order
-// must not depend on map iteration.
-func sortedKeys(m map[int]*group) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

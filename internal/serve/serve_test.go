@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -57,14 +58,16 @@ func newTestFederation(t *testing.T, strategy string, clients int) *unlearn.Fede
 	return f
 }
 
-// TestCoalescedBatchMatchesSequential is the coalescing-correctness test:
-// a batch full of duplicate and subsumed requests, folded in by the service
-// at one round boundary, must produce bit-identical model state to issuing
-// the deduplicated deletions directly against a second identically-seeded
-// federation. The retrain baseline makes the comparison airtight — its
-// final model depends only on the remaining data and the deletion-call
-// sequence.
-func TestCoalescedBatchMatchesSequential(t *testing.T) {
+// TestCoalescedBatchMatchesSequentialUnderOneReset is the
+// coalescing-correctness test: a batch full of duplicate and subsumed
+// requests, folded in by the service at one round boundary, must produce
+// bit-identical model state to the deduplicated requests, in sequence, as
+// one Apply on a second identically-seeded federation — and the batch
+// restarts the global model once: right after it, the global is the first
+// fresh model the procedure builds, not a later one. The retrain baseline
+// makes the comparison airtight — its final model depends only on the
+// remaining data and the restarts.
+func TestCoalescedBatchMatchesSequentialUnderOneReset(t *testing.T) {
 	const rounds = 3
 	ctx := context.Background()
 
@@ -78,18 +81,26 @@ func TestCoalescedBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var afterBatch []float64
+	served.SetBeforeRound(func(ctx context.Context, round int) error {
+		err := svc.BeforeRound(ctx, round)
+		if round == 0 {
+			afterBatch = served.Global()
+		}
+		return err
+	})
 
 	// The redundant request mix: overlapping row sets, an exact duplicate,
 	// a duplicate class deletion, and samples subsumed by a client removal.
-	reqs := []Request{
-		{Kind: KindSample, Client: 0, Rows: []int{1, 3}},
-		{Kind: KindSample, Client: 0, Rows: []int{3, 5}}, // overlaps; merges
-		{Kind: KindSample, Client: 1, Rows: []int{2}},
-		{Kind: KindSample, Client: 1, Rows: []int{2}}, // duplicate; coalesces
-		{Kind: KindClass, Class: class},
-		{Kind: KindClass, Class: class},               // duplicate; coalesces
-		{Kind: KindClient, Client: 2},                 //
-		{Kind: KindSample, Client: 2, Rows: []int{0}}, // subsumed; coalesces
+	reqs := []unlearn.Deletion{
+		{Kind: unlearn.KindSample, Client: 0, Rows: []int{1, 3}},
+		{Kind: unlearn.KindSample, Client: 0, Rows: []int{3, 5}}, // overlaps; merges
+		{Kind: unlearn.KindSample, Client: 1, Rows: []int{2}},
+		{Kind: unlearn.KindSample, Client: 1, Rows: []int{2}}, // duplicate; coalesces
+		{Kind: unlearn.KindClass, Class: class},
+		{Kind: unlearn.KindClass, Class: class},               // duplicate; coalesces
+		{Kind: unlearn.KindClient, Client: 2},                 //
+		{Kind: unlearn.KindSample, Client: 2, Rows: []int{0}}, // subsumed; coalesces
 	}
 	tickets := make([]Ticket, len(reqs))
 	for i, r := range reqs {
@@ -102,19 +113,29 @@ func TestCoalescedBatchMatchesSequential(t *testing.T) {
 	}
 	svc.Settle()
 
-	// The deduplicated equivalent, in the service's application order:
-	// samples ascending client, classes, removals descending position.
-	if err := direct.RequestDeletion(0, []int{1, 3, 5}); err != nil {
+	// One restart: the global the batch left is the procedure's first fresh
+	// model. A reset per owner would leave its fourth.
+	cfg := testConfig(10)
+	mcfg := cfg.Model
+	mcfg.Seed = core.Retrain.ReinitSeed(cfg, 1)
+	first, err := model.Build(mcfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := direct.RequestDeletion(1, []int{2}); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(afterBatch, first.StateVector()) {
+		t.Error("the batch did not restart the global model exactly once")
 	}
-	if _, err := direct.RequestClassDeletion(class); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.RemoveClient(2, true); err != nil {
-		t.Fatal(err)
+
+	// The deduplicated equivalent, in sequence, as one batch.
+	for i, o := range direct.Apply([]unlearn.Deletion{
+		{Kind: unlearn.KindSample, Client: 0, Rows: []int{1, 3, 5}},
+		{Kind: unlearn.KindSample, Client: 1, Rows: []int{2}},
+		{Kind: unlearn.KindClass, Class: class},
+		{Kind: unlearn.KindClient, Client: 2},
+	}) {
+		if o.Err != nil {
+			t.Fatalf("direct deletion %d: %v", i, o.Err)
+		}
 	}
 	if err := direct.Run(ctx, rounds, nil); err != nil {
 		t.Fatal(err)
@@ -170,11 +191,11 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := svc.Enqueue(Request{Kind: KindSample, Client: 0, Rows: []int{i}}); err != nil {
+		if _, err := svc.Enqueue(unlearn.Deletion{Kind: unlearn.KindSample, Client: 0, Rows: []int{i}}); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	if _, err := svc.Enqueue(Request{Kind: KindSample, Client: 0, Rows: []int{9}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.Enqueue(unlearn.Deletion{Kind: unlearn.KindSample, Client: 0, Rows: []int{9}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity enqueue: err = %v, want ErrQueueFull", err)
 	}
 	if d := svc.QueueDepth(); d != 2 {
@@ -186,7 +207,7 @@ func TestBackpressure(t *testing.T) {
 	if d := svc.QueueDepth(); d != 0 {
 		t.Fatalf("queue depth after round = %d, want 0 (drained)", d)
 	}
-	if _, err := svc.Enqueue(Request{Kind: KindSample, Client: 0, Rows: []int{9}}); err != nil {
+	if _, err := svc.Enqueue(unlearn.Deletion{Kind: unlearn.KindSample, Client: 0, Rows: []int{9}}); err != nil {
 		t.Fatalf("enqueue after drain: %v", err)
 	}
 	st := svc.Stats()
@@ -245,14 +266,14 @@ func TestEnqueueValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range []Request{
+	for _, req := range []unlearn.Deletion{
 		{Kind: "bogus"},
-		{Kind: KindSample, Client: 5, Rows: []int{0}},
-		{Kind: KindSample, Client: 0},
-		{Kind: KindSample, Client: 0, Rows: []int{1 << 30}},
-		{Kind: KindClass, Class: -1},
-		{Kind: KindClass, Class: 10},
-		{Kind: KindClient, Client: -1},
+		{Kind: unlearn.KindSample, Client: 5, Rows: []int{0}},
+		{Kind: unlearn.KindSample, Client: 0},
+		{Kind: unlearn.KindSample, Client: 0, Rows: []int{1 << 30}},
+		{Kind: unlearn.KindClass, Class: -1},
+		{Kind: unlearn.KindClass, Class: 10},
+		{Kind: unlearn.KindClient, Client: -1},
 	} {
 		if _, err := svc.Enqueue(req); err == nil {
 			t.Errorf("Enqueue(%+v) accepted, want error", req)
@@ -285,7 +306,7 @@ func TestConcurrentBurst(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				row := (w*perWorker + i) % 20
-				_, err := svc.Enqueue(Request{Kind: KindSample, Client: w % 3, Rows: []int{row}})
+				_, err := svc.Enqueue(unlearn.Deletion{Kind: unlearn.KindSample, Client: w % 3, Rows: []int{row}})
 				if err != nil && !errors.Is(err, ErrQueueFull) && !strings.Contains(err.Error(), "out of range") {
 					t.Errorf("worker %d: unexpected enqueue error: %v", w, err)
 				}
@@ -343,7 +364,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = resp.Body.Close()
-	if tk.ID != 1 || tk.Status != StatusQueued || tk.Kind != KindSample {
+	if tk.ID != 1 || tk.Status != StatusQueued || tk.Kind != unlearn.KindSample {
 		t.Errorf("ticket = %+v, want id 1 queued sample", tk)
 	}
 
@@ -358,7 +379,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	_ = resp.Body.Close()
 
 	// Invalid bodies → 400.
-	for _, body := range []string{`{"kind":"bogus"}`, `{"kind":"sample","client":0,"rows":[0],"extra":1}`, `not json`} {
+	for _, body := range []string{
+		`{"kind":"bogus"}`,
+		`{"kind":"sample","client":0,"rows":[0],"extra":1}`,
+		`not json`,
+		// One request per body: trailing data is not dropped in silence.
+		`{"kind":"class","class":1} {"kind":"client","client":0}`,
+		`{"kind":"class","class":1}garbage`,
+	} {
 		resp = post(body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %q: status = %d, want 400", body, resp.StatusCode)
@@ -458,11 +486,83 @@ func TestHTTPBodyLimit(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	full, err := json.Marshal(Request{Kind: KindSample, Client: largest, Rows: rows})
+	full, err := json.Marshal(unlearn.Deletion{Kind: unlearn.KindSample, Client: largest, Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec := post(string(full)); rec.Code != http.StatusAccepted {
 		t.Errorf("full-partition POST (%d bytes): status = %d, want 202: %s", len(full), rec.Code, rec.Body)
 	}
+}
+
+// TestTicketsShareNoRows: the service keeps its own copy of a request's
+// rows. Overwriting the caller's slice, the returned ticket's rows or a
+// looked-up ticket's rows after Enqueue changes neither what is deleted nor
+// the audit record; and a caller still writing its slice while the round
+// applies the batch does not race with it (run under -race).
+func TestTicketsShareNoRows(t *testing.T) {
+	ctx := context.Background()
+	wantDeleted := func(t *testing.T, f *unlearn.Federation, svc *Service, id int64) {
+		t.Helper()
+		rem := f.RemainingRows(0)
+		for _, r := range []int{1, 2} {
+			if slices.Contains(rem, r) {
+				t.Errorf("requested row %d was not deleted", r)
+			}
+		}
+		if got := len(rem); got != f.Partition(0).Len()-2 {
+			t.Errorf("client 0 has %d rows left, want %d", got, f.Partition(0).Len()-2)
+		}
+		if tk, _ := svc.Lookup(id); !slices.Equal(tk.Rows, []int{1, 2}) {
+			t.Errorf("audit record rows = %v, want [1 2]", tk.Rows)
+		}
+	}
+
+	t.Run("overwritten after enqueue", func(t *testing.T) {
+		f := newTestFederation(t, "retrain", 2)
+		svc, err := New(Config{Federation: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []int{1, 2}
+		tk, err := svc.Enqueue(unlearn.Deletion{Kind: unlearn.KindSample, Client: 0, Rows: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[0], rows[1] = 7, 8
+		tk.Rows[0] = 9
+		if looked, ok := svc.Lookup(tk.ID); ok {
+			looked.Rows[1] = 10
+		}
+		if err := f.Run(ctx, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		wantDeleted(t, f, svc, tk.ID)
+	})
+
+	t.Run("concurrent writer", func(t *testing.T) {
+		f := newTestFederation(t, "retrain", 2)
+		svc, err := New(Config{Federation: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []int{1, 2}
+		tk, err := svc.Enqueue(unlearn.Deletion{Kind: unlearn.KindSample, Client: 0, Rows: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := range 1000 {
+				rows[0] = 3 + i%2
+			}
+		}()
+		err = f.Run(ctx, 1, nil)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDeleted(t, f, svc, tk.ID)
+	})
 }

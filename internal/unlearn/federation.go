@@ -3,7 +3,7 @@ package unlearn
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"goldfish/internal/core"
@@ -71,8 +71,8 @@ type Federation struct {
 
 	// clients are the participants by current position, the trainers the
 	// in-process transport local runs. nextID is the next lifetime-unique
-	// client ID; reinits counts the fresh global models deletions and
-	// unlearning departures have started from.
+	// client ID; reinits counts the fresh global models deletion batches
+	// have started from.
 	clients []*core.Client
 	nextID  int
 	reinits int64
@@ -92,12 +92,10 @@ type Federation struct {
 	forgetMarks []forgetMark
 
 	// parts holds each participant's ORIGINAL local dataset (by current
-	// position; shifted on Add/RemoveClient), and removed records which
-	// original rows each participant has already deleted. Every layer
-	// addresses rows against the original dataset; this is the one record of
-	// what is gone.
-	parts   []*data.Dataset
-	removed []map[int]bool
+	// position; shifted on Add/RemoveClient). Every layer addresses rows
+	// against the original dataset; the client itself keeps the one record
+	// of what is gone (core.RemainingRows).
+	parts []*data.Dataset
 }
 
 // NewFederation creates a federation with one participant per dataset
@@ -146,10 +144,6 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 		local:   fed.NewLocalTransport(trainers),
 		evalNet: evalNet,
 		parts:   append([]*data.Dataset(nil), parts...),
-		removed: make([]map[int]bool, len(parts)),
-	}
-	for i := range f.removed {
-		f.removed[i] = map[int]bool{}
 	}
 
 	var scorer fed.Scorer
@@ -228,106 +222,14 @@ func (f *Federation) GlobalNet() (*nn.Network, error) {
 }
 
 // RequestDeletion submits a deletion request for rows of a client's local
-// dataset. Rows index the client's ORIGINAL dataset whatever the strategy;
-// out-of-range, already-removed and repeated rows, and a request that would
-// leave the client with no rows, are rejected before anything is mutated,
-// and the client forgets the rows in ascending order. The procedure
-// decides how the request is honoured: Goldfish runs Algorithm 1 lines
-// 8–17, the retrain baselines drop the rows and restart from scratch, the
-// incompetent teacher distills the data away.
+// dataset: a one-deletion Apply. Rows index the client's ORIGINAL dataset
+// whatever the strategy; out-of-range, already-removed and repeated rows,
+// and a request that would leave the client with no rows, are rejected and
+// nothing changes. The procedure decides how the request is honoured:
+// Goldfish runs Algorithm 1 lines 8–17, the retrain baselines drop the rows
+// and restart from scratch, the incompetent teacher distills the data away.
 func (f *Federation) RequestDeletion(clientID int, rows []int) error {
-	rows, err := f.checkDeletion(clientID, rows)
-	if err != nil {
-		return err
-	}
-	return f.forget(clientID, rows)
-}
-
-// checkDeletion validates a deletion request without mutating anything and
-// returns its rows in ascending order.
-func (f *Federation) checkDeletion(clientID int, rows []int) ([]int, error) {
-	if clientID < 0 || clientID >= len(f.parts) {
-		return nil, fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.parts))
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("unlearn: client %d: empty deletion request", clientID)
-	}
-	part, rem := f.parts[clientID], f.removed[clientID]
-	seen := make(map[int]bool, len(rows))
-	for _, r := range rows {
-		if r < 0 || r >= part.Len() {
-			return nil, fmt.Errorf("unlearn: client %d: row %d out of range [0,%d)", clientID, r, part.Len())
-		}
-		if rem[r] {
-			return nil, fmt.Errorf("unlearn: client %d: row %d already removed", clientID, r)
-		}
-		if seen[r] {
-			// Df would hold the row twice and the forget steps weight it double.
-			return nil, fmt.Errorf("unlearn: client %d: row %d listed twice in one request", clientID, r)
-		}
-		seen[r] = true
-	}
-	if len(rem)+len(rows) == part.Len() {
-		// A client with no rows fails every later round and is dropped with
-		// its deletion still pending; leaving is a membership change.
-		return nil, fmt.Errorf("unlearn: client %d: request removes all %d remaining rows; use RemoveClient(%d, true) to forget a whole client",
-			clientID, len(rows), clientID)
-	}
-	rows = append([]int(nil), rows...)
-	sort.Ints(rows)
-	return rows, nil
-}
-
-// forget applies a request checkDeletion accepted: the owning client
-// forgets the rows with the current global model at hand (B3 freezes it as
-// its teacher), every other client reacts as its procedure says, and the
-// global model is reinitialized when the procedure asks for it. A client
-// that refuses the rows leaves the federation unchanged.
-func (f *Federation) forget(clientID int, rows []int) error {
-	f.obs.Event("unlearn/request",
-		obs.Str("strategy", f.name), obs.Int("client", clientID), obs.Int("rows", len(rows)))
-	sp := f.obs.StartSpan("unlearn/forget",
-		obs.Str("strategy", f.name), obs.Int("client", clientID))
-	err := core.ForgetAt(f.clients[clientID], rows, f.engine.Global())
-	var next []float64
-	if err == nil {
-		for i, c := range f.clients {
-			if i != clientID {
-				c.MarkRetrain()
-			}
-		}
-		next, err = f.reinit()
-	}
-	sp.End()
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		f.removed[clientID][r] = true
-	}
-	if next != nil {
-		f.engine.SetGlobal(next)
-	}
-	f.pendingUnlearn = true
-	f.obs.Counter("unlearn.requests").Inc()
-	f.markForget()
-	return nil
-}
-
-// reinit builds the next freshly initialized global model, or returns nil
-// when the procedure keeps the current one.
-func (f *Federation) reinit() ([]float64, error) {
-	if f.proc.ReinitSeed == nil {
-		return nil, nil
-	}
-	f.reinits++
-	mcfg := f.cfg.Client.Model
-	mcfg.Seed = f.proc.ReinitSeed(f.cfg.Client, f.reinits)
-	fresh, err := model.Build(mcfg)
-	if err != nil {
-		return nil, fmt.Errorf("unlearn: reinitializing global model: %w", err)
-	}
-	return fresh.StateVector(), nil
+	return f.Apply([]Deletion{{Kind: KindSample, Client: clientID, Rows: rows}})[0].Err
 }
 
 // forgetMark is one pending deletion request awaiting its recovery rounds:
@@ -372,77 +274,27 @@ func (f *Federation) settleForgetMarks() {
 // RemainingRows returns the not-yet-removed original row indices of
 // participant clientID's dataset, in ascending order.
 func (f *Federation) RemainingRows(clientID int) []int {
-	if clientID < 0 || clientID >= len(f.parts) {
+	if clientID < 0 || clientID >= len(f.clients) {
 		return nil
 	}
-	rem := f.removed[clientID]
-	out := make([]int, 0, f.parts[clientID].Len()-len(rem))
-	for r := 0; r < f.parts[clientID].Len(); r++ {
-		if !rem[r] {
-			out = append(out, r)
-		}
-	}
-	return out
+	return core.RemainingRows(f.clients[clientID])
 }
 
 // RemainingRowsOfClass returns the not-yet-removed original row indices of a
 // participant's samples labelled class, in ascending order.
 func (f *Federation) RemainingRowsOfClass(clientID, class int) []int {
-	if clientID < 0 || clientID >= len(f.parts) {
-		return nil
-	}
-	rem := f.removed[clientID]
-	var out []int
-	for _, r := range f.parts[clientID].RowsOfClass(class) {
-		if !rem[r] {
-			out = append(out, r)
-		}
-	}
-	return out
+	return slices.DeleteFunc(f.RemainingRows(clientID), func(r int) bool { return f.parts[clientID].Y[r] != class })
 }
 
-// RequestClassDeletion submits a class-level deletion: every remaining
-// sample labelled class, across all participants, is requested for removal
-// (one Forget per affected participant, in participant order). Every
-// participant's request is validated before the first is applied, so a
-// rejection — a participant holding nothing but that class — leaves the
-// class untouched everywhere. It returns the removed original row indices
-// per participant position; at least one sample must remain to remove or an
-// error is returned.
+// RequestClassDeletion submits a class-level deletion, a one-deletion
+// Apply: every remaining sample labelled class, across all participants, is
+// removed. A participant holding nothing but that class rejects the whole
+// request and the class stays everywhere. It returns the removed original
+// row indices per participant position; at least one sample must remain to
+// remove or an error is returned.
 func (f *Federation) RequestClassDeletion(class int) (map[int][]int, error) {
-	if len(f.parts) == 0 {
-		return nil, fmt.Errorf("unlearn: no participants")
-	}
-	if class < 0 || class >= f.parts[0].Classes {
-		return nil, fmt.Errorf("unlearn: class %d out of range [0,%d)", class, f.parts[0].Classes)
-	}
-	out := map[int][]int{}
-	var affected []int
-	for i := range f.parts {
-		rows := f.RemainingRowsOfClass(i, class)
-		if len(rows) == 0 {
-			continue
-		}
-		rows, err := f.checkDeletion(i, rows)
-		if err != nil {
-			return nil, fmt.Errorf("unlearn: class %d: %w", class, err)
-		}
-		out[i] = rows
-		affected = append(affected, i)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("unlearn: no remaining samples of class %d", class)
-	}
-	for n, i := range affected {
-		if err := f.forget(i, out[i]); err != nil {
-			// A client refused a validated request: report what was applied.
-			for _, j := range affected[n:] {
-				delete(out, j)
-			}
-			return out, fmt.Errorf("unlearn: class %d on client %d: %w", class, i, err)
-		}
-	}
-	return out, nil
+	o := f.Apply([]Deletion{{Kind: KindClass, Class: class}})[0]
+	return o.Rows, o.Err
 }
 
 // Partition returns participant i's ORIGINAL local dataset (deletions do not
@@ -479,57 +331,34 @@ func (f *Federation) AddClient(ds *data.Dataset) (int, error) {
 	f.clients = append(f.clients, c)
 	f.local.Append(c)
 	f.parts = append(f.parts, ds)
-	f.removed = append(f.removed, map[int]bool{})
 	return c.ID(), nil
 }
 
 // RemoveClient removes a participant from the federation. When unlearn is
-// true the removal is treated as a deletion request for the client's entire
-// remaining dataset: every remaining client reacts as to any other deletion
-// and training restarts from a fresh global model, so the departed client's
-// contribution is actively forgotten rather than merely no longer
-// aggregated.
+// true the removal is a one-deletion Apply: every remaining client reacts
+// as to any other deletion and training restarts from a fresh global model,
+// so the departed client's contribution is actively forgotten rather than
+// merely no longer aggregated.
 func (f *Federation) RemoveClient(clientID int, unlearn bool) error {
-	if err := f.checkMembership(); err != nil {
+	d := Deletion{Kind: KindClient, Client: clientID}
+	if unlearn {
+		return f.Apply([]Deletion{d})[0].Err
+	}
+	// A plain departure is checked as an unlearning one is: membership,
+	// range, and never the last client.
+	if _, err := (&pending{f: f, remaining: map[int][]int{}}).stage(d); err != nil {
 		return err
 	}
-	if clientID < 0 || clientID >= len(f.clients) {
-		return fmt.Errorf("unlearn: client %d out of range [0,%d)", clientID, len(f.clients))
-	}
-	if len(f.clients) == 1 {
-		return fmt.Errorf("unlearn: cannot remove the last client")
-	}
-	if err := f.local.Remove(clientID); err != nil {
-		return err
-	}
-	f.clients = append(f.clients[:clientID], f.clients[clientID+1:]...)
-	f.parts = append(f.parts[:clientID], f.parts[clientID+1:]...)
-	f.removed = append(f.removed[:clientID], f.removed[clientID+1:]...)
-	f.obs.Event("unlearn/client_removed",
-		obs.Str("strategy", f.name), obs.Int("client", clientID), obs.Int("unlearn", boolInt(unlearn)))
-	if !unlearn {
-		return nil
-	}
-	for _, c := range f.clients {
-		c.MarkRetrain()
-	}
-	next, err := f.reinit()
-	if err != nil {
-		return err
-	}
-	f.engine.SetGlobal(next)
-	f.pendingUnlearn = true
-	f.obs.Counter("unlearn.requests").Inc()
-	f.markForget()
+	f.drop(clientID)
+	f.obs.Event("unlearn/client_removed", obs.Str("strategy", f.name), obs.Int("client", clientID), obs.Int("unlearn", 0))
 	return nil
 }
 
-// boolInt encodes a bool as a 0/1 trace attribute.
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+// drop removes the participant at position i, which is in range.
+func (f *Federation) drop(i int) {
+	_ = f.local.Remove(i) // local holds f.clients' trainers, so i is in range
+	f.clients = slices.Delete(f.clients, i, i+1)
+	f.parts = slices.Delete(f.parts, i, i+1)
 }
 
 // Run executes n federation rounds, invoking onRound (may be nil) after

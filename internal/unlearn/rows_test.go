@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"goldfish/internal/data"
@@ -211,6 +212,89 @@ func TestRejectedClassDeletionChangesNothing(t *testing.T) {
 			}
 			if !reflect.DeepEqual(f.Global(), global) {
 				t.Error("a rejected class deletion changed the global model")
+			}
+		})
+	}
+}
+
+// TestApplyRejectedDeletionsChangeNothing: in a batch mixing valid and
+// rejected deletions, the rejected ones leave no trace. The federation ends
+// with the remaining rows, global model and restart count of a twin that
+// applied only the valid ones, and trains on identically; a batch of
+// rejected deletions alone changes nothing and starts no unlearning round.
+func TestApplyRejectedDeletionsChangeNothing(t *testing.T) {
+	train, _ := tinyMNIST(t)
+	ctx := context.Background()
+	for _, name := range strategyNames() {
+		t.Run(name, func(t *testing.T) {
+			mixed, parts := strategyFederation(t, name, train)
+			twin, _ := strategyFederation(t, name, train)
+			for _, f := range []*Federation{mixed, twin} {
+				if err := f.Run(ctx, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			good := []Deletion{
+				{Kind: KindSample, Client: 0, Rows: []int{4, 2}},
+				{Kind: KindSample, Client: 1, Rows: []int{0}},
+			}
+			bad := []Deletion{
+				{Kind: KindSample, Client: 0, Rows: []int{2}}, // removed earlier in the batch
+				{Kind: KindSample, Client: 0, Rows: []int{parts[0].Len()}},
+				{Kind: KindSample, Client: 2, Rows: []int{3, 3}},
+				{Kind: KindSample, Client: 2},
+				{Kind: KindSample, Client: 5, Rows: []int{0}},
+				{Kind: KindSample, Client: 1, Rows: mixed.RemainingRows(1)[1:]}, // all but row 0, which went first
+				{Kind: KindClass, Class: 10},
+				{Kind: KindClient, Client: 7},
+				{Kind: "bogus"},
+			}
+			batch := append(slices.Clone(good), bad...)
+			for i, o := range mixed.Apply(batch) {
+				if rejected := i >= len(good); rejected != (o.Err != nil) || rejected != (o.Rows == nil) {
+					t.Errorf("deletion %d %+v: outcome %v, want rejected = %v", i, batch[i], o, rejected)
+				}
+			}
+			for i, o := range twin.Apply(good) {
+				if o.Err != nil {
+					t.Fatalf("valid deletion %d: %v", i, o.Err)
+				}
+			}
+
+			same := func(when string) {
+				t.Helper()
+				for i := range parts {
+					if !reflect.DeepEqual(mixed.RemainingRows(i), twin.RemainingRows(i)) {
+						t.Errorf("%s: client %d remaining rows differ from the twin's", when, i)
+					}
+				}
+				if !reflect.DeepEqual(mixed.Global(), twin.Global()) {
+					t.Errorf("%s: global model differs from the twin's", when)
+				}
+				if mixed.reinits != twin.reinits {
+					t.Errorf("%s: %d restarts, the twin %d", when, mixed.reinits, twin.reinits)
+				}
+			}
+			same("after the batch")
+
+			for i, o := range mixed.Apply(bad) {
+				if o.Err == nil {
+					t.Errorf("lone deletion %d %+v accepted", i, bad[i])
+				}
+			}
+			same("after a batch of rejected deletions")
+			for _, f := range []*Federation{mixed, twin} {
+				if err := f.Run(ctx, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("after the next round")
+			unlearning := false
+			if err := mixed.Run(ctx, 1, func(rs RoundStats) { unlearning = rs.UnlearningRound }); err != nil {
+				t.Fatal(err)
+			}
+			if unlearning {
+				t.Error("a round after only rejected deletions was marked as unlearning")
 			}
 		})
 	}

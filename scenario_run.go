@@ -3,7 +3,9 @@ package goldfish
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"goldfish/internal/attack"
@@ -339,87 +341,82 @@ func runScenarioCell(ctx context.Context, spec ScenarioSpec, cell ScenarioCell) 
 				return out, err
 			}
 		}
+		// The round's entries are one batch, resolved against the rows and
+		// positions before it: alive maps a schedule position to one, so a
+		// departure listed earlier in the round shifts the positions later
+		// entries name, and claimed keeps two entries off the same rows.
+		parts := e.Partitions()
+		alive := make([]int, len(parts))
+		for i := range alive {
+			alive[i] = i
+		}
+		claimed := map[int][]int{}
+		var batch []unlearn.Deletion
 		for ; k < len(spec.Schedule) && spec.Schedule[k].Round == round; k++ {
 			d := spec.Schedule[k]
-			switch d.Type {
-			case scenario.DeleteSample:
-				client := d.Client
-				if client < 0 || client >= e.NumClients() {
-					return out, fmt.Errorf("goldfish: schedule client %d out of range [0,%d)", client, e.NumClients())
+			if d.Type == scenario.DeleteClass {
+				batch = append(batch, unlearn.Deletion{Kind: unlearn.KindClass, Class: d.Class})
+				continue
+			}
+			if d.Client >= len(alive) {
+				return out, fmt.Errorf("goldfish: schedule client %d out of range [0,%d)", d.Client, len(alive))
+			}
+			client := alive[d.Client]
+			if d.Type == scenario.DeleteClient {
+				alive = slices.Delete(alive, d.Client, d.Client+1)
+				batch = append(batch, unlearn.Deletion{Kind: unlearn.KindClient, Client: client})
+				continue
+			}
+			if d.Target == scenario.TargetPoisoned {
+				// The poisoned rows follow the attacked client, whose
+				// position may have shifted since the spec was written.
+				if !slices.Contains(alive, attackPos) {
+					return out, fmt.Errorf("goldfish: schedule round %d: the attacked client already departed", d.Round)
 				}
-				var rows []int
-				switch d.Target {
-				case scenario.TargetPoisoned:
-					// The poisoned rows follow the attacked client, whose
-					// position may have shifted since the spec was written.
-					if attackPos < 0 {
-						return out, fmt.Errorf("goldfish: schedule round %d: the attacked client already departed", d.Round)
+				client = attackPos
+			}
+			rem := slices.DeleteFunc(e.RemainingRows(client), func(r int) bool { return slices.Contains(claimed[client], r) })
+			var rows []int
+			switch d.Target {
+			case scenario.TargetPoisoned:
+				for _, r := range s.poisoned {
+					if _, ok := slices.BinarySearch(rem, r); ok {
+						rows = append(rows, r)
 					}
-					client = attackPos
-					rem := make(map[int]bool, len(s.poisoned))
-					for _, r := range e.RemainingRows(client) {
-						rem[r] = true
-					}
-					for _, r := range s.poisoned {
-						if rem[r] {
-							rows = append(rows, r)
-						}
-					}
-				case scenario.TargetRandom:
-					rem := e.RemainingRows(client)
-					n := int(float64(len(rem))*d.Fraction + 0.5)
-					if n < 1 {
-						n = 1
-					}
-					if n > len(rem) {
-						n = len(rem)
-					}
-					srng.Shuffle(len(rem), func(i, j int) { rem[i], rem[j] = rem[j], rem[i] })
-					rows = rem[:n]
-				default:
-					rows = d.Rows
 				}
-				if len(rows) == 0 {
-					return out, fmt.Errorf("goldfish: schedule round %d: no rows to delete on client %d", d.Round, client)
-				}
-				if err := e.RequestDeletion(client, rows); err != nil {
-					return out, err
-				}
-				forget = append(forget, e.Partitions()[client].Subset(rows))
-				res.RemovedRows += len(rows)
-			case scenario.DeleteClass:
-				byClient, err := e.RequestClassDeletion(d.Class)
-				if err != nil {
-					return out, err
-				}
-				for i := 0; i < e.NumClients(); i++ {
-					rows := byClient[i]
-					if len(rows) == 0 {
-						continue
-					}
-					forget = append(forget, e.Partitions()[i].Subset(rows))
+			case scenario.TargetRandom:
+				n := min(max(int(float64(len(rem))*d.Fraction+0.5), 1), len(rem))
+				srng.Shuffle(len(rem), func(i, j int) { rem[i], rem[j] = rem[j], rem[i] })
+				rows = rem[:n]
+			default:
+				rows = d.Rows
+			}
+			if len(rows) == 0 {
+				return out, fmt.Errorf("goldfish: schedule round %d: no rows to delete on client %d", d.Round, client)
+			}
+			claimed[client] = append(claimed[client], rows...)
+			batch = append(batch, unlearn.Deletion{Kind: unlearn.KindSample, Client: client, Rows: rows})
+		}
+		for i, o := range e.fed.Apply(batch) {
+			if o.Err != nil {
+				return out, o.Err
+			}
+			// A sample deletion's rows keep the order they were drawn in.
+			byClient := o.Rows
+			if d := batch[i]; d.Kind == unlearn.KindSample {
+				byClient = map[int][]int{d.Client: d.Rows}
+			}
+			for _, c := range slices.Sorted(maps.Keys(byClient)) {
+				if rows := byClient[c]; len(rows) > 0 {
+					forget = append(forget, parts[c].Subset(rows))
 					res.RemovedRows += len(rows)
 				}
-			case scenario.DeleteClient:
-				if d.Client >= e.NumClients() {
-					return out, fmt.Errorf("goldfish: schedule client %d out of range [0,%d)", d.Client, e.NumClients())
-				}
-				if rows := e.RemainingRows(d.Client); len(rows) > 0 {
-					forget = append(forget, e.Partitions()[d.Client].Subset(rows))
-					res.RemovedRows += len(rows)
-				}
-				if err := e.RemoveClient(d.Client, true); err != nil {
-					return out, err
-				}
-				switch {
-				case d.Client == attackPos:
-					attackPos = -1
-				case d.Client < attackPos:
-					attackPos--
-				}
+			}
+			if batch[i].Kind == unlearn.KindClient {
 				res.RemovedClients++
 			}
 		}
+		attackPos = slices.Index(alive, attackPos)
 	}
 	if seg := s.rounds - completed; seg > 0 {
 		if err := e.Run(ctx, seg); err != nil {

@@ -2,27 +2,30 @@ package goldfish
 
 import (
 	"goldfish/internal/serve"
+	"goldfish/internal/unlearn"
 )
 
 // Deletion-request service: run an Engine as a long-lived unlearning
 // service. Deletion requests (sample rows, whole classes, whole clients)
-// enter a bounded queue and fold into the federation in one coalesced batch
-// at each round boundary; every accepted request is tracked as a ticket
-// through queued → applied → recovered, with forgetting latency recorded in
-// the serve.* observability histograms. See internal/serve for the
-// mechanics and cmd/goldfish-server's -serve mode for the HTTP surface.
+// enter a bounded queue and fold into the federation at each round boundary
+// as one coalesced batch: one unlearning event, one model restart. Every
+// accepted request is tracked as a ticket through queued → applied →
+// recovered, with forgetting latency recorded in the serve.* observability
+// histograms. See internal/serve for the mechanics and cmd/goldfish-server's
+// -serve mode for the HTTP surface.
 
-// DeletionRequest is one deletion request submitted to a DeletionService.
-type DeletionRequest = serve.Request
+// DeletionRequest is one deletion request submitted to a DeletionService:
+// the deletion value every route to a client's rows builds.
+type DeletionRequest = unlearn.Deletion
 
 // The three deletion-request kinds.
 const (
 	// DeleteSample removes specific rows of one client's original dataset.
-	DeleteSample = serve.KindSample
+	DeleteSample = unlearn.KindSample
 	// DeleteClass removes every remaining sample of one label class.
-	DeleteClass = serve.KindClass
+	DeleteClass = unlearn.KindClass
 	// DeleteClient removes a participant entirely, unlearning its data.
-	DeleteClient = serve.KindClient
+	DeleteClient = unlearn.KindClient
 )
 
 // DeletionTicket is the auditable record of one accepted deletion request.
