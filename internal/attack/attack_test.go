@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"goldfish/internal/data"
+	"goldfish/internal/metrics"
 	"goldfish/internal/nn"
 	"goldfish/internal/tensor"
 )
@@ -44,33 +45,45 @@ func validCfg() Config {
 	return Config{Fraction: 0.3, TargetLabel: 0, SourceClass: 1}
 }
 
+// TestRegistry: the attack type table resolves each of its three names to
+// the type of that name, which accepts a valid config, and rejects any
+// other name with an error that lists the known ones.
 func TestRegistry(t *testing.T) {
-	types := Types()
-	for _, want := range []string{"backdoor", "label-flip", "targeted-class"} {
-		found := false
-		for _, got := range types {
-			if got == want {
-				found = true
+	if got, want := Types(), []string{"backdoor", "label-flip", "targeted-class"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Types() = %v, want %v", got, want)
+	}
+	for _, tc := range []struct {
+		name    string
+		unknown bool
+	}{
+		{"backdoor", false},
+		{"label-flip", false},
+		{"targeted-class", false},
+		{"gradient-inversion", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Lookup(tc.name)
+			if tc.unknown {
+				if err == nil || !strings.Contains(err.Error(), "unknown attack") {
+					t.Fatalf("Lookup(%q) = %v, want an unknown-type error", tc.name, err)
+				}
+				for _, name := range Types() {
+					if !strings.Contains(err.Error(), name) {
+						t.Errorf("unknown-type error %q does not list %q", err, name)
+					}
+				}
+				return
 			}
-		}
-		if !found {
-			t.Errorf("Types() = %v, missing %q", types, want)
-		}
-	}
-	for _, name := range types {
-		a, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, a.Name())
-		}
-		if err := a.Validate(validCfg()); err != nil {
-			t.Errorf("%s rejects the valid config: %v", name, err)
-		}
-	}
-	if _, err := New("gradient-inversion"); err == nil || !strings.Contains(err.Error(), "unknown attack") {
-		t.Errorf("New(unknown) = %v", err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Name() != tc.name {
+				t.Errorf("Lookup(%q).Name() = %q", tc.name, a.Name())
+			}
+			if err := a.Validate(validCfg()); err != nil {
+				t.Errorf("%s rejects the valid config: %v", tc.name, err)
+			}
+		})
 	}
 }
 
@@ -91,7 +104,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := New(tc.attack)
+			a, err := Lookup(tc.attack)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +123,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 func TestPoisonDeterministicPerSeed(t *testing.T) {
 	for _, name := range Types() {
 		t.Run(name, func(t *testing.T) {
-			a, err := New(name)
+			a, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +159,7 @@ func TestPoisonDeterministicPerSeed(t *testing.T) {
 }
 
 func TestLabelFlipOnlyRelabels(t *testing.T) {
-	a, err := New("label-flip")
+	a, err := Lookup("label-flip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +185,7 @@ func TestLabelFlipOnlyRelabels(t *testing.T) {
 }
 
 func TestTargetedClassPerturbsTowardsCentroid(t *testing.T) {
-	a, err := New("targeted-class")
+	a, err := Lookup("targeted-class")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,117 +254,103 @@ func TestProberSemantics(t *testing.T) {
 	neverTarget := constNet(t, 16, 4, 2)
 	for _, name := range Types() {
 		t.Run(name, func(t *testing.T) {
-			a, err := New(name)
+			a, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := a.NewProber(test, validCfg())
+			p, err := a.NewProbe(test, validCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := p.SuccessRate(alwaysTarget); got != 1 {
+			if p.Target != validCfg().TargetLabel {
+				t.Errorf("probe target %d, want %d", p.Target, validCfg().TargetLabel)
+			}
+			if got := metrics.AttackSuccessRate(alwaysTarget, p.Rows, p.Target, 0); got != 1 {
 				t.Errorf("always-target model scored %g, want 1", got)
 			}
-			if got := p.SuccessRate(neverTarget); got != 0 {
+			if got := metrics.AttackSuccessRate(neverTarget, p.Rows, p.Target, 0); got != 0 {
 				t.Errorf("never-target model scored %g, want 0", got)
 			}
 		})
 	}
 }
 
-// TestProberRejectsOutOfRangeLabels: every attack's NewProber must surface
+// TestProberRejectsOutOfRangeLabels: every attack's NewProbe must surface
 // dataset-dependent label errors instead of returning a probe that can never
 // match a prediction (which would read as perfect unlearning).
 func TestProberRejectsOutOfRangeLabels(t *testing.T) {
 	test := tinySet(t, 20, 4, 11)
 	for _, name := range Types() {
-		a, err := New(name)
+		a, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, target := range []int{test.Classes, -1} {
 			cfg := validCfg()
 			cfg.TargetLabel = target
-			if _, err := a.NewProber(test, cfg); err == nil {
-				t.Errorf("%s: target label %d accepted by NewProber", name, target)
+			if _, err := a.NewProbe(test, cfg); err == nil {
+				t.Errorf("%s: target label %d accepted by NewProbe", name, target)
 			}
 			if _, err := a.Poison(tinySet(t, 20, 4, 11), cfg, rand.New(rand.NewSource(1))); err == nil {
 				t.Errorf("%s: target label %d accepted by Poison", name, target)
 			}
 		}
 	}
-	a, err := New("targeted-class")
+	a, err := Lookup("targeted-class")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := validCfg()
 	cfg.SourceClass = test.Classes
-	if _, err := a.NewProber(test, cfg); err == nil {
-		t.Error("targeted-class: out-of-range source class accepted by NewProber")
+	if _, err := a.NewProbe(test, cfg); err == nil {
+		t.Error("targeted-class: out-of-range source class accepted by NewProbe")
 	}
 }
 
-// TestProberUsesCleanProbes: building a prober must not mutate the test set,
-// and the label-flip/targeted-class probes exclude the samples a success
-// count would trivially miscount (true-target rows; non-source rows).
+// TestProberUsesCleanProbes: building a probe must not mutate the test set,
+// and every probe excludes the samples a success count would trivially
+// miscount: no probe row carries the target label, and the targeted-class
+// probe holds only source-class rows.
 func TestProberUsesCleanProbes(t *testing.T) {
 	test := tinySet(t, 40, 4, 11)
 	before := append([]float64(nil), test.X.Data()...)
 	yBefore := append([]int(nil), test.Y...)
+	cfg := validCfg()
 	for _, name := range Types() {
-		a, err := New(name)
+		a, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.NewProber(test, validCfg()); err != nil {
+		p, err := a.NewProbe(test, cfg)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for i, y := range p.Rows.Y {
+			if y == cfg.TargetLabel || (name == "targeted-class" && y != cfg.SourceClass) {
+				t.Errorf("%s: probe row %d has label %d", name, i, y)
+			}
 		}
 	}
 	if !reflect.DeepEqual(before, test.X.Data()) || !reflect.DeepEqual(yBefore, test.Y) {
-		t.Error("building a prober mutated the test set")
+		t.Error("building a probe mutated the test set")
 	}
 }
 
-// mustPanic runs fn and fails the test unless it panics with a message
-// containing wantMsg.
-func mustPanic(t *testing.T, what, wantMsg string, fn func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Errorf("%s: Register did not panic", what)
-			return
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, wantMsg) {
-			t.Errorf("%s: panic = %v, want message containing %q", what, r, wantMsg)
-		}
-	}()
-	fn()
-}
-
-// TestRegisterMisusePanics pins the registry's wiring-bug contract: duplicate
-// names, empty names and nil factories all panic instead of silently
-// replacing or registering broken entries.
-func TestRegisterMisusePanics(t *testing.T) {
-	factory := func() Attack { return backdoorAttack{} }
-	mustPanic(t, "duplicate name", "Register called twice", func() { Register("backdoor", factory) })
-	mustPanic(t, "empty name", "empty name", func() { Register("", factory) })
-	mustPanic(t, "nil factory", "nil factory", func() { Register("nil-factory-probe", nil) })
-	if _, err := New("nil-factory-probe"); err == nil {
-		t.Error("rejected registration still reachable via New")
-	}
-}
-
-// TestUnknownTypeErrorListsTypes asserts the lookup-failure error names every
-// registered attack type, so a typo in a scenario spec is self-diagnosing.
-func TestUnknownTypeErrorListsTypes(t *testing.T) {
-	_, err := New("no-such-attack")
-	if err == nil {
-		t.Fatal("New(unknown) succeeded")
+// TestProbeRejectsEmptyProbeSet: a test set with no row to read the attack
+// on fails the probe constructor instead of giving an empty probe, whose
+// success rate would read 0 — perfect unlearning.
+func TestProbeRejectsEmptyProbeSet(t *testing.T) {
+	allTarget := tinySet(t, 20, 4, 11)
+	for i := range allTarget.Y {
+		allTarget.Y[i] = validCfg().TargetLabel
 	}
 	for _, name := range Types() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-type error %q does not list registered type %q", err, name)
+		a, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := a.NewProbe(allTarget, validCfg()); err == nil {
+			t.Errorf("%s: a test set of target-label rows gave a probe of %d rows", name, p.Rows.Len())
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"goldfish/internal/data"
-	"goldfish/internal/metrics"
-	"goldfish/internal/nn"
 )
 
 // backdoorAttack is the paper's verification probe (§IV-A, following Wu et
@@ -48,24 +46,10 @@ func (b backdoorAttack) Poison(part *data.Dataset, cfg Config, rng *rand.Rand) (
 	return b.config(cfg).Poison(part, cfg.Fraction, rng)
 }
 
-func (b backdoorAttack) NewProber(test *data.Dataset, cfg Config) (Prober, error) {
+func (b backdoorAttack) NewProbe(test *data.Dataset, cfg Config) (Probe, error) {
 	triggered, err := b.config(cfg).TriggerCopy(test)
 	if err != nil {
-		return nil, err
+		return Probe{}, err
 	}
-	return predictionProber{probe: triggered, target: cfg.TargetLabel}, nil
-}
-
-// predictionProber is the probe shape all built-in attacks share: the success
-// rate is the fraction of probe samples classified as the target label. The
-// probe datasets differ per attack — trigger-stamped non-target samples for
-// the backdoor, clean non-target samples for label flipping, clean
-// source-class samples for targeted-class poisoning.
-type predictionProber struct {
-	probe  *data.Dataset
-	target int
-}
-
-func (p predictionProber) SuccessRate(net *nn.Network) float64 {
-	return metrics.AttackSuccessRate(net, p.probe, p.target, 0)
+	return Probe{Rows: triggered, Target: cfg.TargetLabel}, nil
 }

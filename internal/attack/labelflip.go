@@ -50,9 +50,9 @@ func (labelFlipAttack) Poison(part *data.Dataset, cfg Config, rng *rand.Rand) ([
 	return rows, nil
 }
 
-func (labelFlipAttack) NewProber(test *data.Dataset, cfg Config) (Prober, error) {
+func (labelFlipAttack) NewProbe(test *data.Dataset, cfg Config) (Probe, error) {
 	if err := classLabel("target label", cfg.TargetLabel, test.Classes); err != nil {
-		return nil, err
+		return Probe{}, err
 	}
 	var keep []int
 	for i, y := range test.Y {
@@ -61,7 +61,7 @@ func (labelFlipAttack) NewProber(test *data.Dataset, cfg Config) (Prober, error)
 		}
 	}
 	if len(keep) == 0 {
-		return nil, fmt.Errorf("attack: every test sample has the target label %d", cfg.TargetLabel)
+		return Probe{}, fmt.Errorf("attack: every test sample has the target label %d", cfg.TargetLabel)
 	}
-	return predictionProber{probe: test.Subset(keep), target: cfg.TargetLabel}, nil
+	return Probe{Rows: test.Subset(keep), Target: cfg.TargetLabel}, nil
 }

@@ -98,16 +98,16 @@ func (t targetedClassAttack) Poison(part *data.Dataset, cfg Config, rng *rand.Ra
 	return rows, nil
 }
 
-func (targetedClassAttack) NewProber(test *data.Dataset, cfg Config) (Prober, error) {
+func (targetedClassAttack) NewProbe(test *data.Dataset, cfg Config) (Probe, error) {
 	if err := classLabel("target label", cfg.TargetLabel, test.Classes); err != nil {
-		return nil, err
+		return Probe{}, err
 	}
 	if err := classLabel("source class", cfg.SourceClass, test.Classes); err != nil {
-		return nil, err
+		return Probe{}, err
 	}
 	keep := test.RowsOfClass(cfg.SourceClass)
 	if len(keep) == 0 {
-		return nil, fmt.Errorf("attack: no test samples of source class %d to probe", cfg.SourceClass)
+		return Probe{}, fmt.Errorf("attack: no test samples of source class %d to probe", cfg.SourceClass)
 	}
-	return predictionProber{probe: test.Subset(keep), target: cfg.TargetLabel}, nil
+	return Probe{Rows: test.Subset(keep), Target: cfg.TargetLabel}, nil
 }

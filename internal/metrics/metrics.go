@@ -2,7 +2,9 @@
 // accuracy, backdoor attack success rate, the MSE score used by the
 // adaptive-weight aggregation (paper Eq. 12), and the model-vs-model
 // similarity statistics of Tables VII–IX (Jensen–Shannon divergence, L2
-// distance, Welch t-test over prediction confidences).
+// distance, Welch t-test over prediction confidences). Every metric is a
+// reader of Evaluate, one forward pass of a model over a probe set, so a
+// caller that needs several metrics from one probe set forwards it once.
 package metrics
 
 import (
@@ -62,46 +64,105 @@ func forEachProbBatch(net *nn.Network, d *data.Dataset, batch int, fn func(start
 	}
 }
 
-// Probabilities runs the network over the dataset in evaluation mode and
-// returns softmax probabilities of shape (N, classes). batch ≤ 0 selects a
-// default evaluation batch size. Metrics that only need a streaming view
-// should use forEachProbBatch instead of materializing this matrix.
-func Probabilities(net *nn.Network, d *data.Dataset, batch int) *tensor.Tensor {
-	var out *tensor.Tensor
-	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
-		if out == nil {
-			out = tensor.New(d.Len(), probs.Dim(1))
+// OwnLabel, as Evaluate's hit label, counts a row as a hit when the network
+// predicts the row's own label (accuracy). Any other hit label counts the
+// rows predicted as that label (attack success).
+const OwnLabel = -1
+
+// Eval is what one Evaluate pass of a network over a probe set left for
+// the metrics that read it: running sums on every pass, and the per-row
+// probabilities only when the caller keeps them.
+type Eval struct {
+	// Rows is the probe set's length; Classes is the network's output
+	// width (0 when Rows is 0).
+	Rows, Classes int
+	// Hits counts the rows whose first-wins argmax is the hit label.
+	Hits int
+	// TopSum is the sum of the rows' top confidences, in row order.
+	TopSum float64
+	// SqErr is the squared error against the one-hot labels, summed over
+	// every row and class in order.
+	SqErr float64
+	// Probs holds the (rows, classes) probability matrix when the pass
+	// kept it, nil otherwise.
+	Probs *tensor.Tensor
+}
+
+// HitRate is the share of rows that hit: accuracy under OwnLabel, the
+// attack success rate under a target label. It is 0 on an empty set.
+func (e Eval) HitRate() float64 {
+	if e.Rows == 0 {
+		return 0
+	}
+	return float64(e.Hits) / float64(e.Rows)
+}
+
+// MeanTop is the mean top confidence, 0 on an empty set.
+func (e Eval) MeanTop() float64 {
+	if e.Rows == 0 {
+		return 0
+	}
+	return e.TopSum / float64(e.Rows)
+}
+
+// argmax returns the index of row's largest entry, the first one on a tie
+// (the tie-break of tensor.ArgMaxRows).
+func argmax(row []float64) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
 		}
-		copy(out.Data()[start*probs.Dim(1):], probs.Data())
+	}
+	return best
+}
+
+// Evaluate forwards the network once over d and feeds every batch's
+// probabilities to the readers: the hit count against label (OwnLabel or a
+// class), the top-confidence sum, the squared error and, when keepProbs is
+// set, the probability rows. Every metric of this package is a reader of
+// this pass, so one Evaluate serves all the metrics a caller needs from one
+// probe set. batch ≤ 0 selects the default evaluation batch size.
+func Evaluate(net *nn.Network, d *data.Dataset, batch, label int, keepProbs bool) Eval {
+	e := Eval{Rows: d.Len()}
+	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
+		m, c := probs.Dim(0), probs.Dim(1)
+		e.Classes = c
+		pd := probs.Data()
+		if keepProbs {
+			if e.Probs == nil {
+				e.Probs = tensor.New(d.Len(), c)
+			}
+			copy(e.Probs.Data()[start*c:], pd)
+		}
+		for i := 0; i < m; i++ {
+			row := pd[i*c : (i+1)*c]
+			want := label
+			if want == OwnLabel {
+				want = d.Y[start+i]
+			}
+			best := argmax(row)
+			if best == want {
+				e.Hits++
+			}
+			e.TopSum += row[best]
+			for j, p := range row {
+				target := 0.0
+				if j == d.Y[start+i] {
+					target = 1
+				}
+				diff := p - target
+				e.SqErr += diff * diff
+			}
+		}
 	})
-	return out
+	return e
 }
 
 // Accuracy returns the fraction of dataset samples the network classifies
 // correctly.
 func Accuracy(net *nn.Network, d *data.Dataset, batch int) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
-		m, c := probs.Dim(0), probs.Dim(1)
-		pd := probs.Data()
-		for i := 0; i < m; i++ {
-			// Same first-wins tie-break as tensor.ArgMaxRows.
-			row := pd[i*c : (i+1)*c]
-			best := 0
-			for j, v := range row {
-				if v > row[best] {
-					best = j
-				}
-			}
-			if best == d.Y[start+i] {
-				correct++
-			}
-		}
-	})
-	return float64(correct) / float64(d.Len())
+	return Evaluate(net, d, batch, OwnLabel, false).HitRate()
 }
 
 // AttackSuccessRate measures the backdoor attack success rate: the fraction
@@ -109,28 +170,7 @@ func Accuracy(net *nn.Network, d *data.Dataset, batch int) float64 {
 // dataset should come from BackdoorConfig.TriggerCopy, which already
 // excludes samples whose true label is the target.
 func AttackSuccessRate(net *nn.Network, triggered *data.Dataset, target int, batch int) float64 {
-	if triggered.Len() == 0 {
-		return 0
-	}
-	hits := 0
-	forEachProbBatch(net, triggered, batch, func(start int, probs *tensor.Tensor) {
-		m, c := probs.Dim(0), probs.Dim(1)
-		pd := probs.Data()
-		for i := 0; i < m; i++ {
-			// Same first-wins tie-break as tensor.ArgMaxRows.
-			row := pd[i*c : (i+1)*c]
-			best := 0
-			for j, v := range row {
-				if v > row[best] {
-					best = j
-				}
-			}
-			if best == target {
-				hits++
-			}
-		}
-	})
-	return float64(hits) / float64(triggered.Len())
+	return Evaluate(net, triggered, batch, target, false).HitRate()
 }
 
 // NewMSEScorer returns a function computing the Eq. 12 MSE of a flat
@@ -159,28 +199,11 @@ func NewMSEScorer(template *nn.Network, test *data.Dataset, batch int) func(para
 // and the one-hot labels over the dataset — the model-quality score the
 // adaptive-weight aggregation uses (paper Eq. 12).
 func MSE(net *nn.Network, d *data.Dataset, batch int) float64 {
-	if d.Len() == 0 {
+	e := Evaluate(net, d, batch, OwnLabel, false)
+	if e.Rows == 0 {
 		return 0
 	}
-	var total float64
-	classes := 0
-	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
-		m, c := probs.Dim(0), probs.Dim(1)
-		classes = c
-		pd := probs.Data()
-		for i := 0; i < m; i++ {
-			row := pd[i*c : (i+1)*c]
-			for j, p := range row {
-				target := 0.0
-				if j == d.Y[start+i] {
-					target = 1
-				}
-				diff := p - target
-				total += diff * diff
-			}
-		}
-	})
-	return total / float64(d.Len()*classes)
+	return e.SqErr / float64(e.Rows*e.Classes)
 }
 
 // Divergence holds the model-similarity statistics of Tables VII–IX
@@ -200,13 +223,18 @@ func ModelDivergence(a, b *nn.Network, d *data.Dataset, batch int) (Divergence, 
 	if d.Len() == 0 {
 		return Divergence{}, fmt.Errorf("metrics: empty probe dataset")
 	}
-	pa := Probabilities(a, d, batch)
-	pb := Probabilities(b, d, batch)
-	if pa.Dim(1) != pb.Dim(1) {
-		return Divergence{}, fmt.Errorf("metrics: class count mismatch %d vs %d", pa.Dim(1), pb.Dim(1))
+	return RowDivergence(Evaluate(a, d, batch, OwnLabel, true).Probs, Evaluate(b, d, batch, OwnLabel, true).Probs)
+}
+
+// RowDivergence computes JSD and L2 between two models' probability rows
+// over the same probe set (Eval.Probs).
+func RowDivergence(pa, pb *tensor.Tensor) (Divergence, error) {
+	if err := sameRows(pa, pb, 1); err != nil {
+		return Divergence{}, err
 	}
+	n := pa.Dim(0)
 	var sumJSD, sumL2 float64
-	for i := 0; i < d.Len(); i++ {
+	for i := 0; i < n; i++ {
 		jsd, err := stats.JSDivergence(pa.Row(i), pb.Row(i))
 		if err != nil {
 			return Divergence{}, fmt.Errorf("metrics: JSD at row %d: %w", i, err)
@@ -218,29 +246,22 @@ func ModelDivergence(a, b *nn.Network, d *data.Dataset, batch int) (Divergence, 
 		sumJSD += jsd
 		sumL2 += l2
 	}
-	n := float64(d.Len())
-	return Divergence{JSD: sumJSD / n, L2: sumL2 / n}, nil
+	return Divergence{JSD: sumJSD / float64(n), L2: sumL2 / float64(n)}, nil
 }
 
-// TopConfidences returns each sample's maximum predicted probability — the
-// per-sample statistic the t-test compares.
-func TopConfidences(net *nn.Network, d *data.Dataset, batch int) []float64 {
-	out := make([]float64, d.Len())
-	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
-		m, c := probs.Dim(0), probs.Dim(1)
-		pd := probs.Data()
-		for i := 0; i < m; i++ {
-			row := pd[i*c : (i+1)*c]
-			best := row[0]
-			for _, v := range row[1:] {
-				if v > best {
-					best = v
-				}
-			}
-			out[start+i] = best
-		}
-	})
-	return out
+// sameRows checks that two probability matrices cover the same probe set of
+// at least min rows with the same classes.
+func sameRows(pa, pb *tensor.Tensor, min int) error {
+	if pa == nil || pb == nil || pa.Dim(0) < min {
+		return fmt.Errorf("metrics: need ≥%d probe samples", min)
+	}
+	if pa.Dim(0) != pb.Dim(0) {
+		return fmt.Errorf("metrics: probe row count mismatch %d vs %d", pa.Dim(0), pb.Dim(0))
+	}
+	if pa.Dim(1) != pb.Dim(1) {
+		return fmt.Errorf("metrics: class count mismatch %d vs %d", pa.Dim(1), pb.Dim(1))
+	}
+	return nil
 }
 
 // ConfidenceTTest runs Welch's t-test on the per-sample top confidences of
@@ -250,13 +271,30 @@ func ConfidenceTTest(a, b *nn.Network, d *data.Dataset, batch int) (stats.TTestR
 	if d.Len() < 2 {
 		return stats.TTestResult{}, fmt.Errorf("metrics: t-test needs ≥2 probe samples, got %d", d.Len())
 	}
-	ca := TopConfidences(a, d, batch)
-	cb := TopConfidences(b, d, batch)
-	res, err := stats.WelchTTest(ca, cb)
+	return RowConfidenceTTest(Evaluate(a, d, batch, OwnLabel, true).Probs, Evaluate(b, d, batch, OwnLabel, true).Probs)
+}
+
+// RowConfidenceTTest is ConfidenceTTest read from two models' probability
+// rows over the same probe set (Eval.Probs).
+func RowConfidenceTTest(pa, pb *tensor.Tensor) (stats.TTestResult, error) {
+	if err := sameRows(pa, pb, 2); err != nil {
+		return stats.TTestResult{}, err
+	}
+	res, err := stats.WelchTTest(rowTops(pa), rowTops(pb))
 	if err != nil {
 		return stats.TTestResult{}, fmt.Errorf("metrics: %w", err)
 	}
 	return res, nil
+}
+
+// rowTops returns each probability row's top confidence.
+func rowTops(p *tensor.Tensor) []float64 {
+	out := make([]float64, p.Dim(0))
+	for i := range out {
+		row := p.Row(i)
+		out[i] = row[argmax(row)]
+	}
+	return out
 }
 
 // MembershipGap estimates how much a model still "remembers" specific
@@ -270,27 +308,5 @@ func MembershipGap(net *nn.Network, target, probe *data.Dataset, batch int) floa
 	if target.Len() == 0 || probe.Len() == 0 {
 		return 0
 	}
-	return meanTopConfidence(net, target, batch) - meanTopConfidence(net, probe, batch)
-}
-
-// meanTopConfidence streams the mean of the per-sample top confidences. The
-// left-to-right accumulation matches stats.Mean over TopConfidences exactly,
-// so the streaming form is bit-identical to the materializing one.
-func meanTopConfidence(net *nn.Network, d *data.Dataset, batch int) float64 {
-	var sum float64
-	forEachProbBatch(net, d, batch, func(start int, probs *tensor.Tensor) {
-		m, c := probs.Dim(0), probs.Dim(1)
-		pd := probs.Data()
-		for i := 0; i < m; i++ {
-			row := pd[i*c : (i+1)*c]
-			best := row[0]
-			for _, v := range row[1:] {
-				if v > best {
-					best = v
-				}
-			}
-			sum += best
-		}
-	})
-	return sum / float64(d.Len())
+	return Evaluate(net, target, batch, OwnLabel, false).MeanTop() - Evaluate(net, probe, batch, OwnLabel, false).MeanTop()
 }

@@ -13,7 +13,7 @@ func diffReport(t *testing.T, spec Spec, f func(c Cell) CellResult) *Report {
 	cells := spec.Cells()
 	outcomes := make([]Outcome, len(cells))
 	for i, c := range cells {
-		outcomes[i] = Outcome{Result: f(c), State: []float64{1}}
+		outcomes[i] = Outcome{Result: f(c), Probs: fakeRows(1)}
 	}
 	rep, err := Assemble(spec, outcomes, nil)
 	if err != nil {

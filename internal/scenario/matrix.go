@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"goldfish/internal/obs"
+	"goldfish/internal/tensor"
 )
 
 // Cell is one point of the run matrix: a strategy trained at a seed under
@@ -43,13 +44,15 @@ func (s Spec) Cells() []Cell {
 }
 
 // Outcome is one executed cell: the metrics row for the report plus the
-// final global state vector kept aside for cross-cell model comparison.
+// final model's test-set probability rows, kept aside for cross-cell model
+// comparison.
 type Outcome struct {
 	// Result is the cell's report row (Strategy/Seed/Attack are filled in
 	// by Execute).
 	Result CellResult
-	// State is the final global model state, nil when the cell failed.
-	State []float64
+	// Probs is the final global model's (test rows, classes) probability
+	// matrix, nil when the cell failed.
+	Probs *tensor.Tensor
 	// Canceled marks a cell that never produced a deterministic outcome
 	// because the context was canceled before or during its run. Canceled
 	// cells are excluded from partial reports (AssembleCells), since a
@@ -111,7 +114,7 @@ func ExecuteCells(ctx context.Context, spec Spec, cells []Cell, run Runner) ([]O
 				} else if res, err := run(ctx, c); err != nil {
 					o = res
 					o.Result.Error = err.Error()
-					o.State = nil
+					o.Probs = nil
 					// A runner error after cancellation is the
 					// interruption surfacing, not a real cell failure.
 					o.Canceled = ctx.Err() != nil

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"goldfish/internal/tensor"
 )
 
 // fakeOutcome builds a deterministic outcome for a cell, so shard partials
@@ -14,14 +16,14 @@ func fakeOutcome(c Cell) Outcome {
 	var o Outcome
 	o.Result.Rounds = 4
 	o.Result.Accuracy = 0.5 + 0.01*float64(c.Seed) + 0.0001*float64(len(c.Attack))
-	o.State = []float64{float64(c.Seed), float64(len(c.Attack)), float64(len(c.Strategy))}
+	o.Probs = fakeRows(float64(c.Seed), float64(len(c.Attack)), float64(len(c.Strategy)))
 	return o
 }
 
-// fakeCompare derives a comparison purely from the two states, mirroring the
-// determinism contract of the real comparer.
-func fakeCompare(cell Cell, state, ref []float64) (*Comparison, error) {
-	return &Comparison{JSD: state[2] - ref[2], L2: state[0], T: 1, P: 0.5}, nil
+// fakeCompare derives a comparison purely from the two fake probability
+// rows, mirroring the determinism contract of the real comparer.
+func fakeCompare(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error) {
+	return &Comparison{JSD: probs.Data()[2] - ref.Data()[2], L2: probs.Data()[0], T: 1, P: 0.5}, nil
 }
 
 func fullFakeReport(t *testing.T, spec Spec) *Report {

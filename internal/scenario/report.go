@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"goldfish/internal/tensor"
 )
 
 // renderTable writes an aligned left-padded text table with a separator
@@ -111,9 +113,10 @@ type Report struct {
 	Cells      []CellResult `json:"cells"`
 }
 
-// CompareFunc compares a cell's final state against the retrain reference
-// state of the same seed and attack type, over the cell's probe data.
-type CompareFunc func(cell Cell, state, ref []float64) (*Comparison, error)
+// CompareFunc compares a cell's final model against the retrain reference
+// of the same seed and attack type, from the two models' test-set
+// probability rows (Outcome.Probs).
+type CompareFunc func(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error)
 
 // Assemble builds the report from executed outcomes: it fills the VsRetrain
 // comparison for every non-reference cell whose retrain counterpart
@@ -180,7 +183,7 @@ func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, 
 		row := o.Result
 		// Label the row from the matrix itself; outcomes are positional.
 		row.Strategy, row.Seed, row.Attack = c.Strategy, c.Seed, c.Attack
-		if hasRef && compare != nil && c.Strategy != RetrainReference && row.Error == "" && o.State != nil {
+		if hasRef && compare != nil && c.Strategy != RetrainReference && row.Error == "" && o.Probs != nil {
 			if ri, ok := refs[key{c.Seed, c.Attack}]; ok {
 				if outcomes[ri].Canceled {
 					// The reference never finished; a completed run would
@@ -188,8 +191,8 @@ func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, 
 					incomplete = true
 					continue
 				}
-				if outcomes[ri].State != nil {
-					cmp, err := compare(c, o.State, outcomes[ri].State)
+				if outcomes[ri].Probs != nil {
+					cmp, err := compare(c, o.Probs, outcomes[ri].Probs)
 					if err != nil {
 						row.Error = fmt.Sprintf("comparing against retrain: %v", err)
 					} else {

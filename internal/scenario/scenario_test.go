@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"goldfish/internal/tensor"
 )
 
 func validSpec() Spec {
@@ -203,7 +205,7 @@ func TestExecuteRunsAllCellsBounded(t *testing.T) {
 		}
 		var o Outcome
 		o.Result.Accuracy = float64(c.Seed)
-		o.State = []float64{1}
+		o.Probs = fakeRows(1)
 		return o, nil
 	})
 	if err != nil {
@@ -232,10 +234,10 @@ func TestExecuteRecordsCellErrors(t *testing.T) {
 	outcomes, err := Execute(context.Background(), s, func(ctx context.Context, c Cell) (Outcome, error) {
 		if c.Strategy == "retrain" {
 			var o Outcome
-			o.State = []float64{1} // must be dropped on error
+			o.Probs = fakeRows(1) // must be dropped on error
 			return o, errors.New("boom")
 		}
-		return Outcome{State: []float64{2}}, nil
+		return Outcome{Probs: fakeRows(2)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +248,8 @@ func TestExecuteRecordsCellErrors(t *testing.T) {
 			if o.Result.Error != "boom" {
 				t.Errorf("cell %d error = %q, want boom", i, o.Result.Error)
 			}
-			if o.State != nil {
-				t.Errorf("cell %d kept state despite error", i)
+			if o.Probs != nil {
+				t.Errorf("cell %d kept probability rows despite error", i)
 			}
 		} else if o.Result.Error != "" {
 			t.Errorf("cell %d unexpected error %q", i, o.Result.Error)
@@ -278,13 +280,13 @@ func TestAssembleComparesAgainstRetrain(t *testing.T) {
 	cells := s.Cells()
 	outcomes := make([]Outcome, len(cells))
 	for i, c := range cells {
-		outcomes[i] = Outcome{State: []float64{float64(c.Seed)}}
+		outcomes[i] = Outcome{Probs: fakeRows(float64(c.Seed))}
 	}
 	var mu sync.Mutex
 	compared := map[string]bool{}
-	rep, err := Assemble(s, outcomes, func(cell Cell, state, ref []float64) (*Comparison, error) {
-		if state[0] != ref[0] {
-			return nil, fmt.Errorf("seed mismatch: state %g vs ref %g", state[0], ref[0])
+	rep, err := Assemble(s, outcomes, func(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error) {
+		if probs.Data()[0] != ref.Data()[0] {
+			return nil, fmt.Errorf("seed mismatch: rows %g vs ref %g", probs.Data()[0], ref.Data()[0])
 		}
 		mu.Lock()
 		compared[fmt.Sprintf("%s/%d", cell.Strategy, cell.Seed)] = true
@@ -315,9 +317,9 @@ func TestAssembleComparesAgainstRetrain(t *testing.T) {
 	s2.Strategies = []string{"goldfish", "fisher"}
 	outcomes2 := make([]Outcome, len(s2.Cells()))
 	for i := range outcomes2 {
-		outcomes2[i] = Outcome{State: []float64{1}}
+		outcomes2[i] = Outcome{Probs: fakeRows(1)}
 	}
-	rep2, err := Assemble(s2, outcomes2, func(Cell, []float64, []float64) (*Comparison, error) {
+	rep2, err := Assemble(s2, outcomes2, func(Cell, *tensor.Tensor, *tensor.Tensor) (*Comparison, error) {
 		t.Error("compare called without a retrain reference")
 		return nil, nil
 	})
@@ -447,7 +449,7 @@ func TestExecuteFixedWorkerPool(t *testing.T) {
 				break
 			}
 		}
-		return Outcome{State: []float64{1}}, nil
+		return Outcome{Probs: fakeRows(1)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +479,7 @@ func TestExecuteCellsSubsetAndCancellation(t *testing.T) {
 		}
 		var o Outcome
 		o.Result.Accuracy = float64(c.Index)
-		o.State = []float64{1}
+		o.Probs = fakeRows(1)
 		return o, nil
 	})
 	if err == nil {
@@ -526,7 +528,7 @@ func TestNoGoroutineLeakExecuteCells(t *testing.T) {
 		if atomic.AddInt32(&ran, 1) == 10 {
 			cancel()
 		}
-		return Outcome{State: []float64{1}}, nil
+		return Outcome{Probs: fakeRows(1)}, nil
 	})
 	if err == nil {
 		t.Fatal("cancelled ExecuteCells returned nil error")
@@ -553,10 +555,10 @@ func TestAssembleCellsDropsOrphanedComparand(t *testing.T) {
 		if c.Strategy == RetrainReference && c.Seed == 2 {
 			outcomes[i] = Outcome{Canceled: true}
 		} else {
-			outcomes[i] = Outcome{State: []float64{1}}
+			outcomes[i] = Outcome{Probs: fakeRows(1)}
 		}
 	}
-	rep, err := AssembleCells(s, ShardRef{}, cells, outcomes, func(cell Cell, state, ref []float64) (*Comparison, error) {
+	rep, err := AssembleCells(s, ShardRef{}, cells, outcomes, func(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error) {
 		return &Comparison{JSD: 0.1}, nil
 	})
 	if err != nil {
@@ -634,7 +636,7 @@ func TestExecuteCellsLateCancellation(t *testing.T) {
 		if int(atomic.AddInt32(&ran, 1)) == len(cells) {
 			cancel() // interrupt arrives while the LAST cell is finishing
 		}
-		return Outcome{State: []float64{1}}, nil
+		return Outcome{Probs: fakeRows(1)}, nil
 	})
 	if err == nil {
 		t.Fatal("late-cancelled ExecuteCells returned nil error")
@@ -655,3 +657,6 @@ func TestExecuteCellsLateCancellation(t *testing.T) {
 		t.Errorf("fully-finished run failed Complete: %v", err)
 	}
 }
+
+// fakeRows is a one-row stand-in for a cell's test-set probability rows.
+func fakeRows(v ...float64) *tensor.Tensor { return tensor.FromSlice(v, 1, len(v)) }

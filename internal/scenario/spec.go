@@ -53,11 +53,11 @@ type PartitionSpec struct {
 
 // AttackSpec injects a poisoning attack into one client's partition — the
 // probe verifying that unlearning actually removes the poison's influence.
-// Attack types come from the internal/attack registry ("backdoor",
+// Attack types come from the internal/attack type table ("backdoor",
 // "label-flip", "targeted-class"); Types makes the attack a first-class
 // matrix axis, so one spec sweeps several probe styles over shared knobs.
 type AttackSpec struct {
-	// Type selects a single attack type (attack registry name).
+	// Type selects a single attack type (a name in the attack type table).
 	Type string `json:"type,omitempty"`
 	// Types is the attack matrix axis: every cell of the strategy × seed
 	// matrix is repeated once per listed attack type. Mutually exclusive
@@ -294,13 +294,13 @@ func (s Spec) Validate() error {
 		seenAttack := map[string]bool{}
 		for _, typ := range a.TypeList() {
 			if typ == "" {
-				return fmt.Errorf("scenario: attack needs a type (registered: %v)", attack.Types())
+				return fmt.Errorf("scenario: attack needs a type (known: %s)", strings.Join(attack.Types(), ", "))
 			}
 			if seenAttack[typ] {
 				return fmt.Errorf("scenario: duplicate attack type %q", typ)
 			}
 			seenAttack[typ] = true
-			atk, err := attack.New(typ)
+			atk, err := attack.Lookup(typ)
 			if err != nil {
 				return fmt.Errorf("scenario: %w", err)
 			}

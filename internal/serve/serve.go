@@ -239,8 +239,8 @@ func (t *Ticket) copy() Ticket {
 }
 
 // validateLocked checks a request against the round-boundary view of the
-// federation. The view can be one batch stale (membership may change before
-// this request applies), so this is a fast sanity filter; Federation.Apply
+// federation. The view can be one round boundary stale (membership may
+// change before this request applies), so this is a fast sanity filter; Federation.Apply
 // is the authoritative check and its rejections mark the ticket failed.
 func (s *Service) validateLocked(req unlearn.Deletion) error {
 	switch req.Kind {
@@ -272,8 +272,8 @@ func (s *Service) validateLocked(req unlearn.Deletion) error {
 }
 
 // BeforeRound is the federation's round-boundary hook (installed by New):
-// it settles recovered tickets, then drains and coalesces the queue into
-// one batched unlearning step. Exposed so harnesses can compose it with
+// it settles recovered tickets, drains and coalesces the queue into one
+// batched unlearning step, and re-reads the enqueue view. Exposed so harnesses can compose it with
 // their own hooks via Federation.SetBeforeRound.
 func (s *Service) BeforeRound(ctx context.Context, round int) error {
 	if err := ctx.Err(); err != nil {
@@ -286,13 +286,14 @@ func (s *Service) BeforeRound(ctx context.Context, round int) error {
 	s.roundsSeen++
 	s.settleLocked(round)
 
-	if len(s.queue) == 0 {
-		return nil
+	if len(s.queue) > 0 {
+		drained := s.queue
+		s.queue = nil
+		s.obs.Gauge("serve.queue_depth").Set(0)
+		s.applyBatchLocked(drained, round)
 	}
-	drained := s.queue
-	s.queue = nil
-	s.obs.Gauge("serve.queue_depth").Set(0)
-	s.applyBatchLocked(drained, round)
+	// Membership can change between boundaries with nothing queued, so the
+	// view is re-read at every one, not only after a batch.
 	s.refreshViewLocked()
 	return nil
 }

@@ -566,3 +566,51 @@ func TestTicketsShareNoRows(t *testing.T) {
 		wantDeleted(t, f, svc, tk.ID)
 	})
 }
+
+// TestEnqueueViewFollowsMembership: the enqueue-time view of the
+// federation's shape is re-read at every round boundary, including one that
+// applies nothing. A client added between rounds is requestable after the
+// next boundary, and a departed client's position is refused after the
+// next boundary.
+func TestEnqueueViewFollowsMembership(t *testing.T) {
+	ctx := context.Background()
+	f := newTestFederation(t, "", 2)
+	svc, err := New(Config{Federation: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(ctx, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, 20)
+	for i := range rows {
+		rows[i] = i
+	}
+	id, err := f.AddClient(f.Partition(0).Subset(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(ctx, 1, nil); err != nil { // an idle boundary
+		t.Fatal(err)
+	}
+	req := unlearn.Deletion{Kind: unlearn.KindSample, Client: id, Rows: []int{19}}
+	if _, err := svc.Enqueue(req); err != nil {
+		t.Fatalf("after an idle boundary, Enqueue for added client %d: %v", id, err)
+	}
+	if err := f.Run(ctx, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RemoveClient(id, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(ctx, 1, nil); err != nil { // an idle boundary
+		t.Fatal(err)
+	}
+	req.Rows = []int{0}
+	if _, err := svc.Enqueue(req); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("after an idle boundary, Enqueue for departed client %d = %v, want out of range", id, err)
+	}
+	if st := svc.Stats(); st.Applied != 1 {
+		t.Errorf("applied = %d, want the one request for the added client", st.Applied)
+	}
+}

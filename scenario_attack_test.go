@@ -34,33 +34,29 @@ func attackSweepSpec(strategies []string) ScenarioSpec {
 	}
 }
 
-// TestAttackRegistryPublicSurface locks the attack-probe registry API:
-// the built-in probe styles are registered, NewAttack resolves them, and a
-// custom probe registered via RegisterAttack becomes selectable by scenario
-// specs.
-func TestAttackRegistryPublicSurface(t *testing.T) {
-	types := AttackTypes()
-	for _, want := range []string{"backdoor", "label-flip", "targeted-class"} {
-		found := false
-		for _, got := range types {
-			found = found || got == want
-		}
-		if !found {
-			t.Errorf("AttackTypes() = %v, missing %q", types, want)
+// TestScenarioAttackTypes: a spec selects its attack from the fixed type
+// table. Each of the three names validates, and any other name — say a
+// custom probe no table entry names — is rejected with the known names, the
+// same way whatever else ran in the process.
+func TestScenarioAttackTypes(t *testing.T) {
+	names := []string{"backdoor", "label-flip", "targeted-class"}
+	for _, name := range names {
+		spec := attackSweepSpec([]string{"goldfish"})
+		spec.Attack.Types = []string{name}
+		if err := ValidateScenario(spec); err != nil {
+			t.Errorf("spec selecting %q rejected: %v", name, err)
 		}
 	}
-	a, err := NewAttack("label-flip")
-	if err != nil || a.Name() != "label-flip" {
-		t.Fatalf("NewAttack(label-flip) = %v, %v", a, err)
-	}
-	if _, err := NewAttack("no-such-probe"); err == nil {
-		t.Error("NewAttack accepted an unknown probe")
-	}
-	RegisterAttack("custom-probe", func() Attack { a, _ := NewAttack("label-flip"); return a })
 	spec := attackSweepSpec([]string{"goldfish"})
 	spec.Attack.Types = []string{"custom-probe"}
-	if err := ValidateScenario(spec); err != nil {
-		t.Errorf("spec selecting a registered custom probe rejected: %v", err)
+	err := ValidateScenario(spec)
+	if err == nil {
+		t.Fatal("spec selecting an unknown attack type validated")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-type error %q does not list %q", err, name)
+		}
 	}
 }
 

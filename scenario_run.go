@@ -6,18 +6,19 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"goldfish/internal/attack"
 	"goldfish/internal/data"
+	"goldfish/internal/metrics"
 	"goldfish/internal/scenario"
+	"goldfish/internal/tensor"
 	"goldfish/internal/unlearn"
 )
 
 // Scenario types re-exported from the declarative experiment engine
 // (internal/scenario): a ScenarioSpec describes a config-driven unlearning
 // experiment matrix — dataset, partitioner, optional attack injection (one
-// or several probe styles from the attack registry), a deletion schedule,
+// or several probe styles from the attack type table), a deletion schedule,
 // and the strategy × seed × attack axes — and a ScenarioReport is
 // its deterministic structured outcome.
 type (
@@ -138,13 +139,14 @@ func ValidateScenario(spec ScenarioSpec) error {
 // matrix concurrently on a bounded worker pool. Every cell runs end to end
 // through goldfish.New and the named unlearning strategies: generate the
 // preset's data at the cell seed, partition it, optionally inject the cell's
-// attack probe (backdoor, label-flip, targeted-class, or any registered
-// type), train with the scheduled sample-/class-/client-level deletion
-// requests applied at their rounds, and evaluate the final model (accuracy,
-// the attack type's own success-rate probe, membership gap, and model
-// divergence plus confidence t-test against the "retrain" reference cell of
-// the same seed and attack type when the strategy axis
-// includes it).
+// attack probe (backdoor, label-flip or targeted-class), train with the
+// scheduled sample-/class-/client-level deletion requests applied at their
+// rounds, and evaluate the final model (accuracy, the attack type's own
+// success-rate probe, membership gap, and model divergence plus confidence
+// t-test against the "retrain" reference cell of the same seed and attack
+// type when the strategy axis includes it). Each evaluation forwards the
+// model once per probe set (test set, attack probe, forget set), and the
+// retrain comparison reads the two cells' test-set probability rows.
 //
 // Cells sharing a seed see identical data and partitions (poisoning
 // additionally depends on the cell's attack type), and every cell derives
@@ -190,7 +192,7 @@ func RunScenarioShard(ctx context.Context, spec ScenarioSpec, shard string) (*Sc
 	if execErr != nil && outcomes == nil {
 		return nil, execErr
 	}
-	rep, err := scenario.AssembleCells(spec, ref, cells, outcomes, newScenarioComparer(spec))
+	rep, err := scenario.AssembleCells(spec, ref, cells, outcomes, compareScenarioCells)
 	if err != nil {
 		return nil, err
 	}
@@ -205,13 +207,14 @@ func RunScenarioShard(ctx context.Context, spec ScenarioSpec, shard string) (*Sc
 
 // scenarioSetup materializes the seed- and attack-determined,
 // strategy-independent part of a cell: preset, train/test data, partitions,
-// the poisoned rows and the attack's success-rate probe.
+// the poisoned rows and the attack's success-rate probe (zero without an
+// attack).
 type scenarioSetup struct {
 	preset   Preset
 	test     *Dataset
 	parts    []*Dataset
 	poisoned []int
-	prober   AttackProber
+	probe    attack.Probe
 	rounds   int
 }
 
@@ -258,7 +261,7 @@ func newScenarioSetup(spec ScenarioSpec, seed int64, attackType string) (*scenar
 		if a.Client >= len(parts) {
 			return nil, fmt.Errorf("goldfish: attack client %d out of range [0,%d)", a.Client, len(parts))
 		}
-		atk, err := attack.New(attackType)
+		atk, err := attack.Lookup(attackType)
 		if err != nil {
 			return nil, fmt.Errorf("goldfish: %w", err)
 		}
@@ -267,7 +270,7 @@ func newScenarioSetup(spec ScenarioSpec, seed int64, attackType string) (*scenar
 		if err != nil {
 			return nil, fmt.Errorf("goldfish: %s: %w", attackType, err)
 		}
-		s.prober, err = atk.NewProber(test, a.Config())
+		s.probe, err = atk.NewProbe(test, a.Config())
 		if err != nil {
 			return nil, fmt.Errorf("goldfish: %s: %w", attackType, err)
 		}
@@ -311,17 +314,14 @@ func runScenarioCell(ctx context.Context, spec ScenarioSpec, cell ScenarioCell) 
 	res := &out.Result
 
 	snapshotPre := func() error {
-		acc, err := e.TestAccuracy(s.test)
+		net, err := e.GlobalNet()
 		if err != nil {
 			return err
 		}
+		acc := metrics.Accuracy(net, s.test, 0)
 		res.PreDeletionAccuracy = &acc
-		if s.prober != nil {
-			net, err := e.GlobalNet()
-			if err != nil {
-				return err
-			}
-			asr := s.prober.SuccessRate(net)
+		if s.probe.Rows != nil {
+			asr := metrics.AttackSuccessRate(net, s.probe.Rows, s.probe.Target, 0)
 			res.PreDeletionASR = &asr
 		}
 		return nil
@@ -429,9 +429,10 @@ func runScenarioCell(ctx context.Context, spec ScenarioSpec, cell ScenarioCell) 
 	if err != nil {
 		return out, err
 	}
-	res.Accuracy = Accuracy(net, s.test)
-	if s.prober != nil {
-		asr := s.prober.SuccessRate(net)
+	test := metrics.Evaluate(net, s.test, 0, metrics.OwnLabel, true)
+	res.Accuracy = test.HitRate()
+	if s.probe.Rows != nil {
+		asr := metrics.AttackSuccessRate(net, s.probe.Rows, s.probe.Target, 0)
 		res.ASR = &asr
 	}
 	if len(forget) > 0 {
@@ -441,68 +442,24 @@ func runScenarioCell(ctx context.Context, spec ScenarioSpec, cell ScenarioCell) 
 				return out, err
 			}
 		}
-		gap := MembershipGap(net, all, s.test)
+		gap := metrics.Evaluate(net, all, 0, metrics.OwnLabel, false).MeanTop() - test.MeanTop()
 		res.MembershipGap = &gap
 	}
-	out.State = e.Global()
+	out.Probs = test.Probs
 	return out, nil
 }
 
-// newScenarioComparer builds the cross-cell comparison callback: model
-// divergence and confidence t-test against the retrain reference, over the
-// seed's test set. Probe data and evaluation networks are cached per seed.
-func newScenarioComparer(spec ScenarioSpec) scenario.CompareFunc {
-	type probe struct {
-		test *Dataset
-		cfg  ModelConfig
+// compareScenarioCells is the cross-cell comparison callback: model
+// divergence and confidence t-test against the retrain reference, read from
+// the two final models' test-set probability rows.
+func compareScenarioCells(_ ScenarioCell, probs, ref *tensor.Tensor) (*scenario.Comparison, error) {
+	div, err := metrics.RowDivergence(probs, ref)
+	if err != nil {
+		return nil, err
 	}
-	var mu sync.Mutex
-	cache := map[int64]*probe{}
-	get := func(seed int64) (*probe, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p, ok := cache[seed]; ok {
-			return p, nil
-		}
-		ps, err := NewPresetWithArch(spec.Dataset, Arch(spec.Arch), Scale(spec.Scale), seed)
-		if err != nil {
-			return nil, err
-		}
-		_, test, err := ps.Generate()
-		if err != nil {
-			return nil, err
-		}
-		p := &probe{test: test, cfg: ps.Model}
-		cache[seed] = p
-		return p, nil
+	tt, err := metrics.RowConfidenceTTest(probs, ref)
+	if err != nil {
+		return nil, err
 	}
-	return func(cell ScenarioCell, state, ref []float64) (*scenario.Comparison, error) {
-		p, err := get(cell.Seed)
-		if err != nil {
-			return nil, err
-		}
-		a, err := BuildModel(p.cfg)
-		if err != nil {
-			return nil, err
-		}
-		b, err := BuildModel(p.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := a.SetStateVector(state); err != nil {
-			return nil, err
-		}
-		if err := b.SetStateVector(ref); err != nil {
-			return nil, err
-		}
-		div, err := ModelDivergence(a, b, p.test)
-		if err != nil {
-			return nil, err
-		}
-		tt, err := ConfidenceTTest(a, b, p.test)
-		if err != nil {
-			return nil, err
-		}
-		return &scenario.Comparison{JSD: div.JSD, L2: div.L2, T: tt.T, P: tt.P}, nil
-	}
+	return &scenario.Comparison{JSD: div.JSD, L2: div.L2, T: tt.T, P: tt.P}, nil
 }
