@@ -3,6 +3,7 @@ package goldfish_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -54,6 +55,23 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if e.Client(99) != nil {
 		t.Error("out-of-range Client should be nil, not panic")
+	}
+	if c := e.Client(1); c == nil || c.ID() != 1 || c.NumActive() != e.Partitions()[1].Len() || c.LastEpochs() != 0 {
+		t.Errorf("Client(1) = %+v, want a view of the second client before any round", c)
+	}
+}
+
+// TestClientIsReadOnlyView: a client trains only inside the engine's
+// rounds, so the view Engine.Client returns exposes reads and nothing that
+// trains or deletes.
+func TestClientIsReadOnlyView(t *testing.T) {
+	typ := reflect.TypeOf((*goldfish.Client)(nil))
+	var got []string
+	for i := range typ.NumMethod() {
+		got = append(got, typ.Method(i).Name)
+	}
+	if want := []string{"ID", "LastEpochs", "NumActive"}; !slices.Equal(got, want) {
+		t.Errorf("*goldfish.Client methods = %v, want %v", got, want)
 	}
 }
 

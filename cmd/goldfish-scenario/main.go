@@ -14,16 +14,6 @@
 //	goldfish-scenario -config spec.json -validate
 //	goldfish-scenario -config spec.json -trace trace.jsonl -obs metrics.json
 //
-// A matrix can be split across machines and recombined: -shard i/n runs a
-// deterministic subset (each "retrain" reference cell stays co-located with
-// the cells compared against it, so vs_retrain is populated in every
-// partial), and -merge recombines partial reports into JSON byte-identical
-// to a single-machine run:
-//
-//	goldfish-scenario -config spec.json -shard 1/2 -json part1.json
-//	goldfish-scenario -config spec.json -shard 2/2 -json part2.json
-//	goldfish-scenario -merge -json report.json part1.json part2.json
-//
 // A committed baseline report gates regressions: -baseline diffs the fresh
 // report against it cell-by-cell with Welch t-tests across the seed axis and
 // exits non-zero on any statistically significant accuracy/ASR/membership
@@ -33,9 +23,8 @@
 //
 // On SIGINT/SIGTERM the finished cells are not discarded: with -json the
 // partial report is written (marked incomplete) before exiting non-zero. To
-// resume, re-run the same invocation and merge both reports — rows finished
-// in both runs are byte-identical (determinism) and -merge dedupes them when
-// an input is marked incomplete, while still rejecting any other overlap.
+// resume, run the same invocation again: the report is deterministic, so the
+// rerun reproduces every finished row byte for byte and completes the rest.
 //
 // The command exits non-zero when the spec is invalid, when any matrix cell
 // is missing from or failed in the report, or when -baseline finds a
@@ -61,12 +50,10 @@ func main() {
 
 func run() int {
 	var (
-		config   = flag.String("config", "", "scenario spec file (JSON, required unless -merge)")
+		config   = flag.String("config", "", "scenario spec file (JSON, required)")
 		jsonP    = flag.String("json", "", "write the structured report to this path")
 		workers  = flag.Int("workers", 0, "override the spec's worker-pool bound (0 = spec/default)")
 		validate = flag.Bool("validate", false, "parse and validate the spec, then exit")
-		shard    = flag.String("shard", "", "run only machine shard i/n of the matrix (e.g. 1/2)")
-		merge    = flag.Bool("merge", false, "merge the partial reports given as arguments instead of running")
 		baseline = flag.String("baseline", "", "diff the report against this baseline report; exit non-zero on significant regressions")
 		alpha    = flag.Float64("alpha", 0, "baseline diff significance level (default 0.05)")
 		minDelta = flag.Float64("min-delta", 0, "baseline diff practical-significance floor on metric deltas")
@@ -80,113 +67,61 @@ func run() int {
 		version.Fprint(os.Stdout, "goldfish-scenario")
 		return 0
 	}
-
-	var rep *goldfish.ScenarioReport
-	switch {
-	case *merge:
-		if *config != "" || *shard != "" || *validate {
-			fmt.Fprintln(os.Stderr, "goldfish-scenario: -merge takes report files as arguments and is exclusive with -config/-shard/-validate")
-			return 2
-		}
-		paths := flag.Args()
-		if len(paths) < 2 {
-			fmt.Fprintln(os.Stderr, "goldfish-scenario: -merge needs at least two partial report files")
-			return 2
-		}
-		parts := make([]*goldfish.ScenarioReport, len(paths))
-		for i, p := range paths {
-			var err error
-			if parts[i], err = goldfish.LoadScenarioReport(p); err != nil {
-				fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
-				return 2
-			}
-		}
-		var err error
-		if rep, err = goldfish.MergeScenarioReports(parts...); err != nil {
-			fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
-			return 1
-		}
-
-	case *config == "":
+	if *config == "" {
 		fmt.Fprintln(os.Stderr, "goldfish-scenario: -config is required; e.g. -config examples/scenarios/smoke.json")
 		return 2
-
-	case *shard != "" && *baseline != "":
-		// A shard covers only part of the matrix; diffing it against a full
-		// baseline would silently skip every uncovered cell. Merge the
-		// shards first, then gate the merged report.
-		fmt.Fprintln(os.Stderr, "goldfish-scenario: -baseline needs the full matrix; merge the shards first, then diff (-merge ... -baseline)")
+	}
+	spec, err := goldfish.LoadScenario(*config)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
 		return 2
-
-	default:
-		spec, err := goldfish.LoadScenario(*config)
-		if err != nil {
+	}
+	if *validate {
+		// RunScenario re-validates on the run path; this branch exists to
+		// surface resolved-preset errors without training.
+		if err := goldfish.ValidateScenario(spec); err != nil {
 			fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
 			return 2
 		}
-		if *validate {
-			// RunScenarioShard re-validates on the run path; this branch
-			// exists to surface resolved-preset and shard errors without
-			// training.
-			if err := goldfish.ValidateScenario(spec); err != nil {
-				fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
-				return 2
-			}
-			cells := spec.Cells()
-			axes := fmt.Sprintf("%d strategies × %d seeds", len(spec.Strategies), len(spec.SeedList()))
-			if spec.Attack != nil {
-				axes += fmt.Sprintf(" × %d attack types", len(spec.AttackList()))
-			}
-			fmt.Printf("%s: valid (%s = %d cells)\n", *config, axes, len(cells))
-			if *shard != "" {
-				ref, err := goldfish.ParseScenarioShard(*shard)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
-					return 2
-				}
-				sub, err := spec.ShardCells(ref)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
-					return 2
-				}
-				fmt.Printf("shard %s: %d of %d cells\n", ref, len(sub), len(cells))
-			}
-			return 0
+		axes := fmt.Sprintf("%d strategies × %d seeds", len(spec.Strategies), len(spec.SeedList()))
+		if spec.Attack != nil {
+			axes += fmt.Sprintf(" × %d attack types", len(spec.AttackList()))
 		}
-		if *workers > 0 {
-			spec.Workers = *workers
-		}
+		fmt.Printf("%s: valid (%s = %d cells)\n", *config, axes, len(spec.Cells()))
+		return 0
+	}
+	if *workers > 0 {
+		spec.Workers = *workers
+	}
 
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
-		observer, finish, oerr := setupObservability(*traceP, *obsP)
-		if oerr != nil {
-			fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", oerr)
+	observer, finish, oerr := setupObservability(*traceP, *obsP)
+	if oerr != nil {
+		fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", oerr)
+		return 1
+	}
+	defer finish()
+	ctx = goldfish.WithObservability(ctx, observer)
+
+	rep, err := goldfish.RunScenario(ctx, spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
+		if rep == nil {
 			return 1
 		}
-		defer finish()
-		ctx = goldfish.WithObservability(ctx, observer)
-
-		rep, err = goldfish.RunScenarioShard(ctx, spec, *shard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", err)
-			if rep == nil {
-				return 1
+		// Interrupted mid-matrix: persist the finished cells (marked
+		// incomplete) instead of discarding them.
+		rep.RenderText(os.Stdout)
+		if *jsonP != "" {
+			if werr := rep.WriteJSON(*jsonP); werr != nil {
+				fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", werr)
+			} else {
+				fmt.Printf("wrote partial report (%d finished cells) to %s\n", len(rep.Cells), *jsonP)
 			}
-			// Interrupted mid-matrix: persist the finished cells (marked
-			// incomplete) instead of discarding them, so the run can be
-			// resumed and merged later.
-			rep.RenderText(os.Stdout)
-			if *jsonP != "" {
-				if werr := rep.WriteJSON(*jsonP); werr != nil {
-					fmt.Fprintf(os.Stderr, "goldfish-scenario: %v\n", werr)
-				} else {
-					fmt.Printf("wrote partial report (%d finished cells) to %s\n", len(rep.Cells), *jsonP)
-				}
-			}
-			return 1
 		}
+		return 1
 	}
 
 	rep.RenderText(os.Stdout)

@@ -39,7 +39,6 @@ import (
 	"goldfish/internal/model"
 	"goldfish/internal/nn"
 	"goldfish/internal/optim"
-	"goldfish/internal/persist"
 	"goldfish/internal/preset"
 	"goldfish/internal/stats"
 	"goldfish/internal/unlearn"
@@ -51,11 +50,23 @@ type (
 	// Config configures a Goldfish client: model, loss, optimizer, local
 	// epochs, early termination.
 	Config = core.Config
-	// Client is one federation participant.
-	Client = core.Client
 	// RoundStats summarizes a completed round for callbacks.
 	RoundStats = unlearn.RoundStats
 )
+
+// Client is a read-only view of one federation participant, returned by
+// Engine.Client. A client trains only inside the engine's rounds.
+type Client struct{ c *core.Client }
+
+// ID returns the client's identifier.
+func (c *Client) ID() int { return c.c.ID() }
+
+// LastEpochs reports how many local epochs the client's most recent round
+// ran (fewer than configured when early termination stopped it).
+func (c *Client) LastEpochs() int { return c.c.LastEpochs() }
+
+// NumActive returns the number of the client's rows not yet deleted.
+func (c *Client) NumActive() int { return c.c.NumActive() }
 
 // Data types.
 type (
@@ -96,8 +107,6 @@ type (
 	FedAvg = fed.FedAvg
 	// AdaptiveWeight is the paper's MSE-guided aggregation (Eqs. 12–13).
 	AdaptiveWeight = fed.AdaptiveWeight
-	// ModelUpdate is one client's upload.
-	ModelUpdate = fed.ModelUpdate
 )
 
 // SGDConfig configures local stochastic gradient descent.
@@ -193,23 +202,4 @@ type TTestResult = stats.TTestResult
 // are statistically distinguishable.
 func ConfidenceTTest(a, b *Network, probe *Dataset) (TTestResult, error) {
 	return metrics.ConfidenceTTest(a, b, probe, 0)
-}
-
-// SaveCheckpoint stores a network's full state (parameters and BatchNorm
-// running statistics) with an integrity checksum.
-func SaveCheckpoint(path string, arch string, net *Network, meta map[string]string) error {
-	return persist.SaveFile(path, arch, net.StateVector(), meta)
-}
-
-// LoadCheckpoint restores a checkpoint into a network built by the caller
-// (the architecture must match the one saved).
-func LoadCheckpoint(path string, net *Network) (meta map[string]string, err error) {
-	cp, err := persist.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := net.SetStateVector(cp.State); err != nil {
-		return nil, err
-	}
-	return cp.Meta, nil
 }

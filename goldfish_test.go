@@ -3,7 +3,6 @@ package goldfish_test
 import (
 	"context"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"goldfish"
@@ -138,38 +137,6 @@ func TestFacadeModelAndMetrics(t *testing.T) {
 	_ = net
 }
 
-func TestFacadeCheckpointRoundTrip(t *testing.T) {
-	cfg := goldfish.ModelConfig{Arch: goldfish.ArchMLP, InC: 1, InH: 6, InW: 6, Classes: 3, Seed: 3}
-	a, err := goldfish.BuildModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := goldfish.SaveCheckpoint(path, "mlp", a, map[string]string{"round": "3"}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := goldfish.BuildModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range b.Params() {
-		p.W.Fill(0)
-	}
-	meta, err := goldfish.LoadCheckpoint(path, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta["round"] != "3" {
-		t.Errorf("meta = %v", meta)
-	}
-	av, bv := a.ParamVector(), b.ParamVector()
-	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatal("checkpoint round trip lost parameters")
-		}
-	}
-}
-
 func TestFacadeDefaults(t *testing.T) {
 	cfg := goldfish.DefaultConfig(goldfish.ModelConfig{
 		Arch: goldfish.ArchMLP, InC: 1, InH: 6, InW: 6, Classes: 3, Seed: 1,
@@ -208,25 +175,5 @@ func TestFacadePartitionHeterogeneous(t *testing.T) {
 	}
 	if total != train.Len() {
 		t.Errorf("partitions cover %d of %d samples", total, train.Len())
-	}
-}
-
-func TestFacadeLoadCheckpointArchMismatch(t *testing.T) {
-	small := goldfish.ModelConfig{Arch: goldfish.ArchMLP, InC: 1, InH: 4, InW: 4, Classes: 2, Seed: 1}
-	big := goldfish.ModelConfig{Arch: goldfish.ArchMLP, InC: 1, InH: 8, InW: 8, Classes: 4, Seed: 1}
-	a, err := goldfish.BuildModel(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m.ckpt")
-	if err := goldfish.SaveCheckpoint(path, "mlp-small", a, nil); err != nil {
-		t.Fatal(err)
-	}
-	b, err := goldfish.BuildModel(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := goldfish.LoadCheckpoint(path, b); err == nil {
-		t.Error("loading a mismatched architecture should fail")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -347,54 +346,6 @@ func TestClassCounts(t *testing.T) {
 	}
 	if total != 40 {
 		t.Errorf("counts sum to %d, want 40", total)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := tinySet(t, 12, 3, 31)
-	var buf bytes.Buffer
-	if err := d.ToCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FromCSV(&buf, 1, 4, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != d.Len() {
-		t.Fatalf("round trip len %d, want %d", got.Len(), d.Len())
-	}
-	if !got.X.ApproxEqual(d.X, 0) {
-		t.Error("pixels differ after CSV round trip")
-	}
-	for i := range d.Y {
-		if got.Y[i] != d.Y[i] {
-			t.Fatal("labels differ after CSV round trip")
-		}
-	}
-}
-
-func TestFromCSVErrors(t *testing.T) {
-	if _, err := FromCSV(strings.NewReader(""), 1, 2, 2, 2); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := FromCSV(strings.NewReader("0,1,2,3,4"), 0, 2, 2, 2); err == nil {
-		t.Error("invalid shape accepted")
-	}
-	// Wrong field count.
-	if _, err := FromCSV(strings.NewReader("0,1,2\n"), 1, 2, 2, 2); err == nil {
-		t.Error("short record accepted")
-	}
-	// Bad label.
-	if _, err := FromCSV(strings.NewReader("x,1,2,3,4\n"), 1, 2, 2, 2); err == nil {
-		t.Error("non-integer label accepted")
-	}
-	// Bad pixel.
-	if _, err := FromCSV(strings.NewReader("0,1,zz,3,4\n"), 1, 2, 2, 2); err == nil {
-		t.Error("non-numeric pixel accepted")
-	}
-	// Label out of class range surfaces through NewDataset.
-	if _, err := FromCSV(strings.NewReader("9,1,2,3,4\n"), 1, 2, 2, 2); err == nil {
-		t.Error("out-of-range label accepted")
 	}
 }
 

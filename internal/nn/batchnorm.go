@@ -184,21 +184,6 @@ func (b *BatchNorm2D) ReleaseActivations() {
 	b.inShape = nil
 }
 
-// RunningStats returns copies of the running mean and variance.
-func (b *BatchNorm2D) RunningStats() (mean, variance []float64) {
-	return append([]float64(nil), b.runMean...), append([]float64(nil), b.runVar...)
-}
-
-// SetRunningStats overwrites the running statistics (used by persistence).
-func (b *BatchNorm2D) SetRunningStats(mean, variance []float64) error {
-	if len(mean) != b.C || len(variance) != b.C {
-		return fmt.Errorf("nn: running-stat length mismatch: got %d/%d, want %d", len(mean), len(variance), b.C)
-	}
-	copy(b.runMean, mean)
-	copy(b.runVar, variance)
-	return nil
-}
-
 // Clone implements Layer.
 func (b *BatchNorm2D) Clone() Layer {
 	out := NewBatchNorm2D(b.C)

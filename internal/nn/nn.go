@@ -257,23 +257,6 @@ func (n *Network) SetParamVector(v []float64) error {
 	return nil
 }
 
-// CopyParamsFrom copies parameter values from src, which must have an
-// identical architecture.
-func (n *Network) CopyParamsFrom(src *Network) error {
-	dst := n.Params()
-	sps := src.Params()
-	if len(dst) != len(sps) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dst), len(sps))
-	}
-	for i, p := range dst {
-		if !p.W.SameShape(sps[i].W) {
-			return fmt.Errorf("nn: parameter %d shape mismatch %v vs %v", i, p.W.Shape(), sps[i].W.Shape())
-		}
-		p.W.CopyFrom(sps[i].W)
-	}
-	return nil
-}
-
 // heInit fills w with He-normal initialization for the given fan-in.
 func heInit(w *tensor.Tensor, fanIn int, rng *rand.Rand) {
 	std := 0.0

@@ -108,7 +108,7 @@ func (n *Network) StateSize() int { return len(n.State()) }
 
 // StateVector returns the full model state — learnable parameters followed
 // by non-learnable layer state — as a single flat vector. This is the
-// representation exchanged in the federation and stored in checkpoints.
+// representation exchanged in the federation.
 func (n *Network) StateVector() []float64 {
 	return append(n.ParamVector(), n.State()...)
 }

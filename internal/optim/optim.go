@@ -58,18 +58,6 @@ func NewSGD(cfg SGDConfig) (*SGD, error) {
 	return &SGD{cfg: cfg}, nil
 }
 
-// Config returns the current configuration.
-func (s *SGD) Config() SGDConfig { return s.cfg }
-
-// SetLR updates the learning rate (used by schedules).
-func (s *SGD) SetLR(lr float64) error {
-	if lr <= 0 {
-		return fmt.Errorf("optim: learning rate must be positive, got %g", lr)
-	}
-	s.cfg.LR = lr
-	return nil
-}
-
 // Step applies one update to the parameters using their accumulated
 // gradients, then leaves the gradients untouched (callers usually follow
 // with ZeroGrads). Velocity buffers are created on first use.
@@ -118,28 +106,6 @@ func GradNorm(params []*nn.Param) float64 {
 		}
 	}
 	return math.Sqrt(sum)
-}
-
-// StepDecay returns base·factor^(epoch/every) — a classic staircase
-// schedule. every must be positive.
-func StepDecay(base, factor float64, every, epoch int) float64 {
-	if every <= 0 {
-		panic(fmt.Sprintf("optim: StepDecay every must be positive, got %d", every))
-	}
-	return base * math.Pow(factor, float64(epoch/every))
-}
-
-// CosineDecay anneals base to floor over total epochs following a half
-// cosine.
-func CosineDecay(base, floor float64, epoch, total int) float64 {
-	if total <= 0 || epoch >= total {
-		return floor
-	}
-	if epoch < 0 {
-		epoch = 0
-	}
-	t := float64(epoch) / float64(total)
-	return floor + 0.5*(base-floor)*(1+math.Cos(math.Pi*t))
 }
 
 // EarlyStopper implements the paper's early-termination mechanism (Eq. 7).

@@ -158,53 +158,6 @@ func TestSGDReset(t *testing.T) {
 	}
 }
 
-func TestSetLR(t *testing.T) {
-	opt, err := NewSGD(SGDConfig{LR: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := opt.SetLR(0.01); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Config().LR != 0.01 {
-		t.Errorf("LR = %g after SetLR", opt.Config().LR)
-	}
-	if err := opt.SetLR(0); err == nil {
-		t.Error("SetLR(0) should fail")
-	}
-}
-
-func TestStepDecay(t *testing.T) {
-	if got := StepDecay(1, 0.1, 10, 0); got != 1 {
-		t.Errorf("epoch 0: %g, want 1", got)
-	}
-	if got := StepDecay(1, 0.1, 10, 25); math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("epoch 25: %g, want 0.01", got)
-	}
-}
-
-func TestCosineDecay(t *testing.T) {
-	if got := CosineDecay(1, 0.1, 0, 100); math.Abs(got-1) > 1e-12 {
-		t.Errorf("start: %g, want 1", got)
-	}
-	if got := CosineDecay(1, 0.1, 100, 100); got != 0.1 {
-		t.Errorf("end: %g, want 0.1", got)
-	}
-	mid := CosineDecay(1, 0.1, 50, 100)
-	if math.Abs(mid-0.55) > 1e-9 {
-		t.Errorf("mid: %g, want 0.55", mid)
-	}
-	// Monotone non-increasing.
-	prev := math.Inf(1)
-	for e := 0; e <= 100; e += 5 {
-		v := CosineDecay(1, 0.1, e, 100)
-		if v > prev+1e-12 {
-			t.Fatalf("cosine decay not monotone at epoch %d", e)
-		}
-		prev = v
-	}
-}
-
 func TestEarlyStopper(t *testing.T) {
 	es, err := NewEarlyStopper(0.1, 0.5)
 	if err != nil {

@@ -55,8 +55,8 @@ type Outcome struct {
 	Probs *tensor.Tensor
 	// Canceled marks a cell that never produced a deterministic outcome
 	// because the context was canceled before or during its run. Canceled
-	// cells are excluded from partial reports (AssembleCells), since a
-	// resumed run would produce a different — real — row for them.
+	// cells are excluded from partial reports (Assemble), since a run
+	// that finishes them produces a different — real — row.
 	Canceled bool
 }
 
@@ -65,25 +65,18 @@ type Outcome struct {
 // regardless of scheduling.
 type Runner func(ctx context.Context, cell Cell) (Outcome, error)
 
-// Execute runs every cell of the spec's matrix concurrently on a worker
-// pool bounded by Spec.Workers (default GOMAXPROCS), returning outcomes in
-// Cells() order. A cell failure is recorded in its outcome's Error rather
-// than aborting the matrix; ctx cancellation stops scheduling new cells and
-// is returned once started cells finish.
+// Execute runs every cell of the spec's matrix on a fixed pool of
+// Spec.Workers goroutines (default GOMAXPROCS) pulling cells from a channel,
+// so a 10k-cell matrix parks at most `workers` goroutines, not 10k, and
+// returns outcomes in Cells() order. A cell failure is recorded in its
+// outcome's Error rather than aborting the matrix. Cells reached after ctx
+// cancellation are marked Canceled instead of run; the context error is
+// returned once in-flight cells finish.
 func Execute(ctx context.Context, spec Spec, run Runner) ([]Outcome, error) {
-	return ExecuteCells(ctx, spec, spec.Cells(), run)
-}
-
-// ExecuteCells runs the given subset of the spec's matrix (typically one
-// machine shard from Spec.ShardCells) on a fixed pool of Spec.Workers
-// goroutines pulling cells from a channel, so a 10k-cell matrix parks at
-// most `workers` goroutines, not 10k. outcomes[i] corresponds to cells[i].
-// Cells reached after ctx cancellation are marked Canceled instead of run;
-// the context error is returned once in-flight cells finish.
-func ExecuteCells(ctx context.Context, spec Spec, cells []Cell, run Runner) ([]Outcome, error) {
 	if run == nil {
 		return nil, fmt.Errorf("scenario: nil runner")
 	}
+	cells := spec.Cells()
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

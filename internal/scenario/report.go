@@ -96,21 +96,32 @@ type CellResult struct {
 
 // Report is the structured outcome of a scenario run. For a fixed Spec the
 // report is deterministic — cells are ordered by the matrix expansion and
-// carry no wall-clock state — so two runs marshal to identical bytes. A
-// report may cover only part of the matrix: one machine shard (Shard "i/n")
-// and/or the completed prefix of an interrupted run (Incomplete). Both
-// markers are empty on full reports and on merged reports, which keeps a
-// Merge of shard partials byte-identical to a single-machine run.
+// carry no wall-clock state — so two runs marshal to identical bytes. An
+// interrupted run's report holds only the cells that finished and is marked
+// Incomplete; running the spec again produces the full report.
 type Report struct {
 	Name string `json:"name"`
 	Spec Spec   `json:"spec"`
-	// Shard is "i/n" when the report holds one machine shard of the matrix
-	// (Spec.ShardCells), empty for whole-matrix and merged reports.
-	Shard string `json:"shard,omitempty"`
 	// Incomplete marks an interrupted run: the report holds only the cells
 	// that finished deterministically before cancellation.
 	Incomplete bool         `json:"incomplete,omitempty"`
 	Cells      []CellResult `json:"cells"`
+}
+
+// cellKey addresses one matrix cell by its axes. Spec.Validate rejects
+// duplicate values on every axis, so the key is unique within a matrix.
+type cellKey struct {
+	strategy string
+	seed     int64
+	attack   string
+}
+
+func (k cellKey) String() string {
+	s := fmt.Sprintf("%s/seed %d", k.strategy, k.seed)
+	if k.attack != "" {
+		s += "/" + k.attack
+	}
+	return s
 }
 
 // CompareFunc compares a cell's final model against the retrain reference
@@ -118,58 +129,32 @@ type Report struct {
 // probability rows (Outcome.Probs).
 type CompareFunc func(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error)
 
-// Assemble builds the report from executed outcomes: it fills the VsRetrain
-// comparison for every non-reference cell whose retrain counterpart
-// succeeded (when the strategy axis includes "retrain" and compare is
-// non-nil) and returns the cells in matrix order.
-func Assemble(spec Spec, outcomes []Outcome, compare CompareFunc) (*Report, error) {
-	return AssembleCells(spec, ShardRef{}, spec.Cells(), outcomes, compare)
-}
-
-// AssembleCells builds a (possibly partial) report from the executed subset
-// of the matrix: cells is the subset that ran (typically Spec.ShardCells for
-// shard runs, Spec.Cells for whole-matrix runs) and outcomes[i] is the
-// outcome of cells[i].
+// Assemble builds the report from executed outcomes, outcomes[i] being the
+// outcome of Spec.Cells()[i]: it fills the VsRetrain comparison for every
+// non-reference cell whose retrain counterpart succeeded (when the strategy
+// axis includes "retrain" and compare is non-nil) and returns the cells in
+// matrix order.
 //
 // Canceled outcomes — cells an interrupted run never finished — are dropped
 // from the report and mark it Incomplete, so every row a partial report does
 // carry is exactly the row a completed run would carry; a non-reference cell
 // whose retrain counterpart was canceled is likewise dropped, since its
 // VsRetrain comparison cannot be computed the way a completed run would.
-// That invariant is what lets Merge recombine partials into a report
-// byte-identical to a single-machine run.
-func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, compare CompareFunc) (*Report, error) {
+func Assemble(spec Spec, outcomes []Outcome, compare CompareFunc) (*Report, error) {
+	cells := spec.Cells()
 	if len(outcomes) != len(cells) {
 		return nil, fmt.Errorf("scenario: %d outcomes for %d cells", len(outcomes), len(cells))
-	}
-	if !shard.IsZero() {
-		if err := shard.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	// Canonicalize execution knobs out of the embedded spec: the worker
 	// bound affects scheduling only, and reports must be byte-identical at
 	// any parallelism.
 	spec.Workers = 0
-	hasRef := false
-	for _, s := range spec.Strategies {
-		if s == RetrainReference {
-			hasRef = true
-		}
-	}
-	// Index retrain outcomes by (seed, attack), positions within the
-	// subset: cells of different attack types train on differently poisoned
-	// data, so each attack plane carries its own retrain reference.
-	type key struct {
-		seed   int64
-		attack string
-	}
-	refs := map[key]int{}
-	if hasRef {
-		for i, c := range cells {
-			if c.Strategy == RetrainReference {
-				refs[key{c.Seed, c.Attack}] = i
-			}
+	// Each (seed, attack) plane carries its own retrain reference: cells of
+	// different attack types train on differently poisoned data.
+	refs := map[cellKey]int{}
+	for i, c := range cells {
+		if c.Strategy == RetrainReference {
+			refs[cellKey{c.Strategy, c.Seed, c.Attack}] = i
 		}
 	}
 	rows := make([]CellResult, 0, len(cells))
@@ -183,8 +168,8 @@ func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, 
 		row := o.Result
 		// Label the row from the matrix itself; outcomes are positional.
 		row.Strategy, row.Seed, row.Attack = c.Strategy, c.Seed, c.Attack
-		if hasRef && compare != nil && c.Strategy != RetrainReference && row.Error == "" && o.Probs != nil {
-			if ri, ok := refs[key{c.Seed, c.Attack}]; ok {
+		if compare != nil && c.Strategy != RetrainReference && row.Error == "" && o.Probs != nil {
+			if ri, ok := refs[cellKey{RetrainReference, c.Seed, c.Attack}]; ok {
 				if outcomes[ri].Canceled {
 					// The reference never finished; a completed run would
 					// have compared against it, so this row is unusable.
@@ -203,33 +188,17 @@ func AssembleCells(spec Spec, shard ShardRef, cells []Cell, outcomes []Outcome, 
 		}
 		rows = append(rows, row)
 	}
-	return &Report{Name: spec.Name, Spec: spec, Shard: shard.String(), Incomplete: incomplete, Cells: rows}, nil
+	return &Report{Name: spec.Name, Spec: spec, Incomplete: incomplete, Cells: rows}, nil
 }
 
-// ExpectedCells returns the matrix subset the report claims to cover: the
-// full matrix, or the report's machine shard when Shard is set.
-func (r *Report) ExpectedCells() ([]Cell, error) {
-	if r.Shard == "" {
-		return r.Spec.Cells(), nil
-	}
-	ref, err := ParseShardRef(r.Shard)
-	if err != nil {
-		return nil, err
-	}
-	return r.Spec.ShardCells(ref)
-}
-
-// Complete verifies the report covers its expected matrix subset (the full
-// matrix, or its machine shard) with no failed cells, returning a
-// descriptive error otherwise. CI gates on this.
+// Complete verifies the report covers the spec's full matrix, in matrix
+// order, with no failed cells, returning a descriptive error otherwise. CI
+// gates on this.
 func (r *Report) Complete() error {
 	if r.Incomplete {
 		return fmt.Errorf("scenario: report is marked incomplete (interrupted run)")
 	}
-	cells, err := r.ExpectedCells()
-	if err != nil {
-		return err
-	}
+	cells := r.Spec.Cells()
 	if len(r.Cells) != len(cells) {
 		return fmt.Errorf("scenario: report has %d cells, matrix has %d", len(r.Cells), len(cells))
 	}
@@ -270,10 +239,10 @@ func (r *Report) WriteJSON(path string) error {
 }
 
 // ParseReport decodes a report (full or partial) from JSON, rejecting
-// unknown fields and validating the embedded spec, the shard reference and
-// the rows — every row must name a distinct cell of the spec's matrix — so
-// a corrupted or hand-edited report fails loudly before it can skew a Merge
-// or a Diff's t-test samples.
+// unknown fields and validating the embedded spec and the rows — every row
+// must name a distinct cell of the spec's matrix — so a corrupted or
+// hand-edited report fails loudly before it can skew a Diff's t-test
+// samples.
 func ParseReport(b []byte) (*Report, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -286,11 +255,6 @@ func ParseReport(b []byte) (*Report, error) {
 	}
 	if err := r.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: report spec: %w", err)
-	}
-	if r.Shard != "" {
-		if _, err := ParseShardRef(r.Shard); err != nil {
-			return nil, err
-		}
 	}
 	// Reports written before rows carried an attack stamp key as attack=""
 	// while the matrix keys by the spec's attack type. With a single-type
@@ -338,11 +302,8 @@ func LoadReport(path string) (*Report, error) {
 // RenderText writes a human-readable summary table of the matrix.
 func (r *Report) RenderText(w io.Writer) {
 	note := ""
-	if r.Shard != "" {
-		note = fmt.Sprintf(", shard %s", r.Shard)
-	}
 	if r.Incomplete {
-		note += ", INCOMPLETE"
+		note = ", INCOMPLETE"
 	}
 	fmt.Fprintf(w, "=== scenario %s — %s (%d cells%s) ===\n", r.Name, r.Spec.Dataset, len(r.Cells), note)
 	cols := []string{"strategy", "seed", "attack", "rounds", "removed", "pre-acc", "acc", "pre-asr", "asr", "memgap", "jsd-vs-retrain", "error"}

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -264,14 +267,133 @@ func TestExecuteRecordsCellErrors(t *testing.T) {
 	}
 }
 
+// TestExecuteHonoursCancellation: an interrupted matrix returns the context
+// error together with outcomes that Assemble turns into a partial report,
+// marked Incomplete, whose rows equal a completed run's rows exactly — which
+// is what makes "run it again" the resume.
 func TestExecuteHonoursCancellation(t *testing.T) {
+	t.Run("before start", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		outcomes, err := Execute(ctx, validSpec(), func(ctx context.Context, c Cell) (Outcome, error) {
+			t.Error("a cell ran after cancellation")
+			return Outcome{}, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Execute returned %v, want context.Canceled", err)
+		}
+		for i, o := range outcomes {
+			if !o.Canceled {
+				t.Errorf("cell %d not marked Canceled", i)
+			}
+		}
+	})
+	t.Run("mid-matrix", func(t *testing.T) {
+		s := validSpec() // goldfish+retrain × seeds 1,2
+		s.Workers = 1    // deterministic: cells run one at a time, in order
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran int32
+		outcomes, err := Execute(ctx, s, func(ctx context.Context, c Cell) (Outcome, error) {
+			if atomic.AddInt32(&ran, 1) == 2 {
+				cancel() // interrupt after the second cell completes
+			}
+			return fakeOutcome(c), nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled Execute returned %v, want context.Canceled", err)
+		}
+		var canceled int
+		for _, o := range outcomes {
+			if o.Canceled {
+				canceled++
+			}
+		}
+		if canceled == 0 || canceled > 2 {
+			t.Fatalf("%d canceled outcomes, want 1-2", canceled)
+		}
+		rep, err := Assemble(s, outcomes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Incomplete {
+			t.Error("partial report not marked incomplete")
+		}
+		if err := rep.Complete(); err == nil {
+			t.Error("incomplete partial passed Complete")
+		}
+		full := fullFakeReport(t, s, nil)
+		if len(rep.Cells) != len(full.Cells)-canceled {
+			t.Fatalf("partial has %d rows, want %d", len(rep.Cells), len(full.Cells)-canceled)
+		}
+		for i, row := range rep.Cells {
+			if !reflect.DeepEqual(row, full.Cells[i]) {
+				t.Errorf("finished row %d = %+v, a completed run has %+v", i, row, full.Cells[i])
+			}
+		}
+	})
+	t.Run("after last cell", func(t *testing.T) {
+		// A cancellation that lands only after every cell has finished
+		// leaves no outcome Canceled, so the report equals an uninterrupted
+		// run's and RunScenario drops the spurious interrupt.
+		s := validSpec()
+		s.Workers = 1
+		n := len(s.Cells())
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran int32
+		outcomes, err := Execute(ctx, s, func(ctx context.Context, c Cell) (Outcome, error) {
+			if int(atomic.AddInt32(&ran, 1)) == n {
+				cancel() // interrupt arrives while the LAST cell is finishing
+			}
+			return Outcome{Probs: fakeRows(1)}, nil
+		})
+		if err == nil {
+			t.Fatal("late-cancelled Execute returned nil error")
+		}
+		for i, o := range outcomes {
+			if o.Canceled {
+				t.Errorf("cell %d marked Canceled despite finishing", i)
+			}
+		}
+		rep, err := Assemble(s, outcomes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Incomplete {
+			t.Error("fully-finished run marked incomplete")
+		}
+		if err := rep.Complete(); err != nil {
+			t.Errorf("fully-finished run failed Complete: %v", err)
+		}
+	})
+}
+
+// TestNoGoroutineLeakExecute: a matrix cancelled while its pool is busy
+// returns with every worker gone — the feeder drained the remaining cells and
+// closed the channel rather than abandoning workers parked on it.
+func TestNoGoroutineLeakExecute(t *testing.T) {
+	s := Spec{Name: "leak", Dataset: "mnist", Scale: "tiny", Rounds: 1,
+		Strategies: []string{"a", "b"}, Repetitions: 100, Workers: 4}
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s := validSpec()
-	if _, err := Execute(ctx, s, func(ctx context.Context, c Cell) (Outcome, error) {
-		return Outcome{}, nil
-	}); err == nil {
-		t.Error("cancelled Execute returned nil error")
+	defer cancel()
+	var ran int32
+	_, err := Execute(ctx, s, func(ctx context.Context, c Cell) (Outcome, error) {
+		if atomic.AddInt32(&ran, 1) == 10 {
+			cancel()
+		}
+		return Outcome{Probs: fakeRows(1)}, nil
+	})
+	if err == nil {
+		t.Fatal("cancelled Execute returned nil error")
+	}
+	// Poll: a worker is still counted for an instant after its wg.Done.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the run:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -331,6 +453,39 @@ func TestAssembleComparesAgainstRetrain(t *testing.T) {
 			t.Errorf("cell %d compared without reference", i)
 		}
 	}
+	t.Run("orphaned comparand", func(t *testing.T) {
+		// A finished non-reference cell whose retrain reference was
+		// canceled is dropped too: a completed run would have given it a
+		// VsRetrain comparison that the partial cannot compute.
+		outcomes := make([]Outcome, len(cells))
+		for i, c := range cells {
+			if c.Strategy == RetrainReference && c.Seed == 2 {
+				outcomes[i] = Outcome{Canceled: true}
+			} else {
+				outcomes[i] = Outcome{Probs: fakeRows(1)}
+			}
+		}
+		rep, err := Assemble(s, outcomes, func(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error) {
+			return &Comparison{JSD: 0.1}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Incomplete {
+			t.Error("report with a canceled reference not marked incomplete")
+		}
+		if len(rep.Cells) != 2 {
+			t.Errorf("kept %d rows, want goldfish/seed 1 and retrain/seed 1", len(rep.Cells))
+		}
+		for _, row := range rep.Cells {
+			if row.Seed == 2 {
+				t.Errorf("%s/seed 2 kept despite its canceled retrain reference", row.Strategy)
+			}
+			if row.Strategy != RetrainReference && row.VsRetrain == nil {
+				t.Errorf("%s/seed %d missing comparison", row.Strategy, row.Seed)
+			}
+		}
+	})
 }
 
 func TestCompleteDetectsMissingCells(t *testing.T) {
@@ -346,6 +501,18 @@ func TestCompleteDetectsMissingCells(t *testing.T) {
 	}
 	if err := full.Complete(); err != nil {
 		t.Fatal(err)
+	}
+	t.Run("short report", func(t *testing.T) {
+		short := *full
+		short.Cells = full.Cells[:len(full.Cells)-1]
+		if err := short.Complete(); err == nil || !strings.Contains(err.Error(), "3 cells, matrix has 4") {
+			t.Errorf("short report: Complete() = %v", err)
+		}
+	})
+	marked := *full
+	marked.Incomplete = true
+	if err := marked.Complete(); err == nil || !strings.Contains(err.Error(), "incomplete") {
+		t.Errorf("report marked incomplete: Complete() = %v", err)
 	}
 	// A swapped row is a mislabelled matrix, not a complete one.
 	full.Cells[0], full.Cells[1] = full.Cells[1], full.Cells[0]
@@ -382,6 +549,29 @@ func TestReportJSONDeterministic(t *testing.T) {
 	if !strings.Contains(sb.String(), "goldfish") || !strings.Contains(sb.String(), "retrain") {
 		t.Errorf("RenderText missing strategies:\n%s", sb.String())
 	}
+	t.Run("file round trip", func(t *testing.T) {
+		for _, rep := range []*Report{fullFakeReport(t, validSpec(), fakeCompare), interruptedFakeReport(t)} {
+			want, err := rep.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "report.json")
+			if err := rep.WriteJSON(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadReport(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("report changed through WriteJSON/LoadReport:\n%s\nwant\n%s", got, want)
+			}
+		}
+	})
 }
 
 func TestParseRejectsTrailingData(t *testing.T) {
@@ -425,9 +615,9 @@ func TestAssembleCanonicalizesWorkers(t *testing.T) {
 	}
 }
 
-// TestExecuteFixedWorkerPool pins the satellite fix: Execute must run a
+// TestExecuteFixedWorkerPool: Execute must run a
 // fixed pool of `workers` goroutines pulling cells from a channel, not spawn
-// one goroutine per cell up front — a 10k-cell sharded matrix must not park
+// one goroutine per cell up front — a 10k-cell matrix must not park
 // 10k goroutines on the semaphore.
 func TestExecuteFixedWorkerPool(t *testing.T) {
 	s := Spec{
@@ -464,146 +654,6 @@ func TestExecuteFixedWorkerPool(t *testing.T) {
 	}
 }
 
-// TestExecuteCellsSubsetAndCancellation: a mid-matrix cancellation marks the
-// unrun cells Canceled, and AssembleCells drops them into an Incomplete
-// partial whose surviving rows match a completed run's rows exactly.
-func TestExecuteCellsSubsetAndCancellation(t *testing.T) {
-	s := validSpec() // goldfish+retrain × seeds 1,2
-	s.Workers = 1    // deterministic: cells run one at a time, in order
-	cells := s.Cells()
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int32
-	outcomes, err := ExecuteCells(ctx, s, cells, func(ctx context.Context, c Cell) (Outcome, error) {
-		if atomic.AddInt32(&ran, 1) == 2 {
-			cancel() // interrupt after the second cell completes
-		}
-		var o Outcome
-		o.Result.Accuracy = float64(c.Index)
-		o.Probs = fakeRows(1)
-		return o, nil
-	})
-	if err == nil {
-		t.Fatal("cancelled ExecuteCells returned nil error")
-	}
-	var canceled int
-	for _, o := range outcomes {
-		if o.Canceled {
-			canceled++
-		}
-	}
-	if canceled == 0 || canceled > 2 {
-		t.Fatalf("%d canceled outcomes, want 1-2", canceled)
-	}
-	rep, err := AssembleCells(s, ShardRef{}, cells, outcomes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Incomplete {
-		t.Error("partial report not marked incomplete")
-	}
-	if len(rep.Cells) != len(cells)-canceled {
-		t.Errorf("partial has %d rows, want %d", len(rep.Cells), len(cells)-canceled)
-	}
-	for _, row := range rep.Cells {
-		if row.Error != "" {
-			t.Errorf("finished row %s/seed %d carries error %q", row.Strategy, row.Seed, row.Error)
-		}
-	}
-	if err := rep.Complete(); err == nil {
-		t.Error("incomplete partial passed Complete")
-	}
-}
-
-// TestNoGoroutineLeakExecuteCells: a matrix cancelled while its pool is busy
-// returns with every worker gone — the feeder drained the remaining cells and
-// closed the channel rather than abandoning workers parked on it.
-func TestNoGoroutineLeakExecuteCells(t *testing.T) {
-	s := Spec{Name: "leak", Dataset: "mnist", Scale: "tiny", Rounds: 1,
-		Strategies: []string{"a", "b"}, Repetitions: 100, Workers: 4}
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran int32
-	_, err := ExecuteCells(ctx, s, s.Cells(), func(ctx context.Context, c Cell) (Outcome, error) {
-		if atomic.AddInt32(&ran, 1) == 10 {
-			cancel()
-		}
-		return Outcome{Probs: fakeRows(1)}, nil
-	})
-	if err == nil {
-		t.Fatal("cancelled ExecuteCells returned nil error")
-	}
-	// Poll: a worker is still counted for an instant after its wg.Done.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the run:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestAssembleCellsDropsOrphanedComparand: a finished non-reference cell
-// whose retrain reference was canceled must be dropped too — a completed run
-// would have given it a VsRetrain comparison that the partial cannot compute.
-func TestAssembleCellsDropsOrphanedComparand(t *testing.T) {
-	s := validSpec()
-	cells := s.Cells()
-	outcomes := make([]Outcome, len(cells))
-	for i, c := range cells {
-		if c.Strategy == RetrainReference && c.Seed == 2 {
-			outcomes[i] = Outcome{Canceled: true}
-		} else {
-			outcomes[i] = Outcome{Probs: fakeRows(1)}
-		}
-	}
-	rep, err := AssembleCells(s, ShardRef{}, cells, outcomes, func(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error) {
-		return &Comparison{JSD: 0.1}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Incomplete {
-		t.Error("report with a canceled reference not marked incomplete")
-	}
-	for _, row := range rep.Cells {
-		if row.Seed == 2 && row.Strategy != RetrainReference {
-			t.Errorf("%s/seed 2 kept despite its canceled retrain reference", row.Strategy)
-		}
-		if row.Seed == 1 && row.Strategy != RetrainReference && row.VsRetrain == nil {
-			t.Errorf("%s/seed 1 missing comparison", row.Strategy)
-		}
-	}
-}
-
-// TestCompleteShardReport: a shard partial is complete when it covers
-// exactly its shard's cells.
-func TestCompleteShardReport(t *testing.T) {
-	s := validSpec()
-	ref := ShardRef{Index: 1, Count: 2}
-	cells, err := s.ShardCells(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make([]Outcome, len(cells))
-	rep, err := AssembleCells(s, ref, cells, outcomes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Complete(); err != nil {
-		t.Errorf("complete shard partial failed Complete: %v", err)
-	}
-	rep.Cells = rep.Cells[:len(rep.Cells)-1]
-	if err := rep.Complete(); err == nil {
-		t.Error("short shard partial passed Complete")
-	}
-	rep.Shard = "2/0"
-	if err := rep.Complete(); err == nil {
-		t.Error("bogus shard marker passed Complete")
-	}
-}
-
 func TestParseReportRejectsGarbage(t *testing.T) {
 	if _, err := ParseReport([]byte(`{"name":"x"`)); err == nil {
 		t.Error("truncated report accepted")
@@ -614,48 +664,128 @@ func TestParseReportRejectsGarbage(t *testing.T) {
 	if _, err := ParseReport([]byte(`{"name":"x","spec":{"dataset":""},"cells":[]}`)); err == nil {
 		t.Error("invalid embedded spec accepted")
 	}
-	if _, err := ParseReport([]byte(`{"name":"x","spec":{"dataset":"mnist","strategies":["g"]},"shard":"9/2","cells":[]}`)); err == nil {
-		t.Error("invalid shard marker accepted")
+	if _, err := ParseReport([]byte(`{"name":"x","spec":{"dataset":"mnist","strategies":["g"]},"shard":"1/2","cells":[]}`)); err == nil {
+		t.Error("a shard marker, which no report carries, accepted")
 	}
 	if _, err := LoadReport("/nonexistent/report.json"); err == nil {
 		t.Error("missing file accepted")
 	}
 }
 
-// TestExecuteCellsLateCancellation: a cancellation that lands only after
-// every cell has finished leaves no outcome marked Canceled, so the
-// assembled report is NOT Incomplete — it equals an uninterrupted run, and
-// RunScenarioShard relies on that to suppress the spurious interrupt.
-func TestExecuteCellsLateCancellation(t *testing.T) {
-	s := validSpec()
-	s.Workers = 1
-	cells := s.Cells()
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int32
-	outcomes, err := ExecuteCells(ctx, s, cells, func(ctx context.Context, c Cell) (Outcome, error) {
-		if int(atomic.AddInt32(&ran, 1)) == len(cells) {
-			cancel() // interrupt arrives while the LAST cell is finishing
-		}
-		return Outcome{Probs: fakeRows(1)}, nil
-	})
-	if err == nil {
-		t.Fatal("late-cancelled ExecuteCells returned nil error")
-	}
-	for i, o := range outcomes {
-		if o.Canceled {
-			t.Errorf("cell %d marked Canceled despite finishing", i)
-		}
-	}
-	rep, err := AssembleCells(s, ShardRef{}, cells, outcomes, nil)
+// TestParseReportMigratesLegacyAttackRows: a report written before rows
+// carried an "attack" stamp (single-type attack spec, rows keyed attack="")
+// must load, adopt the spec's type, and pass Complete — not be rejected as
+// outside the matrix.
+func TestParseReportMigratesLegacyAttackRows(t *testing.T) {
+	legacy := []byte(`{
+  "name": "legacy",
+  "spec": {
+    "name": "legacy",
+    "dataset": "mnist",
+    "scale": "tiny",
+    "rounds": 2,
+    "attack": {"type": "backdoor", "client": 0, "fraction": 0.3, "target_label": 0},
+    "strategies": ["goldfish"],
+    "seeds": [1]
+  },
+  "cells": [
+    {"strategy": "goldfish", "seed": 1, "rounds": 2, "removed_rows": 0, "accuracy": 0.5}
+  ]
+}`)
+	r, err := ParseReport(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Incomplete {
-		t.Error("fully-finished run marked incomplete")
+	if got := r.Cells[0].Attack; got != "backdoor" {
+		t.Errorf("legacy row migrated to attack %q, want backdoor", got)
 	}
-	if err := rep.Complete(); err != nil {
-		t.Errorf("fully-finished run failed Complete: %v", err)
+	if err := r.Complete(); err != nil {
+		t.Errorf("migrated legacy report failed Complete: %v", err)
 	}
+}
+
+// TestParseReportRejectsDuplicateAndForeignRows: every row must name a
+// distinct cell of the embedded spec's matrix — a row listed twice, or one
+// whose seed or attack type the matrix lacks, fails the parse.
+func TestParseReportRejectsDuplicateAndForeignRows(t *testing.T) {
+	spec := validSpec()
+	spec.Attack = &AttackSpec{Types: []string{"backdoor", "label-flip"}, Fraction: 0.3, TargetLabel: 0}
+	rep := fullFakeReport(t, spec, fakeCompare)
+	cases := []struct {
+		name, want string
+		mutate     func([]CellResult) []CellResult
+	}{
+		{"duplicated row", "twice", func(c []CellResult) []CellResult { return append(c, c[0]) }},
+		{"foreign seed", "not in the spec's matrix", func(c []CellResult) []CellResult { c[0].Seed = 99; return c }},
+		{"foreign attack", "not in the spec's matrix", func(c []CellResult) []CellResult { c[1].Attack = "targeted-class"; return c }},
+	}
+	for _, tc := range cases {
+		bad := *rep
+		bad.Cells = tc.mutate(append([]CellResult{}, rep.Cells...))
+		b, err := bad.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseReport(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseReport = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if b, err := rep.MarshalIndent(); err != nil {
+		t.Fatal(err)
+	} else if _, err := ParseReport(b); err != nil {
+		t.Errorf("the unmodified report was rejected: %v", err)
+	}
+}
+
+// fakeOutcome builds a deterministic outcome for a cell, so an interrupted
+// and a completed run see identical per-cell results.
+func fakeOutcome(c Cell) Outcome {
+	var o Outcome
+	o.Result.Rounds = 4
+	o.Result.Accuracy = 0.5 + 0.01*float64(c.Seed) + 0.0001*float64(len(c.Attack))
+	o.Probs = fakeRows(float64(c.Seed), float64(len(c.Attack)), float64(len(c.Strategy)))
+	return o
+}
+
+// fakeCompare derives a comparison purely from the two fake probability
+// rows, mirroring the determinism contract of the real comparer.
+func fakeCompare(cell Cell, probs, ref *tensor.Tensor) (*Comparison, error) {
+	return &Comparison{JSD: probs.Data()[2] - ref.Data()[2], L2: probs.Data()[0], T: 1, P: 0.5}, nil
+}
+
+// fullFakeReport assembles a completed run of spec from fakeOutcome.
+func fullFakeReport(t *testing.T, spec Spec, compare CompareFunc) *Report {
+	t.Helper()
+	cells := spec.Cells()
+	outcomes := make([]Outcome, len(cells))
+	for i, c := range cells {
+		outcomes[i] = fakeOutcome(c)
+	}
+	rep, err := Assemble(spec, outcomes, compare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// interruptedFakeReport is validSpec's report with seed 2 canceled.
+func interruptedFakeReport(t *testing.T) *Report {
+	t.Helper()
+	spec := validSpec()
+	cells := spec.Cells()
+	outcomes := make([]Outcome, len(cells))
+	for i, c := range cells {
+		outcomes[i] = fakeOutcome(c)
+		outcomes[i].Canceled = c.Seed == 2
+	}
+	rep, err := Assemble(spec, outcomes, fakeCompare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Incomplete || len(rep.Cells) != 2 {
+		t.Fatalf("interrupted report: incomplete=%v with %d rows", rep.Incomplete, len(rep.Cells))
+	}
+	return rep
 }
 
 // fakeRows is a one-row stand-in for a cell's test-set probability rows.

@@ -34,9 +34,6 @@ func init() {
 // within one process.
 func ForceSerial(v bool) bool { return serialMode.Swap(v) }
 
-// SerialMode reports whether kernels currently run single-threaded.
-func SerialMode() bool { return serialMode.Load() }
-
 // panelTask is one contiguous range of output rows handed to a pool worker.
 type panelTask struct {
 	lo, hi int

@@ -33,14 +33,7 @@ type (
 	// ScenarioDiffOptions tunes DiffScenarioReports (significance level,
 	// practical-delta floor).
 	ScenarioDiffOptions = scenario.DiffOptions
-	// ScenarioShardRef identifies one machine shard ("i/n") of a
-	// distributed matrix run.
-	ScenarioShardRef = scenario.ShardRef
 )
-
-// ParseScenarioShard parses an "i/n" machine-shard reference with
-// 1 ≤ i ≤ n, as accepted by RunScenarioShard and the -shard CLI flag.
-func ParseScenarioShard(s string) (ScenarioShardRef, error) { return scenario.ParseShardRef(s) }
 
 // LoadScenario reads and validates a scenario spec file.
 func LoadScenario(path string) (ScenarioSpec, error) { return scenario.Load(path) }
@@ -49,17 +42,8 @@ func LoadScenario(path string) (ScenarioSpec, error) { return scenario.Load(path
 func ParseScenario(b []byte) (ScenarioSpec, error) { return scenario.Parse(b) }
 
 // LoadScenarioReport reads a report file written by a scenario run — full,
-// one machine shard, or the completed part of an interrupted run.
+// or the finished cells of an interrupted run.
 func LoadScenarioReport(path string) (*ScenarioReport, error) { return scenario.LoadReport(path) }
-
-// MergeScenarioReports recombines partial reports (machine shards from
-// RunScenarioShard and/or the completed prefix of an interrupted run) into a
-// report byte-identical to a single-machine RunScenario of the same spec. It
-// validates that every input embeds the same spec and that the inputs cover
-// the matrix exactly once, erroring on overlapping or missing cells.
-func MergeScenarioReports(reports ...*ScenarioReport) (*ScenarioReport, error) {
-	return scenario.Merge(reports...)
-}
 
 // DiffScenarioReports compares two reports cell-by-cell: accuracy, attack
 // success rate and membership-gap deltas over the matrix intersection, plus
@@ -157,42 +141,20 @@ func ValidateScenario(spec ScenarioSpec) error {
 // matrix succeeded.
 // On ctx cancellation RunScenario returns BOTH a non-nil partial report —
 // holding the cells that finished deterministically, marked Incomplete — and
-// the context error, so an interrupted run's finished work can be persisted
-// and later recombined with MergeScenarioReports.
+// the context error, so an interrupted run's finished work can be kept.
+// Running the spec again resumes it: the rerun reproduces every finished row
+// byte for byte.
 func RunScenario(ctx context.Context, spec ScenarioSpec) (*ScenarioReport, error) {
-	return RunScenarioShard(ctx, spec, "")
-}
-
-// RunScenarioShard runs one machine shard of the spec's matrix: shard is
-// "i/n" (or "" for the whole matrix), selecting the deterministic subset
-// from ScenarioSpec.ShardCells. Each shard co-locates every "retrain"
-// reference cell with the cells compared against it, so VsRetrain is
-// populated inside every partial and MergeScenarioReports reassembles the
-// shards into a report byte-identical to a single-machine run. Like
-// RunScenario, cancellation returns a partial Incomplete report alongside
-// the context error.
-func RunScenarioShard(ctx context.Context, spec ScenarioSpec, shard string) (*ScenarioReport, error) {
 	if err := ValidateScenario(spec); err != nil {
 		return nil, err
 	}
-	var ref scenario.ShardRef
-	if shard != "" {
-		var err error
-		if ref, err = scenario.ParseShardRef(shard); err != nil {
-			return nil, err
-		}
-	}
-	cells, err := spec.ShardCells(ref)
-	if err != nil {
-		return nil, err
-	}
-	outcomes, execErr := scenario.ExecuteCells(ctx, spec, cells, func(ctx context.Context, cell ScenarioCell) (scenario.Outcome, error) {
+	outcomes, execErr := scenario.Execute(ctx, spec, func(ctx context.Context, cell ScenarioCell) (scenario.Outcome, error) {
 		return runScenarioCell(ctx, spec, cell)
 	})
 	if execErr != nil && outcomes == nil {
 		return nil, execErr
 	}
-	rep, err := scenario.AssembleCells(spec, ref, cells, outcomes, compareScenarioCells)
+	rep, err := scenario.Assemble(spec, outcomes, compareScenarioCells)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,7 @@ package goldfish
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"errors"
 	"strings"
 	"testing"
 
@@ -91,6 +91,25 @@ func TestRunScenarioMatrixDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("two runs of the same spec produced different report bytes")
+	}
+	// Self-diff of a real report: no regressions, the -baseline gate's
+	// exit path stays green.
+	d, err := DiffScenarioReports(rep, rep2, ScenarioDiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.HasRegressions() {
+		t.Errorf("self-diff of a real report regressed: %+v", d.Regressions())
+	}
+	// An interrupted run returns its finished cells, marked incomplete,
+	// together with the context error; running the spec again resumes it.
+	ctx, cancel := context.WithCancel(ctx)
+	cancel()
+	part, err := RunScenario(ctx, spec)
+	if !errors.Is(err, context.Canceled) || part == nil || !part.Incomplete || len(part.Cells) != 0 {
+		t.Errorf("cancelled RunScenario = (%+v, %v), want an empty incomplete report and context.Canceled", part, err)
+	} else if err := part.Complete(); err == nil {
+		t.Error("interrupted report passed Complete")
 	}
 }
 
@@ -241,67 +260,6 @@ func TestValidateScenarioChecksClasses(t *testing.T) {
 	}
 }
 
-// TestRunScenarioShardMergePublicSurface is the public acceptance path:
-// -shard 1/2 + -shard 2/2 + merge must be byte-identical to the unsharded
-// run, with VsRetrain populated in every partial.
-func TestRunScenarioShardMergePublicSurface(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a 4-cell matrix three times")
-	}
-	ctx := context.Background()
-	spec := tinyScenario()
-	full, err := RunScenario(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := full.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts []*ScenarioReport
-	for i := 1; i <= 2; i++ {
-		p, err := RunScenarioShard(ctx, spec, fmt.Sprintf("%d/2", i))
-		if err != nil {
-			t.Fatalf("shard %d/2: %v", i, err)
-		}
-		if err := p.Complete(); err != nil {
-			t.Fatalf("shard %d/2 incomplete: %v", i, err)
-		}
-		if len(p.Cells) == 0 {
-			t.Fatalf("shard %d/2 is empty", i)
-		}
-		for _, row := range p.Cells {
-			if row.Strategy != "retrain" && row.VsRetrain == nil {
-				t.Errorf("shard %d/2: %s/seed %d missing VsRetrain in the partial", i, row.Strategy, row.Seed)
-			}
-		}
-		parts = append(parts, p)
-	}
-	merged, err := MergeScenarioReports(parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := merged.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("merged shard reports differ from the single-machine report bytes")
-	}
-	if _, err := RunScenarioShard(ctx, spec, "5/2"); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-
-	// Self-diff of a real report: no regressions, exit path stays green.
-	d, err := DiffScenarioReports(full, merged, ScenarioDiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.HasRegressions() {
-		t.Errorf("self-diff of a real report regressed: %+v", d.Regressions())
-	}
-}
-
 func TestParseScenarioPublicSurface(t *testing.T) {
 	spec, err := ParseScenario([]byte(`{"dataset":"mnist","strategies":["goldfish"]}`))
 	if err != nil {
@@ -367,15 +325,5 @@ func TestRunScenarioPoisonedDeletionTracksShiftedClient(t *testing.T) {
 		t.Error("poisoned deletion after the attacked client departed reported complete")
 	} else if !strings.Contains(err.Error(), "departed") {
 		t.Errorf("unexpected failure: %v", err)
-	}
-}
-
-func TestParseScenarioShardPublic(t *testing.T) {
-	ref, err := ParseScenarioShard("2/3")
-	if err != nil || ref.Index != 2 || ref.Count != 3 {
-		t.Errorf("ParseScenarioShard = %+v, %v", ref, err)
-	}
-	if _, err := ParseScenarioShard("4/3"); err == nil {
-		t.Error("out-of-range shard accepted")
 	}
 }

@@ -395,8 +395,15 @@ func (e *Engine) Strategy() string { return e.fed.StrategyName() }
 // NumClients returns the number of participants.
 func (e *Engine) NumClients() int { return e.fed.NumClients() }
 
-// Client returns participant i, or nil when i is out of range.
-func (e *Engine) Client(i int) *Client { return e.fed.Client(i) }
+// Client returns a read-only view of participant i, or nil when i is out of
+// range.
+func (e *Engine) Client(i int) *Client {
+	c := e.fed.Client(i)
+	if c == nil {
+		return nil
+	}
+	return &Client{c: c}
+}
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() int { return e.fed.Round() }
