@@ -65,14 +65,14 @@ func TestAllocationBudgets(t *testing.T) {
 		{"accuracy/lenet5", 14, lenet.accuracy},
 		{"accuracy/resnet", 22, resnet.accuracy},
 		{"mse-scorer/resnet", 307, resnet.mseScorer},
-		{"train-round/lenet5", 178, lenet.trainRound},
-		{"train-round/resnet", 772, resnet.trainRound},
-		{"train-round/distill", 244, lenet.distillRound},
-		{"train-round/incompetent", 424, lenet.incompetentRound},
-		{"train-round/retrain", 168, lenet.retrainRound},
+		{"train-round/lenet5", 78, lenet.trainRound},
+		{"train-round/resnet", 400, resnet.trainRound},
+		{"train-round/distill", 94, lenet.distillRound},
+		{"train-round/incompetent", 228, lenet.incompetentRound},
+		{"train-round/retrain", 68, lenet.retrainRound},
 		{"aggregate/fedavg", 1, aggregate(fed.FedAvg{})},
 		{"aggregate/adaptive", 2, aggregate(fed.AdaptiveWeight{})},
-		{"engine-round/local", 19, engineRound},
+		{"engine-round/local", 12, engineRound},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := allocsPerCall(c.setup(t))
@@ -154,7 +154,8 @@ func (w budgetWorkload) mseScorer(t *testing.T) func() {
 }
 
 // trainRound is one client round from a fixed global model; allocsPerCall
-// counts rounds after the first, which has no teacher yet.
+// counts rounds after the first, which has no teacher yet. The client's
+// pool keeps its one network set, and the set's buffers, between rounds.
 func (w budgetWorkload) trainRound(t *testing.T) func() {
 	c, err := core.NewClient(0, w.p.ClientConfig(), w.train)
 	if err != nil {

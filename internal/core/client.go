@@ -14,8 +14,11 @@ import (
 	"goldfish/internal/optim"
 )
 
-// Client is one federation participant: it owns local data, the local
-// model, and the unlearning state of its Procedure. Client implements
+// Client is one federation participant: it owns its local data and the
+// unlearning state of its Procedure (removed rows, forget set, teacher and
+// incompetent weights as vectors, optimizer, batch-order RNG), but no
+// network. Each round borrows a network set from the client's Pool and
+// loads it from the global model and those vectors. Client implements
 // fed.LocalTrainer. Under Goldfish a round is normal (Algorithm 1's
 // LocalTraining on active data), unlearn (a deletion is pending: the
 // previous global teaches the reinitialized incoming one, with forget steps
@@ -32,6 +35,7 @@ type Client struct {
 	id   int
 	cfg  Config
 	proc Procedure
+	pool *Pool
 
 	mu      sync.Mutex
 	dataset *data.Dataset
@@ -40,62 +44,119 @@ type Client struct {
 	dfRows  []int         // the rows of df, in the order they were forgotten
 	retrain bool          // participate in KD retraining next round
 
-	student     *nn.Network
-	teacher     *nn.Network // loaded from teacherVec each round; nil under NoTeacher
-	teacherVec  []float64   // the previous global, or the one frozen at the deletion
-	incompetent *nn.Network // the random teacher of the Incompetent forget step
-	opt         Stepper     // kept between rounds unless the lifetime is PerRound
-	lastEpochs  int
-	rng         *rand.Rand
+	teacherVec     []float64 // the previous global, or the one frozen at the deletion; nil under NoTeacher
+	incompetentVec []float64 // the random teacher of the Incompetent forget step
+	opt            Stepper   // kept between rounds unless the lifetime is PerRound
+	lastEpochs     int
+	rng            *rand.Rand
 }
 
 var _ fed.LocalTrainer = (*Client)(nil)
 
-// NewClient builds a client under the Goldfish procedure over its local
-// dataset.
-func NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
-	return Goldfish.NewClient(id, cfg, ds)
+// Pool lends network sets to the clients of one federation, which share its
+// procedure and configuration. A round borrows one set for its duration: a
+// student, a teacher and an incompetent network, each built the first time
+// a round needs it, plus the epoch's buffers. Every network is loaded from
+// the client's vectors before it is read, so nothing passes from one
+// borrower to the next but buffer capacity, and a set keeps its buffers
+// across rounds. The pool builds a set only when every one it holds is
+// lent, so it holds one set per client that trains at the same time.
+type Pool struct {
+	proc Procedure
+	cfg  Config
+
+	mu   sync.Mutex
+	free []*netSet
 }
 
-// NewClient builds a client training under p over its local dataset.
-func (p Procedure) NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
+// netSet is one borrowable set of networks and epoch buffers.
+type netSet struct {
+	student, teacher, incompetent *nn.Network
+	buffers
+}
+
+// NewPool returns an empty pool for clients training under p with cfg.
+func NewPool(p Procedure, cfg Config) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("core: client %d has no local data", id)
 	}
 	if p.KDOnly && cfg.Loss.Temp <= 0 {
 		return nil, fmt.Errorf("core: distillation temperature must be positive, got %g", cfg.Loss.Temp)
 	}
-	c := &Client{
-		id:      id,
-		cfg:     cfg,
-		proc:    p,
-		dataset: ds,
-		removed: make(map[int]bool),
-		rng:     rand.New(rand.NewSource(cfg.Seed*p.SeedMul + int64(id))),
+	return &Pool{proc: p, cfg: cfg}, nil
+}
+
+// get lends out a free set, or a new empty one.
+func (p *Pool) get() *netSet {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
 	}
-	// Every network but the incompetent one is loaded before it is used,
-	// so its seed does not matter.
-	build := func(seed int64) (*nn.Network, error) {
-		mcfg := cfg.Model
-		mcfg.Seed = seed
-		return model.Build(mcfg)
+	return new(netSet)
+}
+
+// put takes back a set get lent out.
+func (p *Pool) put(s *netSet) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, s)
+}
+
+// load loads v into the network in *slot, building it first if the slot is
+// empty; the model seed does not matter, as v replaces every value it set.
+func (p *Pool) load(slot **nn.Network, v []float64) (*nn.Network, error) {
+	if *slot == nil {
+		net, err := model.Build(p.cfg.Model)
+		if err != nil {
+			return nil, err
+		}
+		*slot = net
 	}
-	var err error
-	if c.student, err = build(cfg.Model.Seed + int64(id)*1009 + 7); err != nil {
+	return *slot, (*slot).SetStateVector(v)
+}
+
+// NewClient builds a client under the Goldfish procedure over its local
+// dataset, with a pool of its own.
+func NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
+	return Goldfish.NewClient(id, cfg, ds)
+}
+
+// NewClient builds a client training under p over its local dataset, with
+// a pool of its own.
+func (p Procedure) NewClient(id int, cfg Config, ds *data.Dataset) (*Client, error) {
+	pool, err := NewPool(p, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if p.Teacher != NoTeacher {
-		if c.teacher, err = build(cfg.Model.Seed + int64(id)*1009 + 7); err != nil {
-			return nil, err
-		}
+	return pool.NewClient(id, ds)
+}
+
+// NewClient builds a client over its local dataset that trains under the
+// pool's procedure and configuration, on sets borrowed from the pool.
+func (p *Pool) NewClient(id int, ds *data.Dataset) (*Client, error) {
+	if ds == nil || ds.Len() == 0 {
+		return nil, fmt.Errorf("core: client %d has no local data", id)
 	}
-	if p.Forget == Incompetent {
-		if c.incompetent, err = build(cfg.Seed + int64(id)*6151 + 99); err != nil {
+	c := &Client{
+		id:      id,
+		cfg:     p.cfg,
+		proc:    p.proc,
+		pool:    p,
+		dataset: ds,
+		removed: make(map[int]bool),
+		rng:     rand.New(rand.NewSource(p.cfg.Seed*p.proc.SeedMul + int64(id))),
+	}
+	if p.proc.Forget == Incompetent {
+		mcfg := p.cfg.Model
+		mcfg.Seed = p.cfg.Seed + int64(id)*6151 + 99
+		net, err := model.Build(mcfg)
+		if err != nil {
 			return nil, err
 		}
+		c.incompetentVec = net.StateVector()
 	}
 	return c, nil
 }
@@ -171,15 +232,15 @@ func (c *Client) activeRowsLocked() []int {
 }
 
 // TrainRound implements fed.LocalTrainer: one round of the client side of
-// the procedure.
+// the procedure, on a network set borrowed from the client's pool.
 func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (fed.ModelUpdate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// The client is idle until the next round: drop every batch-sized
-	// activation cache and scratch buffer so waiting clients pin no memory.
-	defer c.releaseActivations()
+	s := c.pool.get()
+	defer c.pool.put(s)
 
-	if err := c.student.SetStateVector(global); err != nil {
+	student, err := c.pool.load(&s.student, global)
+	if err != nil {
 		return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading global model: %w", c.id, err)
 	}
 
@@ -188,13 +249,17 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 		gl.Hard = c.proc.Hard
 	}
 	drIdx := c.activeRowsLocked() // never empty: Apply leaves every client a row
-	e := epoch{student: c.student, ds: c.dataset, drIdx: drIdx, df: c.df, kdOnly: c.proc.KDOnly,
-		incompetent: c.incompetent, batchSize: c.cfg.BatchSize, rng: c.rng}
+	e := epoch{student: student, ds: c.dataset, drIdx: drIdx, df: c.df, kdOnly: c.proc.KDOnly,
+		batchSize: c.cfg.BatchSize, rng: c.rng, buffers: &s.buffers}
 	if c.teacherVec != nil {
-		if err := c.teacher.SetStateVector(c.teacherVec); err != nil {
+		if e.teacher, err = c.pool.load(&s.teacher, c.teacherVec); err != nil {
 			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading teacher model: %w", c.id, err)
 		}
-		e.teacher = c.teacher
+	}
+	if c.incompetentVec != nil && e.forgets() {
+		if e.incompetent, err = c.pool.load(&s.incompetent, c.incompetentVec); err != nil {
+			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: loading incompetent model: %w", c.id, err)
+		}
 	}
 
 	var ref loss.Hard // set when the round may stop early (Eq. 7)
@@ -230,7 +295,7 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 
 	e.opt = c.opt
 	if e.opt == nil {
-		opt, err := c.proc.newStepper(c.cfg.Opt, c.student)
+		opt, err := c.proc.newStepper(c.cfg.Opt, student)
 		if err != nil {
 			return fed.ModelUpdate{}, fmt.Errorf("core: client %d: %w", c.id, err)
 		}
@@ -272,18 +337,8 @@ func (c *Client) TrainRound(ctx context.Context, round int, global []float64) (f
 	return fed.ModelUpdate{
 		ClientID:   c.id,
 		Round:      round,
-		Params:     c.student.StateVector(),
+		Params:     student.StateVector(),
 		NumSamples: len(drIdx),
 		TrainLoss:  last.TotalLoss,
 	}, nil
-}
-
-// releaseActivations drops the batch-sized buffers of every network the
-// client holds.
-func (c *Client) releaseActivations() {
-	for _, n := range [...]*nn.Network{c.student, c.teacher, c.incompetent} {
-		if n != nil {
-			n.ReleaseActivations()
-		}
-	}
 }

@@ -275,7 +275,7 @@ func TestTrainEpochLowersReferenceLoss(t *testing.T) {
 		idx[i] = i
 	}
 	reference := func(idx []int) float64 {
-		e := &epoch{teacher: net, ds: train, drIdx: idx, batchSize: cfg.BatchSize}
+		e := &epoch{teacher: net, ds: train, drIdx: idx, batchSize: cfg.BatchSize, buffers: new(buffers)}
 		l, err := e.forwardTeachers(context.Background(), cfg.Loss.Hard)
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 func TeacherCaches(teacher, incompetent *nn.Network, ds *data.Dataset, drIdx []int, df *data.Dataset,
 	ref loss.Hard, batchSize int) (teacherLogits, incompetentLogits *tensor.Tensor, refLoss float64, err error) {
 	e := &epoch{teacher: teacher, incompetent: incompetent, kdOnly: true, ds: ds, drIdx: drIdx, df: df,
-		batchSize: batchSize}
+		batchSize: batchSize, buffers: new(buffers)}
 	refLoss, err = e.forwardTeachers(context.Background(), ref)
 	return e.teacherLogits, e.incompetentLogits, refLoss, err
 }

@@ -41,7 +41,7 @@ type EpochResult struct {
 func TrainEpoch(ctx context.Context, student, teacher *nn.Network, ds *data.Dataset, drIdx []int,
 	df *data.Dataset, gl loss.Goldfish, opt Stepper, batchSize int, rng *rand.Rand) (EpochResult, error) {
 	e := &epoch{student: student, teacher: teacher, ds: ds, drIdx: drIdx, df: df, gl: gl,
-		opt: opt, batchSize: batchSize, rng: rng}
+		opt: opt, batchSize: batchSize, rng: rng, buffers: new(buffers)}
 	if _, err := e.forwardTeachers(ctx, nil); err != nil {
 		return EpochResult{}, err
 	}
@@ -67,10 +67,16 @@ type epoch struct {
 	opt                           Stepper
 	batchSize                     int
 	rng                           *rand.Rand
+	*buffers
+}
 
+// buffers are an epoch's reusable tensors and lists. A client round takes
+// them from the network set it borrows, so they keep their capacity from one
+// round to the next; every one is written before it is read.
+type buffers struct {
 	// teacherLogits holds teacher's logits of ds row drIdx[i] in row i, and
-	// incompetentLogits incompetent's of df row i. Each is nil while run
-	// does not read that teacher.
+	// incompetentLogits incompetent's of df row i. run reads each only in a
+	// round whose forwardTeachers filled it.
 	teacherLogits, incompetentLogits *tensor.Tensor
 	// One batch tensor, one gathered-logits tensor, one row list and one
 	// label list for every pass of the round: a batch is overwritten only

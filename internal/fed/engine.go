@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"goldfish/internal/obs"
@@ -31,9 +33,10 @@ type LocalTrainer interface {
 // set, Eq. 12). Lower is better.
 //
 // The round engine scores the updates of a round concurrently (they are
-// independent), so implementations must be safe for concurrent Score calls —
-// evaluate on per-call model replicas (e.g. a sync.Pool of cloned networks)
-// rather than one shared mutable network.
+// independent), on fanOut's bounded set of goroutines, so implementations
+// must be safe for concurrent Score calls — evaluate on per-call model
+// replicas (e.g. a sync.Pool of cloned networks) rather than one shared
+// mutable network.
 type Scorer interface {
 	Score(params []float64) (float64, error)
 }
@@ -70,9 +73,9 @@ type RoundResult struct {
 }
 
 // Transport dispatches one round of local training to participants. The
-// in-process LocalTransport fans out to goroutines; the TCP server's
-// transport speaks the wire protocol. Implementations must treat the global
-// slice as read-only.
+// in-process LocalTransport fans out to a bounded set of goroutines; the TCP
+// server's transport speaks the wire protocol. Implementations must treat
+// the global slice as read-only.
 type Transport interface {
 	// NumClients returns the current number of participants.
 	NumClients() int
@@ -347,24 +350,13 @@ func validUpdate(params []float64, size int) bool {
 
 // scoreUpdates fills each update's MSE via the configured Scorer. Client
 // updates are independent, so the server-side quality probe (Eq. 12) scores
-// them concurrently; Scorer implementations must be safe for concurrent use
-// (see the Scorer contract).
+// them on fanOut's goroutines; Scorer implementations must be safe for
+// concurrent use (see the Scorer contract).
 func (e *Engine) scoreUpdates(updates []ModelUpdate) error {
 	scoreErrs := make([]error, len(updates))
-	var wg sync.WaitGroup
-	for i := range updates {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mse, err := e.cfg.Scorer.Score(updates[i].Params)
-			if err != nil {
-				scoreErrs[i] = err
-				return
-			}
-			updates[i].MSE = mse
-		}(i)
-	}
-	wg.Wait()
+	fanOut(len(updates), func(i int) {
+		updates[i].MSE, scoreErrs[i] = e.cfg.Scorer.Score(updates[i].Params)
+	})
 	for i, err := range scoreErrs {
 		if err != nil {
 			return fmt.Errorf("fed: round %d: scoring client %d: %w", e.round, updates[i].ClientID, err)
@@ -373,9 +365,47 @@ func (e *Engine) scoreUpdates(updates []ModelUpdate) error {
 	return nil
 }
 
-// LocalTransport runs participants fully in-process: ExecuteRound fans out
-// one goroutine per sampled trainer. The trainer set may change between
-// rounds (dynamic membership) but not during one.
+// fanOut calls fn(i) once for every i in [0, n) and returns when every call
+// has. It runs workers(n) goroutines, each taking the next i from a shared
+// counter, so at most that many calls run at once.
+func fanOut(n int, fn func(i int)) {
+	w := workers(n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for range w {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// workers is how many goroutines fanOut runs for n jobs: the smallest W ≥
+// min(GOMAXPROCS, n) whose last wave, n mod W jobs, is empty or still has a
+// job for every CPU. One goroutine per CPU would leave CPUs idle in the last
+// wave (5 jobs on 2 CPUs end with one job alone), and one per job holds
+// every job's working set at once; so 5 jobs on 2 CPUs run on 3
+// goroutines and 64 on 2.
+func workers(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	p := runtime.GOMAXPROCS(0)
+	w := min(p, n)
+	for n%w != 0 && n%w < p {
+		w++
+	}
+	return w
+}
+
+// LocalTransport runs participants fully in-process: ExecuteRound trains
+// the sampled trainers on fanOut's bounded set of goroutines, so a round
+// trains at most workers(n) of its n trainers at once. The trainer set may
+// change between rounds (dynamic membership) but not during one.
 type LocalTransport struct {
 	trainers []LocalTrainer
 }
@@ -404,23 +434,24 @@ func (t *LocalTransport) Remove(i int) error {
 
 // ExecuteRound implements Transport. Each sampled trainer's local training
 // is traced as a fed/client_train span through the context's observer.
+// Results are positional. A trainer still queued when ctx ends is not
+// called: its result is ctx.Err().
 func (t *LocalTransport) ExecuteRound(ctx context.Context, round int, participants []int, global []float64) []RoundResult {
 	o := obs.FromContext(ctx)
 	results := make([]RoundResult, len(participants))
-	var wg sync.WaitGroup
-	for k, idx := range participants {
-		wg.Add(1)
-		go func(k, idx int) {
-			defer wg.Done()
-			sp := o.StartSpan("fed/client_train", obs.Int("round", round), obs.Int("client", idx))
-			// Each trainer receives its own copy of the global vector: per-trainer
-			// isolation is the Transport contract.
-			g := append([]float64(nil), global...)
-			u, err := t.trainers[idx].TrainRound(ctx, round, g)
-			sp.End()
-			results[k] = RoundResult{Index: idx, Update: u, Err: err}
-		}(k, idx)
-	}
-	wg.Wait()
+	fanOut(len(participants), func(k int) {
+		idx := participants[k]
+		if err := ctx.Err(); err != nil {
+			results[k] = RoundResult{Index: idx, Err: err}
+			return
+		}
+		sp := o.StartSpan("fed/client_train", obs.Int("round", round), obs.Int("client", idx))
+		// Each trainer receives its own copy of the global vector: per-trainer
+		// isolation is the Transport contract.
+		g := append([]float64(nil), global...)
+		u, err := t.trainers[idx].TrainRound(ctx, round, g)
+		sp.End()
+		results[k] = RoundResult{Index: idx, Update: u, Err: err}
+	})
 	return results
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -281,13 +283,14 @@ func (b blockingTrainer) TrainRound(ctx context.Context, _ int, _ []float64) (Mo
 // TestEngineCancelMidRoundWrapsCanceled is the regression for an interrupt
 // during local training: the round failed with "only 0/2 sampled clients
 // succeeded" and nothing callers could match, so the server exited as if the
-// federation had broken instead of reporting the interrupt.
+// federation had broken instead of reporting the interrupt. The round is
+// cancelled once the first trainer starts: with one goroutine per CPU the
+// second may still be queued, and then it never starts.
 func TestEngineCancelMidRoundWrapsCanceled(t *testing.T) {
-	started := make(chan struct{})
+	started := make(chan struct{}, 2)
 	e := localEngine(t, EngineConfig{}, []float64{0}, blockingTrainer{started}, blockingTrainer{started})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		<-started
 		<-started
 		cancel()
 	}()
@@ -297,6 +300,114 @@ func TestEngineCancelMidRoundWrapsCanceled(t *testing.T) {
 	}
 	if e.Round() != 0 {
 		t.Errorf("cancelled round counted: Round() = %d", e.Round())
+	}
+}
+
+// TestQueuedTrainerSkippedAfterCancel pins that a participant still queued
+// when the round's context ends is reported with ctx.Err() and never
+// trained, so a failed round cannot move its state: every participant when
+// the context ended before the round, and the second of two on one CPU when
+// it ends while the first trains.
+func TestQueuedTrainerSkippedAfterCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a := &stubTrainer{id: 0, params: []float64{1}, samples: 1}
+	b := &stubTrainer{id: 1, params: []float64{1}, samples: 1}
+	for i, r := range NewLocalTransport([]LocalTrainer{a, b}).ExecuteRound(ctx, 0, []int{0, 1}, []float64{0}) {
+		if r.Index != i || !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("result %d = index %d, err %v; want index %d, context.Canceled", i, r.Index, r.Err, i)
+		}
+	}
+	if a.calls.Load() != 0 || b.calls.Load() != 0 {
+		t.Errorf("TrainRound called %d and %d times after the context ended, want 0", a.calls.Load(), b.calls.Load())
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	started := make(chan struct{}, 1)
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	queued := &stubTrainer{id: 1, params: []float64{1}, samples: 1}
+	res := NewLocalTransport([]LocalTrainer{blockingTrainer{started}, queued}).ExecuteRound(ctx, 0, []int{0, 1}, []float64{0})
+	if !errors.Is(res[1].Err, context.Canceled) || queued.calls.Load() != 0 {
+		t.Errorf("queued trainer: err %v after %d TrainRound calls, want context.Canceled after 0", res[1].Err, queued.calls.Load())
+	}
+}
+
+// concurrencyProbe counts the calls in flight and the most seen at once.
+type concurrencyProbe struct{ now, peak atomic.Int32 }
+
+func (p *concurrencyProbe) enter() {
+	n := p.now.Add(1)
+	for m := p.peak.Load(); n > m && !p.peak.CompareAndSwap(m, n); m = p.peak.Load() {
+	}
+	time.Sleep(200 * time.Microsecond) // widen the overlap window
+}
+
+func (p *concurrencyProbe) exit() { p.now.Add(-1) }
+
+// probedTrainer is a stubTrainer whose calls pass through a probe.
+type probedTrainer struct {
+	*stubTrainer
+	probe *concurrencyProbe
+}
+
+func (p probedTrainer) TrainRound(ctx context.Context, round int, global []float64) (ModelUpdate, error) {
+	p.probe.enter()
+	defer p.probe.exit()
+	return p.stubTrainer.TrainRound(ctx, round, global)
+}
+
+// TestFanOutBound pins the bound on a round's goroutines: the smallest W ≥
+// min(GOMAXPROCS, n) with n mod W either 0 or ≥ GOMAXPROCS. Neither local
+// training nor scoring may run more than W calls at once, and each
+// participant trains and is scored exactly once.
+func TestFanOutBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, n, w int }{
+		{1, 1, 1}, {1, 2, 1}, {1, 5, 1}, {1, 64, 1},
+		{2, 1, 1}, {2, 2, 2}, {2, 5, 3}, {2, 64, 2},
+		{4, 1, 1}, {4, 2, 2}, {4, 5, 5}, {4, 64, 4},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := workers(c.n); got != c.w {
+			t.Errorf("GOMAXPROCS %d, n %d: workers = %d, want %d", c.procs, c.n, got, c.w)
+		}
+		var train, score concurrencyProbe
+		stubs := make([]*stubTrainer, c.n)
+		trainers := make([]LocalTrainer, c.n)
+		for i := range trainers {
+			stubs[i] = &stubTrainer{id: i, params: []float64{float64(i)}, samples: 1}
+			trainers[i] = probedTrainer{stubs[i], &train}
+		}
+		var scored sync.Map
+		e := localEngine(t, EngineConfig{Scorer: ScorerFunc(func(p []float64) (float64, error) {
+			score.enter()
+			defer score.exit()
+			if _, dup := scored.LoadOrStore(p[0], true); dup {
+				return 0, fmt.Errorf("update %g scored twice", p[0])
+			}
+			return 0, nil
+		})}, []float64{0}, trainers...)
+		if err := e.RunRound(context.Background()); err != nil {
+			t.Fatalf("GOMAXPROCS %d, n %d: %v", c.procs, c.n, err)
+		}
+		for i, s := range stubs {
+			if got := s.calls.Load(); got != 1 {
+				t.Errorf("GOMAXPROCS %d, n %d: participant %d trained %d times, want 1", c.procs, c.n, i, got)
+			}
+			if _, ok := scored.Load(float64(i)); !ok {
+				t.Errorf("GOMAXPROCS %d, n %d: participant %d never scored", c.procs, c.n, i)
+			}
+		}
+		if p := int(train.peak.Load()); p > c.w {
+			t.Errorf("GOMAXPROCS %d, n %d: %d trainers ran at once, bound %d", c.procs, c.n, p, c.w)
+		}
+		if p := int(score.peak.Load()); p > c.w {
+			t.Errorf("GOMAXPROCS %d, n %d: %d scorings ran at once, bound %d", c.procs, c.n, p, c.w)
+		}
 	}
 }
 

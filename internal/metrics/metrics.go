@@ -174,10 +174,11 @@ func AttackSuccessRate(net *nn.Network, triggered *data.Dataset, target int, bat
 }
 
 // NewMSEScorer returns a function computing the Eq. 12 MSE of a flat
-// parameter vector on the given test set. Each call evaluates on a
-// per-goroutine replica of template drawn from a pool, so the scorer is
-// safe for the round engine's concurrent scoring. template itself is never
-// mutated.
+// parameter vector on the given test set. Each call evaluates on a replica
+// of template drawn from a pool, so the scorer is safe for the round
+// engine's concurrent scoring, which bounds its calls in flight to about
+// one per CPU; the pool holds no more replicas than calls ran at once.
+// template itself is never mutated.
 func NewMSEScorer(template *nn.Network, test *data.Dataset, batch int) func(params []float64) (float64, error) {
 	tmpl := template.Clone()
 	pool := sync.Pool{New: func() any { return tmpl.Clone() }}

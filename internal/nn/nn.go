@@ -50,8 +50,8 @@ func newParam(name string, w *tensor.Tensor) *Param {
 
 // ActivationReleaser is implemented by layers that cache batch-sized
 // activations or scratch buffers between Forward/Backward calls. Releasing
-// frees that state so an idle model (e.g. a federated client waiting for its
-// next round) pins no activation memory; the buffers are transparently
+// frees that state so an idle model (e.g. a scoring replica waiting in its
+// pool) pins no activation memory; the buffers are transparently
 // reallocated on the next Forward.
 type ActivationReleaser interface {
 	ReleaseActivations()
@@ -192,9 +192,9 @@ func (n *Network) NumParams() int {
 }
 
 // ReleaseActivations drops every layer's cached activations and reusable
-// scratch buffers. Call it when a model goes idle (end of a federated round,
-// after evaluation) so batch-sized state does not outlive its batch; the
-// next Forward reallocates what it needs.
+// scratch buffers. Call it when a model goes idle (after evaluation) so
+// batch-sized state does not outlive its batch; the next Forward
+// reallocates what it needs.
 func (n *Network) ReleaseActivations() {
 	for _, l := range n.layers {
 		if r, ok := l.(ActivationReleaser); ok {

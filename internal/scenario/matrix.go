@@ -23,8 +23,6 @@ type Cell struct {
 	// Attack is the attack-probe type poisoning the cell's data ("" when
 	// the spec has no attack).
 	Attack string
-	// Index is the cell's position in Spec.Cells() order.
-	Index int
 }
 
 // Cells expands the spec's run matrix in deterministic order:
@@ -36,7 +34,7 @@ func (s Spec) Cells() []Cell {
 	for _, strat := range s.Strategies {
 		for _, seed := range seeds {
 			for _, atk := range attacks {
-				out = append(out, Cell{Strategy: strat, Seed: seed, Attack: atk, Index: len(out)})
+				out = append(out, Cell{Strategy: strat, Seed: seed, Attack: atk})
 			}
 		}
 	}

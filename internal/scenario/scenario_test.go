@@ -152,10 +152,10 @@ func TestCellsOrderAndIndex(t *testing.T) {
 		t.Fatalf("len(cells) = %d, want 8", len(cells))
 	}
 	want := []Cell{
-		{"retrain", 5, "label-flip", 0}, {"retrain", 5, "backdoor", 1},
-		{"retrain", 2, "label-flip", 2}, {"retrain", 2, "backdoor", 3},
-		{"goldfish", 5, "label-flip", 4}, {"goldfish", 5, "backdoor", 5},
-		{"goldfish", 2, "label-flip", 6}, {"goldfish", 2, "backdoor", 7},
+		{"retrain", 5, "label-flip"}, {"retrain", 5, "backdoor"},
+		{"retrain", 2, "label-flip"}, {"retrain", 2, "backdoor"},
+		{"goldfish", 5, "label-flip"}, {"goldfish", 5, "backdoor"},
+		{"goldfish", 2, "label-flip"}, {"goldfish", 2, "backdoor"},
 	}
 	for i, c := range cells {
 		if c != want[i] {
@@ -174,10 +174,10 @@ func TestCellsAttackAxis(t *testing.T) {
 		t.Fatalf("len(cells) = %d, want 8", len(cells))
 	}
 	want := []Cell{
-		{"goldfish", 1, "backdoor", 0}, {"goldfish", 1, "label-flip", 1},
-		{"goldfish", 2, "backdoor", 2}, {"goldfish", 2, "label-flip", 3},
-		{"retrain", 1, "backdoor", 4}, {"retrain", 1, "label-flip", 5},
-		{"retrain", 2, "backdoor", 6}, {"retrain", 2, "label-flip", 7},
+		{"goldfish", 1, "backdoor"}, {"goldfish", 1, "label-flip"},
+		{"goldfish", 2, "backdoor"}, {"goldfish", 2, "label-flip"},
+		{"retrain", 1, "backdoor"}, {"retrain", 1, "label-flip"},
+		{"retrain", 2, "backdoor"}, {"retrain", 2, "label-flip"},
 	}
 	for i, c := range cells {
 		if c != want[i] {

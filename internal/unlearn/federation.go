@@ -70,10 +70,11 @@ type Federation struct {
 	proc core.Procedure
 
 	// clients are the participants by current position, the trainers the
-	// in-process transport local runs. nextID is the next lifetime-unique
-	// client ID; reinits counts the fresh global models deletion batches
-	// have started from.
+	// in-process transport local runs, and pool lends them the networks
+	// they train on. nextID is the next lifetime-unique client ID; reinits
+	// counts the fresh global models deletion batches have started from.
 	clients []*core.Client
+	pool    *core.Pool
 	nextID  int
 	reinits int64
 
@@ -109,7 +110,8 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Client.Validate(); err != nil {
+	pool, err := core.NewPool(proc, cfg.Client)
+	if err != nil {
 		return nil, err
 	}
 	if len(parts) == 0 {
@@ -121,7 +123,7 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 	clients := make([]*core.Client, len(parts))
 	trainers := make([]fed.LocalTrainer, len(parts))
 	for i, p := range parts {
-		if clients[i], err = proc.NewClient(i, cfg.Client, p); err != nil {
+		if clients[i], err = pool.NewClient(i, p); err != nil {
 			return nil, err
 		}
 		trainers[i] = clients[i]
@@ -140,6 +142,7 @@ func NewFederation(cfg Config, parts []*data.Dataset) (*Federation, error) {
 		name:    name,
 		proc:    proc,
 		clients: clients,
+		pool:    pool,
 		nextID:  len(clients),
 		local:   fed.NewLocalTransport(trainers),
 		evalNet: evalNet,
@@ -323,7 +326,7 @@ func (f *Federation) AddClient(ds *data.Dataset) (int, error) {
 	if err := f.checkMembership(); err != nil {
 		return 0, err
 	}
-	c, err := f.proc.NewClient(f.nextID, f.cfg.Client, ds)
+	c, err := f.pool.NewClient(f.nextID, ds)
 	if err != nil {
 		return 0, err
 	}

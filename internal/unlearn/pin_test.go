@@ -89,7 +89,7 @@ func TestConvStateDigestPin(t *testing.T) {
 }
 
 // pinnedScheduleDigest runs f for 3 rounds, deletes rows 0–4 of client 0,
-// runs 3 more rounds and returns the sha256 of the final global model's bits.
+// runs 3 more rounds and returns globalDigest of the final global model.
 // onRound, if set, is called after every round.
 func pinnedScheduleDigest(t *testing.T, f *Federation, onRound func(RoundStats)) string {
 	t.Helper()
@@ -103,6 +103,11 @@ func pinnedScheduleDigest(t *testing.T, f *Federation, onRound func(RoundStats))
 	if err := f.Run(ctx, 3, onRound); err != nil {
 		t.Fatal(err)
 	}
+	return globalDigest(f)
+}
+
+// globalDigest returns the sha256 of the bits of f's global model.
+func globalDigest(f *Federation) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, v := range f.Global() {
